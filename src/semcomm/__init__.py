@@ -14,17 +14,17 @@ from .fol import (AtomicStatement, EvidenceSet, Vocabulary, parse_evidence,
                   parse_triple_list)
 from .inductive import (InductiveModel, InductiveParams, check_convergence,
                         constituent_likelihood, constituent_posterior,
-                        constituent_prior, degree_of_confirmation, pac_error,
-                        pac_sample_bound, predictive_probability)
+                        constituent_prior, pac_error, pac_sample_bound,
+                        predictive_probability)
 from .lossless import (LosslessReport, gzip_bits, lossless_decode,
                        lossless_encode_report, shannon_baseline)
 from .lossy import (LossyConfig, RDPoint, candidate_reconstructions,
                     content_cap, lossy_optimize, payoff_matrix, rd_sweep,
                     receiver_prior, relative_informativeness)
-from .measures import (FixedMeasure, MessagePartition, UniverseSignature,
-                       cond_cont, cont, cont_entropy, cont_sentence,
-                       inf_entropy, inf_measure, is_inductively_independent,
-                       is_l_exclusive, scale_entropies, transcont)
+from .measures import (MessagePartition, UniverseSignature, cond_cont, cont,
+                       cont_entropy, cont_sentence, inf_entropy, inf_measure,
+                       is_inductively_independent, is_l_exclusive,
+                       scale_entropies, transcont)
 from .sublang import (Constituent, Sentence, SubLanguage, SubLanguageConfig,
                       build_sublanguage)
 from .xreal import ExtremeReal, lse, xsum
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArityConflictError", "CapacityError", "Constituent", "DecodeError",
-    "DomainMismatchError", "EvidenceSet", "ExtremeReal", "FixedMeasure",
+    "DomainMismatchError", "EvidenceSet", "ExtremeReal",
     "InconsistentEvidenceError", "InductiveModel", "InductiveParams",
     "AtomicStatement", "InfeasibleTargetError", "LosslessReport",
     "LossyConfig", "MessagePartition", "RDPoint", "SemcommError", "Sentence",
@@ -42,7 +42,7 @@ __all__ = [
     "Vocabulary", "build_sublanguage", "candidate_reconstructions",
     "check_convergence", "cond_cont", "cont", "cont_entropy",
     "cont_sentence", "content_cap", "constituent_likelihood",
-    "constituent_posterior", "constituent_prior", "degree_of_confirmation",
+    "constituent_posterior", "constituent_prior",
     "gzip_bits", "inf_entropy", "inf_measure", "is_inductively_independent",
     "is_l_exclusive", "lossless_decode", "lossless_encode_report",
     "lossy_optimize", "lse", "pac_error", "pac_sample_bound",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-BACKEND = "python"
+BACKEND = "pure-python"
 
 _BITS = 32
 _TOP = 1 << _BITS

@@ -23,13 +23,13 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
 
-from .dataset import Story, load_evidence, load_manifest
-from .errors import DecodeError, SemcommError, UnsupportedConfigError
+from . import __version__
+from .dataset import load_evidence, load_manifest
+from .errors import DecodeError, SemcommError
 from .fol import EvidenceSet, parse_evidence
 from .inductive import (CONSTANT, PROPORTIONAL, InductiveModel, InductiveParams,
                         check_convergence, pac_error, pac_sample_bound)
@@ -68,20 +68,12 @@ def _make_params(lam: str, alpha: float) -> InductiveParams:
     return InductiveParams(lambda_policy=policy, lambda_value=value, alpha=alpha)
 
 
-def _params_record(lam: str, alpha: float, slack: int, partition: str,
+def _params_record(lam: str, alpha: float, slack: int,
                    seed: int | None) -> tuple[dict, str]:
-    record = {"lambda": lam, "alpha": alpha, "slack": slack,
-              "partition": partition, "seed": seed}
+    record = {"lambda": lam, "alpha": alpha, "slack": slack, "seed": seed}
     digest = hashlib.sha256(
         json.dumps(record, sort_keys=True).encode()).hexdigest()[:16]
     return record, digest
-
-
-def _check_partition(partition: str) -> None:
-    if partition != "constituents":
-        raise UnsupportedConfigError(
-            f"partition {partition!r} is not implemented; the hypothesis "
-            "partition ('constituents') is the only supported message space")
 
 
 def _friendly(fn):
@@ -101,16 +93,12 @@ _lam_option = click.option("--lam", default="w", show_default=True,
                                 "dogmatic endpoint.")
 _alpha_option = click.option("--alpha", default=0.0, show_default=True,
                              help="Prior sample-size weight.")
-_partition_option = click.option(
-    "--partition", default="constituents", show_default=True,
-    type=click.Choice(["constituents", "state_descriptions"]),
-    help="Message space for entropy measures.")
 
 
 @click.group()
 @click.option("--seed", type=int, default=None,
               help="Recorded in reports; no command uses randomness.")
-@click.version_option(package_name="semcomm", prog_name="semcomm")
+@click.version_option(version=__version__, prog_name="semcomm")
 @click.pass_context
 def main(ctx, seed):
     """Semantic information measures and semantic compression."""
@@ -123,10 +111,6 @@ def main(ctx, seed):
 
 
 # --- analyze -----------------------------------------------------------
-
-
-def _load_story_evidence(story: Story) -> tuple[EvidenceSet, str]:
-    return load_evidence(story.evidence_path, story.observations)
 
 
 def _analyze_one(ev: EvidenceSet, fmt: str, slack: int,
@@ -170,38 +154,34 @@ def _analyze_one(ev: EvidenceSet, fmt: str, slack: int,
               help="Unexemplified cells kept in the hypothesis space.")
 @_lam_option
 @_alpha_option
-@_partition_option
 @click.option("--out", type=click.Path(file_okay=False), default=None,
               help="Directory for per-source JSON reports and summary.csv.")
 @click.pass_context
 @_friendly
-def analyze(ctx, paths, slack, lam, alpha, partition, out):
+def analyze(ctx, paths, slack, lam, alpha, out):
     """Entropy measures for evidence files or a story collection.
 
     PATHS is either one directory holding a manifest.json, or one or more
     evidence files (.fol line syntax or .json statement lists).  Scaled
     columns compare the sources analyzed in this run against each other.
     """
-    _check_partition(partition)
     params = _make_params(lam, alpha)
-    record_params, digest = _params_record(lam, alpha, slack, partition,
-                                           ctx.obj["seed"])
+    record_params, digest = _params_record(lam, alpha, slack, ctx.obj["seed"])
 
     dirs = [p for p in paths if Path(p).is_dir()]
     if dirs and len(paths) > 1:
         raise click.UsageError("pass one dataset directory or only files")
 
+    jobs = []
     if dirs:
         try:
             stories = load_manifest(dirs[0])
         except (FileNotFoundError, ValueError) as exc:
             raise click.UsageError(str(exc))
-        with ThreadPoolExecutor(max_workers=min(8, len(stories))) as pool:
-            loaded = list(pool.map(_load_story_evidence, stories))
-        jobs = [(ev, fmt, st.observations, st.story_id)
-                for st, (ev, fmt) in zip(stories, loaded)]
+        for st in stories:
+            ev, fmt = load_evidence(st.evidence_path, st.observations)
+            jobs.append((ev, fmt, st.observations, st.story_id))
     else:
-        jobs = []
         for p in paths:
             ev, fmt = load_evidence(p)
             jobs.append((ev, fmt, ev.observations, Path(p).stem))

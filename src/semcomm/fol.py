@@ -236,40 +236,3 @@ def parse_triple_list(triples: Iterable[str], vocab: Vocabulary | None = None,
     vocab = vocab or Vocabulary()
     statements = [parse_statement(t, vocab, i + 1) for i, t in enumerate(triples)]
     return EvidenceSet(tuple(statements), vocab, source_id, observations)
-
-
-# --- dyadic sign-pattern bookkeeping ---------------------------------
-
-
-def q_index(signs_xy: Iterable[bool], signs_yx: Iterable[bool]) -> int:
-    """Pack the sign pattern of m relations over an ordered pair into an index.
-
-    Bit i holds the sign of relation i on (x, y); bit m+i the sign on
-    (y, x).  The packing is a bijection onto [0, 2^(2m) - 1].
-    """
-    xy = list(signs_xy)
-    yx = list(signs_yx)
-    if len(xy) != len(yx):
-        raise ValueError("sign vectors must cover the same relations")
-    idx = 0
-    for i, s in enumerate(xy):
-        idx |= bool(s) << i
-    m = len(xy)
-    for i, s in enumerate(yx):
-        idx |= bool(s) << (m + i)
-    return idx
-
-
-def q_unpack(index: int, m: int) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
-    """Inverse of q_index for m relations."""
-    if not 0 <= index < (1 << (2 * m)):
-        raise ValueError(f"index {index} out of range for {m} relations")
-    xy = tuple(bool((index >> i) & 1) for i in range(m))
-    yx = tuple(bool((index >> (m + i)) & 1) for i in range(m))
-    return xy, yx
-
-
-def q_swap(index: int, m: int) -> int:
-    """Index of the same pair viewed from the other side: swap the halves."""
-    xy, yx = q_unpack(index, m)
-    return q_index(yx, xy)

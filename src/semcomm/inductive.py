@@ -237,14 +237,15 @@ class InductiveModel:
     """Posterior engine bound to one sub-language and one evidence summary.
 
     The summary may be overridden (for example by a rescaled evidence
-    volume); it must describe the same cell structure as the sub-language.
+    volume); it must describe the same cell structure as the sub-language,
+    or be the empty summary (c = 0), which makes the posterior the prior.
     """
 
     def __init__(self, sublang: SubLanguage,
                  params: InductiveParams | None = None,
                  summary: EvidenceSummary | None = None):
         summary = summary or sublang.summary
-        if summary.big_k != sublang.big_k or summary.c != sublang.summary.c:
+        if summary.big_k != sublang.big_k or summary.c not in (0, sublang.summary.c):
             raise DomainMismatchError(
                 "evidence summary does not match the sub-language shape")
         self.sublang = sublang
@@ -266,9 +267,6 @@ class InductiveModel:
     def width_classes(self) -> tuple[WidthClass, ...]:
         return self._table.classes
 
-    def posterior_by_width(self) -> dict[int, float]:
-        return {cl.width: cl.posterior_class for cl in self._table.classes}
-
     def unit_posterior(self, width: int) -> float:
         """Posterior of any single compatible hypothesis of that width."""
         cl = self._table.get(width)
@@ -289,10 +287,6 @@ class InductiveModel:
         if cl is None:
             return ExtremeReal.zero()
         return ExtremeReal.from_ln(cl.ln_each - self._table.ln_z)
-
-    def minimal_posterior(self) -> float:
-        """Posterior of the exact-evidence hypothesis (width = c)."""
-        return self.unit_posterior(max(self.summary.c, 1))
 
     # -- sentences --------------------------------------------------------
 
@@ -332,12 +326,6 @@ class InductiveModel:
 
     def sentence_probability(self, sentence: Sentence) -> float:
         return math.fsum(self.probability_terms(self.member_width_counts(sentence)))
-
-    def sentence_probability_extreme(self, sentence: Sentence) -> ExtremeReal:
-        ln = self._table.ln_mass(self.member_width_counts(sentence))
-        if ln == -math.inf:
-            return ExtremeReal.zero()
-        return ExtremeReal.from_ln(ln - self._table.ln_z)
 
     def complement_probability_extreme(self, sentence: Sentence) -> ExtremeReal:
         """Posterior mass of everything outside the sentence, summed directly.
@@ -391,11 +379,6 @@ def constituent_posterior(constituent: Constituent, summary: EvidenceSummary,
     return ExtremeReal.from_ln(cl.ln_each - table.ln_z)
 
 
-def degree_of_confirmation(sentence: Sentence, model: InductiveModel) -> float:
-    """Posterior probability of a sentence: summed over its member hypotheses."""
-    return model.sentence_probability(sentence)
-
-
 # -- predictive probabilities ---------------------------------------------
 
 
@@ -415,15 +398,14 @@ def predictive_probability(model: InductiveModel, kind: int) -> float:
     """Closed-form next-case probability of a kind, as a marginal ratio.
 
     Implemented for the proportional policy with alpha = 0, where the ratio
-    of marginal evidence likelihoods closes in terms of factorials.  For any
-    other configuration use :func:`predictive_mixture`.
+    of marginal evidence likelihoods closes in terms of factorials; other
+    configurations raise UnsupportedConfigError.
     """
     params = model.params
     if params.lambda_policy != PROPORTIONAL or params.alpha != 0.0:
         raise UnsupportedConfigError(
             "closed-form predictive probability covers the proportional "
-            "policy with alpha=0 only; predictive_mixture handles every "
-            "configuration")
+            "policy with alpha=0 only")
     s = model.summary
     if not 0 <= kind < s.big_k:
         raise ValueError(f"kind must lie in 0..{s.big_k - 1}")
@@ -434,55 +416,6 @@ def predictive_probability(model: InductiveModel, kind: int) -> float:
     else:
         ln_num = _ln_marginal(s.n + 1, s.c + 1, list(s.counts) + [1], s.big_k)
     return math.exp(ln_num - _ln_marginal(s.n, s.c, s.counts, s.big_k))
-
-
-def predictive_mixture(model: InductiveModel, kind: int) -> float:
-    """Next-case probability as a posterior-weighted mixture over widths.
-
-    Works under every smoothing policy.  For a kind the evidence has not
-    exemplified, the chance that a width-w hypothesis includes that exact
-    cell is (w - c) / (K - c), which multiplies the next-case weight.
-    """
-    s = model.summary
-    if not 0 <= kind < s.big_k:
-        raise ValueError(f"kind must lie in 0..{s.big_k - 1}")
-    params = model.params
-    terms = []
-    for cl in model.width_classes():
-        w = cl.width
-        if kind < s.c:
-            factor = carnap_characteristic(s.counts[kind], s.n,
-                                           params.lambda_of(w), w)
-        else:
-            if w == s.c:
-                continue
-            factor = ((w - s.c) / (s.big_k - s.c)
-                      * carnap_characteristic(0, s.n, params.lambda_of(w), w))
-        terms.append(cl.posterior_class * factor)
-    return math.fsum(terms)
-
-
-def sublanguage_predictive(n_i: int, n: int, w: int) -> float:
-    """Add-two smoothed next-case weight (n_i + 2) / (n + w) for one kind.
-
-    This is the raw two-per-cell rule for a width-w menu; the weights over
-    all w kinds sum to (n + 2w) / (n + w), not to one.  Use
-    :func:`sublanguage_predictive_normalized` for a proper distribution.
-    """
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    if not 0 <= n_i <= n:
-        raise ValueError("need 0 <= n_i <= n")
-    return (n_i + 2) / (n + w)
-
-
-def sublanguage_predictive_normalized(n_i: int, n: int, w: int) -> float:
-    """Add-two smoothing rescaled so the w kinds sum to exactly one."""
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    if not 0 <= n_i <= n:
-        raise ValueError("need 0 <= n_i <= n")
-    return (n_i + 2) / (n + 2 * w)
 
 
 # -- sample-complexity bounds ---------------------------------------------

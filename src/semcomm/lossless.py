@@ -103,28 +103,6 @@ class _Adaptive:
         return s
 
 
-class SemanticCodec:
-    """Statement-stream coder over a fixed distinct-statement alphabet.
-
-    Integer counts keep every symbol price at or above 1/total, and totals
-    stay far below the coder's 2^30 cap, so any declared symbol remains
-    decodable at every position.
-    """
-
-    def __init__(self, alphabet: tuple[str, ...]):
-        self.alphabet = alphabet
-
-    @property
-    def k(self) -> int:
-        return len(self.alphabet)
-
-    def encode_stream(self, symbols, enc: RangeEncoder) -> float:
-        return encode_block_adaptive(symbols, self.k, enc)
-
-    def decode_stream(self, n: int, dec: RangeDecoder) -> list:
-        return decode_block_adaptive(n, self.k, dec)
-
-
 @dataclass(frozen=True, slots=True)
 class LosslessReport:
     """Bit accounting for one encoded stream."""
@@ -189,9 +167,8 @@ def lossless_encode_report(ev: EvidenceSet) -> tuple[bytes, LosslessReport]:
 
     payload_bits = 0.0
     if distinct:
-        codec = SemanticCodec(tuple(st.text() for st in distinct))
-        payload_bits = codec.encode_stream(
-            [distinct_index[st] for st in ev.statements], enc)
+        payload_bits = encode_block_adaptive(
+            [distinct_index[st] for st in ev.statements], len(distinct), enc)
     coded = enc.finish() if (preds or ents or distinct) else b""
 
     buf = bytearray(_MAGIC)
@@ -227,7 +204,8 @@ def lossless_decode(blob: bytes) -> EvidenceSet:
     """Rebuild the statement stream from a container.
 
     The result reproduces the normalized form of the encoded evidence
-    exactly: same statements, same order, duplicates included.
+    exactly: same statements, same order, duplicates included.  A
+    malformed container raises DecodeError and nothing else.
     """
     if len(blob) < len(_MAGIC) + 1 + 4:
         raise DecodeError("container shorter than the fixed framing")
@@ -254,7 +232,18 @@ def lossless_decode(blob: bytes) -> EvidenceSet:
         raise DecodeError("statements declared without names to build them")
     if n_stream > 0 and n_distinct == 0:
         raise DecodeError("stream declared without a statement alphabet")
+    try:
+        return _decode_block(coded, n_pred, n_ent, n_distinct, n_stream)
+    except DecodeError:
+        raise
+    except ValueError as exc:
+        # a corrupt block can steer the coder out of range or give a
+        # predicate two arities; both mean the container is bad
+        raise DecodeError(f"corrupt coded block: {exc}") from exc
 
+
+def _decode_block(coded: bytes, n_pred: int, n_ent: int, n_distinct: int,
+                  n_stream: int) -> EvidenceSet:
     dec = RangeDecoder(coded)
     pred_names: list[str] = []
     ent_names: list[str] = []
@@ -290,8 +279,7 @@ def lossless_decode(blob: bytes) -> EvidenceSet:
             pred = vocab.predicate(pred_names[p_i], 1 if obj is None else 2)
             distinct.append(AtomicStatement(pred, entities[s_i], obj, positive))
 
-    codec = SemanticCodec(tuple(st.text() for st in distinct))
-    stream = codec.decode_stream(n_stream, dec) if n_stream else []
+    stream = decode_block_adaptive(n_stream, n_distinct, dec) if n_stream else []
     statements = tuple(distinct[i] for i in stream)
     return EvidenceSet(statements, vocab, source_id="decoded")
 

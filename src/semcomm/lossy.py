@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleTargetError
-from .inductive import constituent_prior
-from .measures import FixedMeasure, MessagePartition, transcont
-from .sublang import Sentence
+from .inductive import InductiveModel
+from .measures import MessagePartition, cont_sentence
+from .sublang import EvidenceSummary, Sentence
 
 _LN2 = math.log(2.0)
 _MONOTONE_SLACK = 1e-9
@@ -81,19 +81,20 @@ class RDPoint:
 
 
 def payoff_matrix(source: MessagePartition, alphabet: list[Sentence],
-                  model) -> np.ndarray:
+                  model: InductiveModel) -> np.ndarray:
     """Transmitted content between each source message and reconstruction.
 
-    Entailed reconstructions earn their transmitted content; pairings the
-    source rules out earn zero.
+    Entailed reconstructions earn their transmitted content, which is the
+    content of the reconstruction itself; pairings the source rules out
+    earn zero.
     """
     if not alphabet:
         raise ValueError("reconstruction alphabet must be non-empty")
     if not source.members:
         raise ValueError("source partition carries no message sentences")
-    return np.array([[transcont(recon, msg, model)
-                      if msg.constituents <= recon.constituents else 0.0
-                      for recon in alphabet]
+    gains = [cont_sentence(recon, model) for recon in alphabet]
+    return np.array([[gain if msg.constituents <= recon.constituents else 0.0
+                      for recon, gain in zip(alphabet, gains)]
                      for msg in source.members])
 
 
@@ -130,7 +131,9 @@ def _ba_point(ln_p: np.ndarray, payoff: np.ndarray, beta: float,
         ln_cond = ln_cond - np.logaddexp.reduce(ln_cond, axis=1)[:, None]
         rate, mean_payoff = _mutual_bits(ln_p, ln_cond, payoff)
         obj = rate - beta * mean_payoff
-        assert obj <= prev_obj + _MONOTONE_SLACK, "objective increased"
+        if obj > prev_obj + _MONOTONE_SLACK:
+            raise RuntimeError(f"objective increased from {prev_obj!r} to "
+                               f"{obj!r} at beta={beta:g}")
         prev_obj = obj
         if abs(rate - prev_rate) < tol:
             break
@@ -247,16 +250,15 @@ def content_cap(source: MessagePartition, alphabet: list[Sentence],
                          payoff_matrix(source, alphabet, model))
 
 
-def receiver_prior(sublang, params=None) -> FixedMeasure:
-    """The constituent-prior measure: a receiver who has seen no evidence.
+def receiver_prior(sublang, params=None) -> InductiveModel:
+    """The constituent prior: the posterior of a receiver with no evidence.
 
     Transmitted content is valued against this measure; under the
     sender's own posterior every evidence-entailed reconstruction is
     already certain and so transmits nothing.
     """
-    weights = {c: constituent_prior(c.width, sublang.big_k, params).to_float()
-               for c in sublang.all_constituents()}
-    return FixedMeasure(weights)
+    empty = EvidenceSummary(0, 0, (), sublang.big_k)
+    return InductiveModel(sublang, params, empty)
 
 
 def relative_informativeness(point: RDPoint, source_entropy: float) -> float:

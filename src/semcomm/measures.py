@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import DomainMismatchError
 from .inductive import InductiveModel
-from .sublang import Constituent, Sentence
+from .sublang import Sentence
 from .xreal import ExtremeReal, xsum
 
 _NORM_TOL = 1e-9
@@ -95,10 +95,11 @@ class MessagePartition:
         for ln in (self.ln_probs, self.ln_complements):
             if ln is not None and len(ln) != len(self.probs):
                 raise ValueError("log columns must align with the weights")
-        for i, a in enumerate(self.members):
-            for b in self.members[i + 1:]:
-                if a.constituents & b.constituents:
-                    raise ValueError("partition members must be disjoint")
+        covered: set = set()
+        for member in self.members:
+            if not covered.isdisjoint(member.constituents):
+                raise ValueError("partition members must be disjoint")
+            covered.update(member.constituents)
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -199,68 +200,23 @@ def scale_entropies(normalized_values: Sequence) -> dict:
     }
 
 
-class FixedMeasure:
-    """Message space with explicitly assigned hypothesis weights.
-
-    Stands in for the posterior engine wherever a plain distribution over
-    partition cells is wanted, such as a uniform weighting of state
-    descriptions.
-    """
-
-    def __init__(self, weights: Mapping[Constituent, float]):
-        total = math.fsum(weights.values())
-        if abs(total - 1.0) > _NORM_TOL:
-            raise ValueError("weights must sum to one")
-        if any(w < 0 for w in weights.values()):
-            raise ValueError("weights must be nonnegative")
-        self._weights = dict(weights)
-
-    def sentence_probability(self, s: Sentence) -> float:
-        return math.fsum(self._weights.get(c, 0.0) for c in s.constituents)
-
-    def difference_probability(self, s1: Sentence, s2: Sentence) -> float:
-        """Weight of s1's cells outside s2, summed directly."""
-        return math.fsum(self._weights.get(c, 0.0)
-                         for c in s1.constituents - s2.constituents)
-
-    def complement_probability(self, s: Sentence) -> float:
-        return math.fsum(w for c, w in self._weights.items()
-                         if c not in s.constituents)
-
-
-def _is_engine(model) -> bool:
-    return isinstance(model, InductiveModel)
-
-
-def cont_sentence(s: Sentence, model) -> float:
+def cont_sentence(s: Sentence, model: InductiveModel) -> float:
     """Content of a sentence: the weight of everything it excludes."""
-    if _is_engine(model):
-        counts = model.complement_width_counts(model.member_width_counts(s))
-        return math.fsum(model.probability_terms(counts))
-    return model.complement_probability(s)
+    counts = model.complement_width_counts(model.member_width_counts(s))
+    return math.fsum(model.probability_terms(counts))
 
 
-def cond_cont(s2: Sentence, s1: Sentence, model) -> float:
+def cond_cont(s2: Sentence, s1: Sentence, model: InductiveModel) -> float:
     """Content s2 adds on top of s1: weight of s1's cells that s2 rejects."""
-    if _is_engine(model):
-        have = model.member_width_counts(s1)
-        keep = model.member_width_counts(s1 & s2)
-        diff = {w: have[w] - keep.get(w, 0) for w in have}
-        return math.fsum(model.probability_terms(diff))
-    return model.difference_probability(s1, s2)
+    have = model.member_width_counts(s1)
+    keep = model.member_width_counts(s1 & s2)
+    diff = {w: have[w] - keep.get(w, 0) for w in have}
+    return math.fsum(model.probability_terms(diff))
 
 
-def transcont(s2: Sentence, s1: Sentence, model) -> float:
+def transcont(s2: Sentence, s1: Sentence, model: InductiveModel) -> float:
     """Content shared by the two sentences: weight excluded by both."""
-    if _is_engine(model):
-        union = model.member_width_counts(s1 | s2)
-        return math.fsum(model.probability_terms(
-            model.complement_width_counts(union)))
-    return model.complement_probability(s1 | s2)
-
-
-def cont_sentence_extreme(s: Sentence, model: InductiveModel) -> ExtremeReal:
-    return model.complement_probability_extreme(s)
+    return cont_sentence(s1 | s2, model)
 
 
 def cond_cont_extreme(s2: Sentence, s1: Sentence,

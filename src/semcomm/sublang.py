@@ -139,7 +139,6 @@ class SubLanguage:
     entity_kinds: dict
     summary: EvidenceSummary
     config: SubLanguageConfig
-    evidence_complete: bool = True
     token: int = field(default_factory=lambda: next(_token_counter))
 
     def kind_of(self, entity: Entity) -> int:
@@ -283,8 +282,3 @@ def enumerate_constituents(sl: SubLanguage) -> list[Constituent]:
         for kinds in itertools.combinations(range(sl.big_k), width):
             out.append(Constituent(frozenset(kinds)))
     return out
-
-
-def constituent_entails(c: Constituent, s: Sentence) -> bool:
-    """Does the constituent settle the sentence true: is it in the support?"""
-    return c in s.constituents

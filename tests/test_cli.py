@@ -184,13 +184,6 @@ def test_analyze_dir_plus_file_rejected(runner, tiny_corpus, evidence_file):
     assert res.exit_code == 2
 
 
-def test_analyze_unsupported_partition(runner, evidence_file):
-    res = runner.invoke(main, ["analyze", str(evidence_file),
-                               "--partition", "state_descriptions"])
-    assert res.exit_code == 1
-    assert "not implemented" in res.output
-
-
 # --- compress / decompress ---------------------------------------------
 
 

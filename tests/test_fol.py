@@ -1,16 +1,13 @@
-"""Statement parsing, evidence sets, and the sign-pattern index codec."""
+"""Statement parsing and evidence sets."""
 
 import io
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from semcomm.errors import ArityConflictError, StatementParseError
 from semcomm.fol import (EvidenceSet, Vocabulary, parse_evidence,
-                         parse_statement, parse_triple_list, q_index, q_swap,
-                         q_unpack)
+                         parse_statement, parse_triple_list)
 
 from conftest import random_evidence_text
 
@@ -107,24 +104,3 @@ def test_random_evidence_reparses(rng):
         ev = _parse(text)
         again = _parse(ev.normalized_text())
         assert again.normalized_text() == ev.normalized_text()
-
-
-@given(st.integers(min_value=1, max_value=6), st.data())
-@settings(max_examples=100)
-def test_q_index_bijection(m, data):
-    bits = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
-    bits2 = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
-    idx = q_index(bits, bits2)
-    back_xy, back_yx = q_unpack(idx, m)
-    assert list(back_xy) == bits
-    assert list(back_yx) == bits2
-
-
-@given(st.integers(min_value=1, max_value=6), st.data())
-@settings(max_examples=100)
-def test_q_swap_involution(m, data):
-    idx = data.draw(st.integers(min_value=0, max_value=4 ** m - 1))
-    assert q_swap(q_swap(idx, m), m) == idx
-    xy, yx = q_unpack(idx, m)
-    sxy, syx = q_unpack(q_swap(idx, m), m)
-    assert sxy == yx and syx == xy

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semcomm.errors import DomainMismatchError
 from semcomm.inductive import (InductiveModel, InductiveParams,
                                carnap_characteristic, check_convergence,
                                constituent_likelihood, constituent_posterior,
@@ -135,6 +136,23 @@ def test_incompatible_posterior_is_exact_zero():
     for con in _all_constituents(4):
         if not {0, 1} <= con.kinds:
             assert constituent_posterior(con, summary).is_zero
+
+
+def test_model_summary_must_match_or_be_empty(rng):
+    model = random_model(rng, slack=1)
+    sl = model.sublang
+    big_k, c = sl.big_k, sl.summary.c
+    # no evidence: the posterior is the prior
+    empty = InductiveModel(sl, model.params, EvidenceSummary(0, 0, (), big_k))
+    for con in sl.all_constituents():
+        assert empty.constituent_posterior(con).to_float() == pytest.approx(
+            constituent_prior(con.width, big_k, model.params).to_float(),
+            rel=1e-12)
+    with pytest.raises(DomainMismatchError):
+        InductiveModel(sl, summary=EvidenceSummary(0, 0, (), big_k + 1))
+    with pytest.raises(DomainMismatchError):  # slack leaves room for c + 1
+        InductiveModel(sl, summary=EvidenceSummary(c + 1, c + 1,
+                                                   (1,) * (c + 1), big_k))
 
 
 def test_dogmatic_likelihood_closed_form():

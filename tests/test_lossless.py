@@ -1,11 +1,15 @@
 """Container format: round trips, corruption rejection, bit accounting."""
 
 import io
+import os
 import random
 import struct
+import sys
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semcomm.errors import DecodeError
 from semcomm.fol import parse_evidence
@@ -13,7 +17,7 @@ from semcomm.lossless import (gzip_bits, lossless_decode, lossless_encode,
                               lossless_encode_report, shannon_baseline,
                               shannon_baseline_ideal)
 
-from conftest import random_evidence_text
+from conftest import DATA_DIR, random_evidence_text
 
 
 def _parse(text):
@@ -135,6 +139,34 @@ def test_checksum_is_crc32():
     assert struct.unpack(">I", tail)[0] == zlib.crc32(body) & 0xFFFFFFFF
 
 
+_STORY1 = lossless_encode(parse_evidence(DATA_DIR / "story1.fol"))
+
+
+def _decodes_or_rejects(blob):
+    try:
+        lossless_decode(blob)
+    except DecodeError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=80))
+def test_arbitrary_bytes_raise_only_decode_error(data):
+    _decodes_or_rejects(data)
+    _decodes_or_rejects(b"SEMC\x01" + data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_STORY1) - 5),
+                          st.integers(0, 255)), min_size=1, max_size=4))
+def test_crc_fixed_mutations_raise_only_decode_error(edits):
+    # the checksum is recomputed, so the decoder itself must catch the damage
+    body = bytearray(_STORY1[:-4])
+    for pos, value in edits:
+        body[pos] = value
+    _decodes_or_rejects(bytes(body) + zlib.crc32(body).to_bytes(4, "big"))
+
+
 def test_deterministic_container():
     ev = _parse(SAMPLE)
     assert lossless_encode(ev) == lossless_encode(ev)
@@ -143,7 +175,6 @@ def test_deterministic_container():
 def test_cross_backend_decode(monkeypatch):
     # a stream written by the selected backend decodes under the fallback
     import subprocess
-    import sys
 
     ev = _parse(SAMPLE)
     blob = lossless_encode(ev)
@@ -153,9 +184,10 @@ def test_cross_backend_decode(monkeypatch):
         "blob = sys.stdin.buffer.read(); "
         "sys.stdout.write(lossless_decode(blob).normalized_text())"
     )
+    env = {"SEMCOMM_PURE": "1", "PATH": "/usr/bin:/bin",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", code], input=blob,
-                          capture_output=True, check=True,
-                          env={"SEMCOMM_PURE": "1", "PATH": "/usr/bin:/bin"})
+                          capture_output=True, check=True, env=env)
     assert proc.stdout.decode() == ev.normalized_text()
 
 

@@ -1,21 +1,25 @@
 """Rate against transmitted content: solver vs grid search, frontier shape."""
 
 import functools
+import io
 import math
 import random
 
 import numpy as np
 import pytest
 
+from semcomm import lossy
 from semcomm.errors import InfeasibleTargetError
-from semcomm.inductive import constituent_prior
+from semcomm.fol import parse_evidence
+from semcomm.inductive import InductiveModel, InductiveParams, constituent_prior
 from semcomm.lossy import (LossyConfig, RDPoint, _argmax_point, _ba_point,
                            _ln_probs, candidate_reconstructions, content_cap,
                            lossy_optimize, payoff_matrix, rd_sweep,
                            receiver_prior, relative_informativeness)
 from semcomm.measures import MessagePartition, cont_sentence
+from semcomm.sublang import SubLanguageConfig, build_sublanguage
 
-from conftest import random_model
+from conftest import random_evidence_text, random_model
 
 _LN2 = math.log(2.0)
 
@@ -100,6 +104,17 @@ def test_conditional_rows_normalize():
         assert math.fsum(row) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_rising_objective_is_an_error(monkeypatch):
+    # the monotone-descent check must survive python -O
+    calls = iter(range(1, 1000))
+    monkeypatch.setattr(lossy, "_mutual_bits",
+                        lambda ln_p, ln_cond, payoff: (float(next(calls)), 0.0))
+    probs = np.array([0.4, 0.6])
+    payoff = np.array([[0.9, 0.3], [0.2, 0.7]])
+    with pytest.raises(RuntimeError, match="objective increased"):
+        _ba_point(_ln_probs(probs), payoff, 1.0, 50, 1e-12)
+
+
 def test_argmax_point_attains_cap():
     probs = np.array([0.5, 0.5])
     payoff = np.array([[0.8, 0.1], [0.3, 0.9]])
@@ -128,6 +143,46 @@ def test_payoff_entailment_mask():
                 assert payoff[i, j] == pytest.approx(want, abs=1e-12)
             else:
                 assert payoff[i, j] == 0.0
+
+
+@pytest.mark.parametrize("params", [
+    InductiveParams(),
+    InductiveParams(alpha=1.5),
+    InductiveParams(lambda_policy="constant", lambda_value=2.0, alpha=0.5),
+    InductiveParams(lambda_policy="constant", lambda_value=math.inf, alpha=1.0),
+])
+def test_receiver_route_matches_brute_force(params):
+    # the receiver prices sentences by width class; the oracle sums the
+    # prior of every excluded hypothesis one by one
+    rnd = random.Random(29)
+    for _ in range(6):
+        ev = parse_evidence(io.StringIO(random_evidence_text(rnd, max_ents=4)))
+        sl = build_sublanguage(ev, SubLanguageConfig(slack=rnd.randint(0, 2)))
+        assert sl.big_k <= 6
+        receiver = receiver_prior(sl, params)
+        assert isinstance(receiver, InductiveModel)
+        prior = {c: constituent_prior(c.width, sl.big_k, params).to_float()
+                 for c in sl.all_constituents()}
+
+        def excluded(s):
+            return math.fsum(w for c, w in prior.items()
+                             if c not in s.constituents)
+
+        cons = sl.all_constituents()
+        randoms = [sl.sentence(rnd.sample(cons, rnd.randint(0, len(cons))))
+                   for _ in range(20)]
+        for s in randoms:
+            assert abs(cont_sentence(s, receiver) - excluded(s)) <= 1e-12
+
+        model = InductiveModel(sl, params)
+        source = MessagePartition.from_model(model)
+        alphabet = candidate_reconstructions(model) + randoms
+        payoff = payoff_matrix(source, alphabet, receiver)
+        for i, msg in enumerate(source.members):
+            for j, recon in enumerate(alphabet):
+                want = (excluded(msg | recon)
+                        if msg.constituents <= recon.constituents else 0.0)
+                assert abs(payoff[i, j] - want) <= 1e-12
 
 
 def test_candidate_alphabet_is_upset_family():

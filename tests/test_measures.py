@@ -1,4 +1,4 @@
-"""Content and surprise measures: identities, bounds, dual routes."""
+"""Content and surprise measures: identities, bounds, brute-force oracles."""
 
 import math
 import random
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcomm.inductive import InductiveParams
-from semcomm.measures import (FixedMeasure, JointMessageDistribution,
+from semcomm.measures import (JointMessageDistribution,
                               MessagePartition, UniverseSignature, cond_cont,
                               cond_cont_entropy, cont, cont_entropy,
                               cont_sentence, inf_entropy, inf_measure,
@@ -121,6 +121,12 @@ def test_partition_validation():
         MessagePartition((), (0.5, 0.6))
     with pytest.raises(ValueError):
         MessagePartition((), (-0.1, 1.1))
+    sl = random_model(random.Random(1), slack=1).sublang
+    a, b, c = sl.all_constituents()[:3]
+    overlapping = (sl.sentence([a]), sl.sentence([b, c]), sl.sentence([c]))
+    with pytest.raises(ValueError, match="disjoint"):
+        MessagePartition(overlapping, (0.5, 0.25, 0.25))
+    MessagePartition(overlapping[:2], (0.5, 0.5))  # disjoint members pass
 
 
 def test_cont_entropy_bounds(rng):
@@ -192,19 +198,27 @@ def test_joint_chain_entropy(rng):
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
-def test_fixed_measure_matches_model(rng):
-    model = random_model(rng)
-    weights = {c: p for c, p in zip(model.sublang.all_constituents(),
-                                    MessagePartition.from_model(model).probs)}
-    weights = {c: model.constituent_posterior(c).to_float()
-               for c in model.sublang.all_constituents()}
-    fixed = FixedMeasure(weights)
-    for _ in range(30):
-        s = _random_sentence(rng, model)
-        assert cont_sentence(s, fixed) == pytest.approx(
-            cont_sentence(s, model), abs=1e-12)
-        assert transcont(s, s, fixed) == pytest.approx(
-            transcont(s, s, model), abs=1e-12)
+def test_measures_match_brute_force(rng):
+    # width-class pricing against literal sums over single hypotheses
+    for _ in range(5):
+        model = random_model(rng)
+        weight = {c: model.constituent_posterior(c).to_float()
+                  for c in model.sublang.all_constituents()}
+
+        def excluded(s):
+            return math.fsum(w for c, w in weight.items()
+                             if c not in s.constituents)
+
+        for _ in range(30):
+            s1 = _random_sentence(rng, model)
+            s2 = _random_sentence(rng, model)
+            assert cont_sentence(s1, model) == pytest.approx(
+                excluded(s1), abs=1e-12)
+            assert transcont(s2, s1, model) == pytest.approx(
+                excluded(s1 | s2), abs=1e-12)
+            assert cond_cont(s2, s1, model) == pytest.approx(
+                math.fsum(weight[c] for c in s1.constituents
+                          if c not in s2.constituents), abs=1e-12)
 
 
 def test_inductive_independence_uniform_prior():
