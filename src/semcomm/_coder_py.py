@@ -1,10 +1,24 @@
-"""Pure-Python arithmetic coder with adaptive add-one models.
+"""Pure-Python arithmetic coder and the adaptive add-one model.
 
 32-bit carry-free coder: interval endpoints are kept in [0, 2^32), with the
 classic three-way renormalization (emit on agreement of the top bit, count
 middle-straddling steps as pending underflow bits).  The compiled backend
-mirrors this file operation for operation; both must produce bit-identical
-streams for every input, which the test suite enforces.
+runs the same arithmetic one bit at a time; both must produce
+bit-identical streams for every input, which the test suite enforces.
+
+Renormalization runs in two phases per narrowing: first every leading bit
+on which low and high agree is shifted out, then every underflow step,
+after which the top bits of low and high differ and neither phase can run
+again.  So each call reads both counts off the bit patterns and moves all
+their bits at once: the encoder shifts the emitted bits, the pending
+opposite bits included, into an integer accumulator and flushes whole
+bytes; the decoder pulls the same number of bits from a 64-bit window.
+
+:class:`AdaptiveModel` is the one add-one model: the block coder below is
+a loop over it, and the container dictionary drives it under either
+backend.  Its cumulative counts live in a Fenwick tree (Fenwick 1994), so pricing a
+symbol and finding the symbol under a decoder target (binary descent,
+Moffat 1999) each cost O(log k) rather than a scan over k counts.
 """
 
 from __future__ import annotations
@@ -20,126 +34,109 @@ _MASK = _TOP - 1
 _HALF = 1 << (_BITS - 1)
 _QUARTER = 1 << (_BITS - 2)
 _THREE_QUARTER = _HALF + _QUARTER
+_BELOW_HALF = _HALF - 1
 
 # totals must leave the narrowed interval at least one unit wide
 MAX_TOTAL = _QUARTER
 
 
-class _BitWriter:
-    __slots__ = ("data", "_acc", "_n", "bit_count")
-
-    def __init__(self):
-        self.data = bytearray()
-        self._acc = 0
-        self._n = 0
-        self.bit_count = 0
-
-    def put(self, bit: int) -> None:
-        self._acc = (self._acc << 1) | bit
-        self._n += 1
-        self.bit_count += 1
-        if self._n == 8:
-            self.data.append(self._acc)
-            self._acc = 0
-            self._n = 0
-
-    def getvalue(self) -> bytes:
-        out = bytearray(self.data)
-        if self._n:
-            out.append(self._acc << (8 - self._n))
-        return bytes(out)
-
-
-class _BitReader:
-    __slots__ = ("data", "_pos")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self._pos = 0
-
-    def get(self) -> int:
-        # bits past the end read as zero; the coder never needs more than
-        # the register width beyond the written stream
-        i, r = divmod(self._pos, 8)
-        self._pos += 1
-        if i >= len(self.data):
-            return 0
-        return (self.data[i] >> (7 - r)) & 1
-
-
 class RangeEncoder:
     """Streaming arithmetic encoder over cumulative integer frequencies."""
 
-    __slots__ = ("_low", "_high", "_pending", "_writer", "_done")
+    __slots__ = ("_low", "_high", "_pending", "_out", "_acc", "_nacc", "_done")
 
     def __init__(self):
         self._low = 0
         self._high = _MASK
         self._pending = 0
-        self._writer = _BitWriter()
+        self._out = bytearray()
+        self._acc = 0  # the last _nacc emitted bits, not yet whole bytes in _out
+        self._nacc = 0
         self._done = False
 
     @property
     def bits_emitted(self) -> int:
         """Bits already materialized (pending underflow bits excluded)."""
-        return self._writer.bit_count
-
-    def _put(self, bit: int) -> None:
-        self._writer.put(bit)
-        other = bit ^ 1
-        while self._pending:
-            self._writer.put(other)
-            self._pending -= 1
+        return 8 * len(self._out) + self._nacc
 
     def encode(self, cum_lo: int, cum_hi: int, total: int) -> None:
         if self._done:
             raise ValueError("encoder already finished")
         if not 0 <= cum_lo < cum_hi <= total <= MAX_TOTAL:
             raise ValueError("invalid frequency interval")
-        rng = self._high - self._low + 1
-        self._high = self._low + (rng * cum_hi) // total - 1
-        self._low = self._low + (rng * cum_lo) // total
-        while True:
-            if self._high < _HALF:
-                self._put(0)
-            elif self._low >= _HALF:
-                self._put(1)
-                self._low -= _HALF
-                self._high -= _HALF
-            elif self._low >= _QUARTER and self._high < _THREE_QUARTER:
-                self._pending += 1
-                self._low -= _QUARTER
-                self._high -= _QUARTER
+        low = self._low
+        rng = self._high - low + 1
+        high = low + (rng * cum_hi) // total - 1
+        low += (rng * cum_lo) // total
+        n = _BITS - (low ^ high).bit_length()
+        if n:
+            # the first agreeing bit is followed by the pending opposite bits
+            bits = low >> (_BITS - n)
+            acc = self._acc
+            p = self._pending
+            nacc = self._nacc + n
+            if p:
+                rest = n - 1
+                first = bits >> rest
+                acc = ((((acc << 1) | first) << p | (0 if first else (1 << p) - 1))
+                       << rest) | (bits & ((1 << rest) - 1))
+                nacc += p
+                self._pending = 0
             else:
-                break
-            self._low = (self._low << 1) & _MASK
-            self._high = ((self._high << 1) | 1) & _MASK
+                acc = (acc << n) | bits
+            if nacc >= 32:
+                spare = nacc & 7
+                self._out += (acc >> spare).to_bytes(nacc >> 3, "big")
+                acc &= (1 << spare) - 1
+                nacc = spare
+            self._acc = acc
+            self._nacc = nacc
+            low = (low << n) & _MASK
+            high = ((high << n) | ((1 << n) - 1)) & _MASK
+        if _QUARTER <= low and high < _THREE_QUARTER:
+            # an underflow step needs bit 30 set in low and clear in high;
+            # it drops that bit from both and shifts the bits below it up
+            m = _BITS - 1 - (~(low & ~high) & _BELOW_HALF).bit_length()
+            self._pending += m
+            low = (low << m) & _BELOW_HALF
+            high = ((high << m) & _BELOW_HALF) | _HALF | ((1 << m) - 1)
+        self._low = low
+        self._high = high
 
     def finish(self) -> bytes:
         """Flush the disambiguating tail and return the whole bitstream."""
         if not self._done:
-            self._pending += 1
-            if self._low < _QUARTER:
-                self._put(0)
-            else:
-                self._put(1)
+            # one more bit and its pending opposites, the last one included
+            p = self._pending + 1
+            tail = (1 << p) - 1 if self._low < _QUARTER else 1 << p
+            acc = (self._acc << (p + 1)) | tail
+            nacc = self._nacc + p + 1
+            self._pending = 0
+            spare = nacc & 7
+            self._out += (acc >> spare).to_bytes(nacc >> 3, "big")
+            self._acc = acc & ((1 << spare) - 1)
+            self._nacc = spare
             self._done = True
-        return self._writer.getvalue()
+        if self._nacc:
+            return bytes(self._out) + bytes((self._acc << (8 - self._nacc),))
+        return bytes(self._out)
 
 
 class RangeDecoder:
     """Mirror image of :class:`RangeEncoder` over one finished bitstream."""
 
-    __slots__ = ("_low", "_high", "_code", "_reader")
+    __slots__ = ("_low", "_high", "_code", "_data", "_pos", "_window", "_nwindow")
 
     def __init__(self, data: bytes):
         self._low = 0
         self._high = _MASK
-        self._reader = _BitReader(data)
-        code = 0
-        for _ in range(_BITS):
-            code = (code << 1) | self._reader.get()
-        self._code = code
+        # bits past the end read as zero; the coder never needs more than
+        # the register width beyond the written stream
+        self._data = bytes(data)
+        self._code = int.from_bytes(self._data[:4].ljust(4, b"\0"), "big")
+        self._pos = 4
+        self._window = 0  # the next _nwindow unread bits
+        self._nwindow = 0
 
     def decode_target(self, total: int) -> int:
         """Scaled position of the pending symbol inside [0, total)."""
@@ -154,76 +151,129 @@ class RangeDecoder:
     def decode_update(self, cum_lo: int, cum_hi: int, total: int) -> None:
         if not 0 <= cum_lo < cum_hi <= total <= MAX_TOTAL:
             raise ValueError("invalid frequency interval")
-        rng = self._high - self._low + 1
-        self._high = self._low + (rng * cum_hi) // total - 1
-        self._low = self._low + (rng * cum_lo) // total
-        while True:
-            if self._high < _HALF:
-                pass
-            elif self._low >= _HALF:
-                self._low -= _HALF
-                self._high -= _HALF
-                self._code -= _HALF
-            elif self._low >= _QUARTER and self._high < _THREE_QUARTER:
-                self._low -= _QUARTER
-                self._high -= _QUARTER
-                self._code -= _QUARTER
-            else:
-                break
-            self._low = (self._low << 1) & _MASK
-            self._high = ((self._high << 1) | 1) & _MASK
-            self._code = ((self._code << 1) | self._reader.get()) & _MASK
+        low = self._low
+        rng = self._high - low + 1
+        high = low + (rng * cum_hi) // total - 1
+        low += (rng * cum_lo) // total
+        n = _BITS - (low ^ high).bit_length()
+        if n:
+            low = (low << n) & _MASK
+            high = ((high << n) | ((1 << n) - 1)) & _MASK
+        m = 0
+        if _QUARTER <= low and high < _THREE_QUARTER:
+            m = _BITS - 1 - (~(low & ~high) & _BELOW_HALF).bit_length()
+            low = (low << m) & _BELOW_HALF
+            high = ((high << m) & _BELOW_HALF) | _HALF | ((1 << m) - 1)
+        self._low = low
+        self._high = high
+        shift = n + m
+        if shift:
+            # the code shifts in step with low and high; each underflow
+            # step also takes a quarter off it first
+            window = self._window
+            nwindow = self._nwindow - shift
+            if nwindow < 0:
+                pos = self._pos
+                chunk = self._data[pos:pos + 8].ljust(8, b"\0")
+                window = (window << 64) | int.from_bytes(chunk, "big")
+                nwindow += 64
+                self._pos = pos + 8
+            self._code = ((self._code << shift) + (window >> nwindow)
+                          - _HALF * ((1 << m) - 1)) & _MASK
+            self._window = window & ((1 << nwindow) - 1)
+            self._nwindow = nwindow
+
+
+class AdaptiveModel:
+    """Add-one adaptive frequency model over the symbols 0..k-1.
+
+    Every symbol starts with count 1, so symbol s after t coded symbols is
+    priced at count_s / (t + k): the smoothed next-case rule with weight
+    equal to the alphabet size.  Node i of the Fenwick tree holds the
+    counts of the symbols in (i - lowbit(i), i]; the tree is padded to a
+    power of two with zero-count symbols, which the decoder never lands on.
+    """
+
+    __slots__ = ("k", "total", "_counts", "_tree", "_half")
+
+    def __init__(self, k: int):
+        if k < 1:
+            raise ValueError("alphabet must be non-empty")
+        size = 1 << (k - 1).bit_length()
+        self.k = k
+        self.total = k
+        self._counts = [1] * k
+        self._tree = [0] + [max(0, min(i, k) - i + (i & -i))
+                            for i in range(1, size + 1)]
+        self._half = size >> 1
+
+    def _add(self, s: int) -> None:
+        """Count one more occurrence of s."""
+        self._counts[s] += 1
+        self.total += 1
+        tree = self._tree
+        i = s + 1
+        end = len(tree)
+        while i < end:
+            tree[i] += 1
+            i += i & -i
+
+    def encode(self, enc, s: int) -> float:
+        """Code symbol s and count it; returns its ideal length in bits."""
+        if not 0 <= s < self.k:
+            raise ValueError(f"symbol {s} outside alphabet of {self.k}")
+        tree = self._tree
+        cum = 0
+        i = s
+        while i:
+            cum += tree[i]
+            i &= i - 1
+        c = self._counts[s]
+        total = self.total
+        enc.encode(cum, cum + c, total)
+        self._add(s)
+        return -math.log2(c / total)
+
+    def decode(self, dec) -> int:
+        """Decode one symbol and count it."""
+        total = self.total
+        target = dec.decode_target(total)
+        tree = self._tree
+        # binary descent to the last s whose cumulative count is <= target
+        s = 0
+        rest = target
+        step = self._half
+        while step:
+            node = tree[s + step]
+            if node <= rest:
+                s += step
+                rest -= node
+            step >>= 1
+        cum = target - rest
+        dec.decode_update(cum, cum + self._counts[s], total)
+        self._add(s)
+        return s
 
 
 def encode_block_adaptive(symbols: Sequence[int], k: int,
                           encoder: RangeEncoder) -> float:
-    """Encode a symbol block under an adaptive add-one model over k symbols.
-
-    Every symbol starts with count 1, so symbol s at time t is priced at
-    count_s(t) / (t + k): the smoothed next-case rule with weight equal to
-    the alphabet size.  Returns the ideal code length sum -log2(price) in
-    bits; the actual emitted bits trail it by at most the coder overhead.
+    """Encode a symbol block under a fresh :class:`AdaptiveModel` over k
+    symbols.  Returns the ideal code length sum -log2(price) in bits; the
+    actual emitted bits trail it by at most the coder overhead.
     """
-    if k < 1:
-        raise ValueError("alphabet must be non-empty")
-    counts = [1] * k
-    total = k
+    encode = AdaptiveModel(k).encode
     ideal = 0.0
     for s in symbols:
-        if not 0 <= s < k:
-            raise ValueError(f"symbol {s} outside alphabet of {k}")
-        cum = 0
-        for i in range(s):
-            cum += counts[i]
-        c = counts[s]
-        encoder.encode(cum, cum + c, total)
-        ideal -= math.log2(c / total)
-        counts[s] = c + 1
-        total += 1
+        ideal += encode(encoder, s)
     return ideal
 
 
 def decode_block_adaptive(n: int, k: int, decoder: RangeDecoder) -> list:
     """Decode n symbols written by :func:`encode_block_adaptive`."""
-    if k < 1:
-        raise ValueError("alphabet must be non-empty")
+    decode = AdaptiveModel(k).decode
     if n < 0:
         raise ValueError("n must be >= 0")
-    counts = [1] * k
-    total = k
-    out = []
-    for _ in range(n):
-        target = decoder.decode_target(total)
-        cum = 0
-        s = 0
-        while cum + counts[s] <= target:
-            cum += counts[s]
-            s += 1
-        decoder.decode_update(cum, cum + counts[s], total)
-        out.append(s)
-        counts[s] += 1
-        total += 1
-    return out
+    return [decode(decoder) for _ in range(n)]
 
 
 def ideal_bits(symbols: Iterable[int], k: int) -> float:

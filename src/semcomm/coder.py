@@ -26,6 +26,8 @@ RangeDecoder = _impl.RangeDecoder
 encode_block_adaptive = _impl.encode_block_adaptive
 decode_block_adaptive = _impl.decode_block_adaptive
 ideal_bits = _impl.ideal_bits
+# the adaptive model drives either backend's coder through its public methods
+AdaptiveModel = _coder_py.AdaptiveModel
 
 
 def get_backend_name() -> str:

@@ -2,11 +2,15 @@
 
 The container holds a factorized dictionary (name pools plus per-statement
 index tuples) and the symbol stream over the distinct-statement alphabet,
-all entropy-coded in a single arithmetic-coder block.  The stream section
-uses the adaptive add-one model whose price for a statement with n_i prior
-occurrences out of t is (n_i + 1) / (t + k): the smoothed next-case rule
-with weight equal to the alphabet size k.  A character-level coder with the
-same model over raw bytes serves as the baseline.
+all entropy-coded in a single arithmetic-coder block.  Every section is
+priced by the one adaptive add-one model, ``coder.AdaptiveModel``: its
+price for a symbol with n_i prior occurrences out of t is (n_i + 1) /
+(t + k), the smoothed next-case rule with weight equal to the alphabet size
+k, and a Fenwick tree keeps each encode and decode at O(log k).  The
+dictionary drives model instances directly (name lengths, name bytes, and
+one per tuple field); the statement stream goes through
+``encode_block_adaptive``, a loop over one model, and so does the baseline,
+a character-level coding of the raw bytes.
 
 Container layout (all integers unsigned LEB128 varints):
 
@@ -21,11 +25,11 @@ with a sentinel for one-place statements), then the statement stream.
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 
 from .coder import (
+    AdaptiveModel,
     RangeDecoder,
     RangeEncoder,
     decode_block_adaptive,
@@ -66,41 +70,6 @@ def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
         if shift > 63:
             raise DecodeError(f"varint overflow at byte {pos}")
-
-
-class _Adaptive:
-    """Add-one adaptive frequency table driving the coder incrementally."""
-
-    __slots__ = ("counts", "total")
-
-    def __init__(self, k: int):
-        self.counts = [1] * k
-        self.total = k
-
-    def encode(self, enc: RangeEncoder, s: int) -> float:
-        counts = self.counts
-        cum = 0
-        for i in range(s):
-            cum += counts[i]
-        c = counts[s]
-        enc.encode(cum, cum + c, self.total)
-        bits = -math.log2(c / self.total)
-        counts[s] = c + 1
-        self.total += 1
-        return bits
-
-    def decode(self, dec: RangeDecoder) -> int:
-        counts = self.counts
-        target = dec.decode_target(self.total)
-        cum = 0
-        s = 0
-        while cum + counts[s] <= target:
-            cum += counts[s]
-            s += 1
-        dec.decode_update(cum, cum + counts[s], self.total)
-        counts[s] += 1
-        self.total += 1
-        return s
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,18 +115,18 @@ def lossless_encode_report(ev: EvidenceSet) -> tuple[bytes, LosslessReport]:
     enc = RangeEncoder()
     dict_bits = 0.0
     if preds or ents:
-        len_model = _Adaptive(_MAX_NAME + 1)
-        char_model = _Adaptive(256)
+        len_model = AdaptiveModel(_MAX_NAME + 1)
+        char_model = AdaptiveModel(256)
         for name in [p.name for p in preds] + [e.name for e in ents]:
             raw = _name_symbols(name)
             dict_bits += len_model.encode(enc, len(raw))
             for b in raw:
                 dict_bits += char_model.encode(enc, b)
     if distinct:
-        sign_model = _Adaptive(2)
-        pred_model = _Adaptive(len(preds))
-        subj_model = _Adaptive(len(ents))
-        obj_model = _Adaptive(len(ents) + 1)  # last index means "no object"
+        sign_model = AdaptiveModel(2)
+        pred_model = AdaptiveModel(len(preds))
+        subj_model = AdaptiveModel(len(ents))
+        obj_model = AdaptiveModel(len(ents) + 1)  # last index means "no object"
         for st in distinct:
             dict_bits += sign_model.encode(enc, 0 if st.positive else 1)
             dict_bits += pred_model.encode(enc, pred_index[st.predicate])
@@ -228,6 +197,13 @@ def lossless_decode(blob: bytes) -> EvidenceSet:
         raise DecodeError(f"coded block truncated at byte {pos + len(coded)}")
     if pos + coded_len != len(body):
         raise DecodeError(f"trailing bytes after coded block at byte {pos + coded_len}")
+    # names and distinct statements come only from the stream: each distinct
+    # statement names one predicate and at most two entities.  Checked
+    # before any model is sized from these counts.
+    if n_distinct > n_stream or n_pred > n_distinct or n_ent > 2 * n_distinct:
+        raise DecodeError(
+            f"header counts no encoder writes: {n_pred} predicates, {n_ent} "
+            f"entities, {n_distinct} distinct of {n_stream} statements")
     if n_distinct > 0 and (n_pred == 0 or n_ent == 0):
         raise DecodeError("statements declared without names to build them")
     if n_stream > 0 and n_distinct == 0:
@@ -248,8 +224,8 @@ def _decode_block(coded: bytes, n_pred: int, n_ent: int, n_distinct: int,
     pred_names: list[str] = []
     ent_names: list[str] = []
     if n_pred or n_ent:
-        len_model = _Adaptive(_MAX_NAME + 1)
-        char_model = _Adaptive(256)
+        len_model = AdaptiveModel(_MAX_NAME + 1)
+        char_model = AdaptiveModel(256)
 
         def read_name() -> str:
             length = len_model.decode(dec)
@@ -266,10 +242,10 @@ def _decode_block(coded: bytes, n_pred: int, n_ent: int, n_distinct: int,
     entities = [vocab.entity(name) for name in ent_names]
     distinct: list[AtomicStatement] = []
     if n_distinct:
-        sign_model = _Adaptive(2)
-        pred_model = _Adaptive(n_pred)
-        subj_model = _Adaptive(n_ent)
-        obj_model = _Adaptive(n_ent + 1)
+        sign_model = AdaptiveModel(2)
+        pred_model = AdaptiveModel(n_pred)
+        subj_model = AdaptiveModel(n_ent)
+        obj_model = AdaptiveModel(n_ent + 1)
         for _ in range(n_distinct):
             positive = sign_model.decode(dec) == 0
             p_i = pred_model.decode(dec)
@@ -291,13 +267,6 @@ def shannon_baseline(text: bytes) -> int:
     enc = RangeEncoder()
     encode_block_adaptive(text, 256, enc)
     return len(enc.finish()) * 8
-
-
-def shannon_baseline_ideal(text: bytes) -> float:
-    """Ideal order-0 adaptive code length of the text in bits."""
-    from .coder import ideal_bits
-
-    return ideal_bits(text, 256) if text else 0.0
 
 
 def gzip_bits(text: bytes) -> int:

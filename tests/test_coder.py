@@ -1,5 +1,6 @@
 """Range coder: round trips, code length accounting, backend parity."""
 
+import hashlib
 import math
 import random
 
@@ -169,3 +170,66 @@ def test_decoder_on_truncated_stream():
     # layer owns that. Truncation must merely never crash the decoder.
     assert len(out) == len(symbols)
     assert out != symbols
+
+
+# SHA-256 of finish() for the golden streams below, recorded with a coder
+# that scanned counts linearly and moved one bit at a time; any change of
+# stream layout shows up here
+_GOLDEN_KS = (1, 2, 3, 255, 256, 257, 1600)
+_GOLDEN_DIGESTS = {
+    0: "37ccd52a9e72ba753b694e2627ba1b78ac643637f0596e86d668026ddd36dc84",
+    1: "4f15f3556b353c8dd7367110e3fb1fe4fd683400c21c8084e9da9d83362f34b3",
+    2: "d0ee0e5112d91c4b3482c2bdf5c54848f5d82e30f64b44510e02bc7308e30bfa",
+}
+
+
+def _golden_stream(seed):
+    """Adaptive blocks over every golden alphabet, twice in shuffled order,
+    with runs of raw intervals (widths down to one, totals up to MAX_TOTAL)
+    written between them, all into one encoder."""
+    rnd = random.Random(f"golden:{seed}")
+    items = []
+    for _ in range(2):
+        ks = list(_GOLDEN_KS)
+        rnd.shuffle(ks)
+        for k in ks:
+            n = rnd.randint(0, 1500)
+            hot, p_hot = rnd.randrange(k), rnd.choice((0.0, 0.6, 0.97))
+            symbols = [hot if rnd.random() < p_hot else rnd.randrange(k)
+                       for _ in range(n)]
+            items.append(("block", k, symbols))
+            raw = []
+            for _ in range(rnd.randint(0, 40)):
+                total = rnd.choice((rnd.randint(1, 64), coder.MAX_TOTAL,
+                                    rnd.randint(1, coder.MAX_TOTAL)))
+                lo = rnd.randrange(total)
+                hi = lo + 1 if rnd.random() < 0.5 else rnd.randint(lo + 1, total)
+                raw.append((lo, hi, total))
+            items.append(("raw", raw))
+    return items
+
+
+def _encode_golden(items):
+    enc = coder.RangeEncoder()
+    for item in items:
+        if item[0] == "block":
+            coder.encode_block_adaptive(item[2], item[1], enc)
+        else:
+            for lo, hi, total in item[1]:
+                enc.encode(lo, hi, total)
+    return enc.finish()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_golden_streams(seed):
+    items = _golden_stream(seed)
+    blob = _encode_golden(items)
+    assert hashlib.sha256(blob).hexdigest() == _GOLDEN_DIGESTS[seed]
+    dec = coder.RangeDecoder(blob)
+    for item in items:
+        if item[0] == "block":
+            assert coder.decode_block_adaptive(len(item[2]), item[1], dec) == item[2]
+        else:
+            for lo, hi, total in item[1]:
+                assert lo <= dec.decode_target(total) < hi
+                dec.decode_update(lo, hi, total)

@@ -1,5 +1,6 @@
 """Container format: round trips, corruption rejection, bit accounting."""
 
+import hashlib
 import io
 import os
 import random
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 from semcomm.errors import DecodeError
 from semcomm.fol import parse_evidence
-from semcomm.lossless import (gzip_bits, lossless_decode, lossless_encode,
-                              lossless_encode_report, shannon_baseline,
-                              shannon_baseline_ideal)
+from semcomm.lossless import (_write_uvarint, gzip_bits, lossless_decode,
+                              lossless_encode, lossless_encode_report,
+                              shannon_baseline)
 
 from conftest import DATA_DIR, random_evidence_text
 
@@ -167,6 +168,37 @@ def test_crc_fixed_mutations_raise_only_decode_error(edits):
     _decodes_or_rejects(bytes(body) + zlib.crc32(body).to_bytes(4, "big"))
 
 
+def _container(n_pred, n_ent, n_distinct, n_stream, coded=b"\x5a" * 8):
+    buf = bytearray(b"SEMC\x01")
+    for value in (n_pred, n_ent, n_distinct, n_stream, len(coded)):
+        _write_uvarint(buf, value)
+    buf += coded
+    return bytes(buf) + zlib.crc32(buf).to_bytes(4, "big")
+
+
+@pytest.mark.parametrize("counts", [
+    (1, 10**8, 1, 1),   # entities beyond two per distinct statement
+    (10**8, 1, 1, 1),   # predicates beyond one per distinct statement
+    (1, 1, 10**8, 1),   # distinct statements beyond the stream length
+    (1, 3, 1, 5),
+    (2, 2, 1, 5),
+    (1, 1, 3, 2),
+    (1, 1, 0, 0),       # names without statements
+])
+def test_reject_impossible_header_counts(counts):
+    # no encoder writes these counts; the decoder must refuse them before
+    # it sizes a model from them
+    with pytest.raises(DecodeError, match="header counts"):
+        lossless_decode(_container(*counts))
+
+
+def test_header_counts_at_their_bounds_decode():
+    # one two-place statement: entities at twice the distinct statements,
+    # predicates and distinct statements at the stream length
+    blob = _round_trip("Likes(Ann, Bob)\n")
+    assert blob[5:9] == bytes((1, 2, 1, 1))
+
+
 def test_deterministic_container():
     ev = _parse(SAMPLE)
     assert lossless_encode(ev) == lossless_encode(ev)
@@ -193,7 +225,6 @@ def test_cross_backend_decode(monkeypatch):
 
 def test_shannon_baseline_empty():
     assert shannon_baseline(b"") == 0
-    assert shannon_baseline_ideal(b"") == 0.0
 
 
 def test_shannon_baseline_random_near_eight():
@@ -211,3 +242,22 @@ def test_shannon_baseline_repetitive_compresses():
 def test_gzip_bits_positive():
     assert gzip_bits(b"aaaa" * 50) > 0
     assert gzip_bits(b"") >= 0
+
+
+# SHA-256 of each bundled story's container, recorded with a coder that
+# scanned counts linearly and moved one bit at a time
+_GOLDEN_CONTAINERS = {
+    "story1": "c9302052d552f117c3d8f0e893c94a52a64221acfa6cf8e49e8700ad49e9720b",
+    "story2": "2053916cfcbf56826fe466f9484b3ff65ebe446df0bb01566e0f4c89d46915f1",
+    "story3": "6ed16a8bff23bcfe5f92c8a05dfacc91c0987352aefdee211b856bb83691c054",
+    "story4": "1e9dc4b096ace2bce43e758c922f0a311bab7b3521296fb004c60a6f8a5a788c",
+    "story5": "5054eeaa764ac0ba8f818452903b120d198a412c82b401be50ebcbe42538a561",
+    "story6": "0c20acf847891f1cccfe94ef6d59a37cb27438d83af1b380b53aec6a62c0cee2",
+    "story7": "118cea1f49a179ba2ff3d7582737d26f6ae178e313dfb0588f82a25a1cee0d00",
+}
+
+
+@pytest.mark.parametrize("story", sorted(_GOLDEN_CONTAINERS))
+def test_golden_story_containers(story):
+    blob = lossless_encode(parse_evidence(DATA_DIR / f"{story}.fol"))
+    assert hashlib.sha256(blob).hexdigest() == _GOLDEN_CONTAINERS[story]
