@@ -41,10 +41,6 @@ class DomainMismatchError(SemcommError, ValueError):
     """Sentences or constituents from different sub-languages were mixed."""
 
 
-class UndefinedPriorError(SemcommError, ValueError):
-    """A characteristic value is undefined for the given parameters."""
-
-
 class UnsupportedConfigError(SemcommError, ValueError):
     """The requested closed form does not cover these parameters."""
 

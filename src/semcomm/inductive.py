@@ -11,13 +11,13 @@ it carries mass in natural-log space so that posteriors within 10^-15000 of
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
     DomainMismatchError,
     InconsistentEvidenceError,
-    UndefinedPriorError,
     UnsupportedConfigError,
 )
 from .sublang import Constituent, EvidenceSummary, Sentence, SubLanguage
@@ -25,6 +25,7 @@ from .xreal import ExtremeReal, lse
 
 PROPORTIONAL = "proportional"
 CONSTANT = "constant"
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,29 +83,6 @@ class InductiveParams:
             "alpha": self.alpha,
             "force_single_lambda": self.force_single_lambda,
         }
-
-
-def carnap_characteristic(n_i: int, n: int, lam: float, k: int) -> float:
-    """Next-case probability (n_i + lam/k) / (n + lam) for one of k kinds.
-
-    lam = 0 reduces to the straight relative frequency, lam = math.inf to the
-    data-blind 1/k.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0 <= n_i <= n:
-        raise ValueError("need 0 <= n_i <= n")
-    if math.isnan(lam) or lam < 0:
-        raise ValueError("lam must be >= 0")
-    if math.isinf(lam):
-        return 1.0 / k
-    if lam == 0.0:
-        if n == 0:
-            raise UndefinedPriorError(
-                "lam=0 with no observations leaves the next-case "
-                "probability undefined")
-        return n_i / n
-    return (n_i + lam / k) / (n + lam)
 
 
 def _ln_rising(a: float, x: float) -> float:
@@ -205,7 +183,8 @@ class _WidthTable:
             ln_each = _ln_prior_factor(w, big_k, params) + ln_lik
             if ln_each == -math.inf:
                 continue
-            rows.append((w, math.comb(big_k - c, w - c), ln_each))
+            size = math.comb(big_k - c, w - c)
+            rows.append((w, size, math.log(size), ln_each))
         if not rows:
             raise InconsistentEvidenceError(
                 f"no hypothesis is compatible with the evidence (c={c}, "
@@ -213,11 +192,13 @@ class _WidthTable:
         self.big_k = big_k
         self.n = n
         self.c = c
-        self.ln_z = lse(ln_each + math.log(size) for _, size, ln_each in rows)
+        self.ln_z = lse(ln_each + ln_size for _, _, ln_size, ln_each in rows)
         classes = []
-        for w, size, ln_each in rows:
-            p_each = math.exp(ln_each - self.ln_z)
-            classes.append(WidthClass(w, size, ln_each, p_each, p_each * size))
+        for w, size, ln_size, ln_each in rows:
+            # class mass stays in log space: size can exceed any float
+            classes.append(WidthClass(w, size, ln_each,
+                                      math.exp(ln_each - self.ln_z),
+                                      math.exp(ln_each + ln_size - self.ln_z)))
         self.classes = tuple(classes)
         self._by_width = {cl.width: cl for cl in classes}
 
@@ -438,8 +419,16 @@ def pac_error(k: int, n: float, alpha: float = 0.0,
     if not 0 <= c <= k:
         raise ValueError(f"c must lie in 0..{k}")
     expo = n - alpha
-    return math.fsum(math.comb(k - c, i) * (c / (c + i)) ** expo
-                     for i in range(1, k - c + 1))
+    try:
+        return math.fsum(math.comb(k - c, i) * (c / (c + i)) ** expo
+                         for i in range(1, k - c + 1))
+    except OverflowError:  # a binomial or the sum leaves the float range
+        pass
+    if c == 0:
+        return 0.0
+    ln_odds = lse(math.log(math.comb(k - c, i)) + expo * math.log(c / (c + i))
+                  for i in range(1, k - c + 1))
+    return math.exp(ln_odds) if ln_odds < _LN_FLOAT_MAX else math.inf
 
 
 def pac_sample_bound(k: int, alpha: float, epsilon: float) -> int:
@@ -544,7 +533,7 @@ def check_convergence(kinds: Iterable[int], big_k: int,
     pac_ok = False
     if final.n > params.alpha:
         bound = pac_error(big_k, final.n, params.alpha, c=final.c_seen)
-        limit = bound / (1.0 + bound)
+        limit = bound / (1.0 + bound) if bound < math.inf else 1.0
         pac_ok = (1.0 - final.posterior) <= limit * (1.0 + 1e-9) + 1e-15
     return ConvergenceReport(
         big_k=big_k,

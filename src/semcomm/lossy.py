@@ -9,6 +9,20 @@ induced one; with the marginal fixed, the best conditional tilts each
 row by 2^(beta*payoff) and renormalizes.  Both half-steps lower the
 objective, which is checked on every pass.
 
+The passes run on the lumped channel, which gives the same iterates as
+the full one.  Source rows of zero weight add nothing to the marginal,
+the rate or the payoff, so they are dropped; on the hypothesis partition
+only hypotheses holding every observed kind keep weight.  Over the rows
+that are left, reconstructions whose payoff columns are equal start
+equal under the uniform start and stay equal under both half-steps, so
+each class of m_J equal columns is carried as one column holding their
+summed mass, starting at m_J/A for A reconstructions.  Within a class
+every column has the same ratio of conditional to marginal, so the
+mutual information of the class-summed channel is the true rate.  The
+full conditional is rebuilt once at the end: every row, weighted or
+not, tilts against the final marginal, in which each class's mass is
+split evenly over its columns.
+
 A reconstruction only transmits content when the source message entails
 it: weakening a true description keeps it true, while a reconstruction
 that rules the source out misleads rather than informs, so its payoff is
@@ -22,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,12 +84,18 @@ class RDPoint:
     cont_info: float
     beta: float
     conditional: tuple[tuple[float, ...], ...]
+    iterations: int = 0             # BA passes; 0 for the deterministic cap
+    converged: bool = True          # rate settled within tol before max_iters
+    objective: float | None = None  # final rate - beta*payoff; None at beta=inf
 
     def as_json(self) -> dict:
         return {
             "beta": self.beta,
             "rate_bits": self.rate_bits,
             "cont_info": self.cont_info,
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "objective": self.objective,
         }
 
 
@@ -119,27 +138,42 @@ def _ln_probs(probs) -> np.ndarray:
 
 def _ba_point(ln_p: np.ndarray, payoff: np.ndarray, beta: float,
               max_iters: int, tol: float) -> RDPoint:
-    n, m = payoff.shape
-    tilt = beta * _LN2 * payoff
-    ln_cond = np.full((n, m), -math.log(m))
+    # the lumped channel: weighted rows against the classes of equal
+    # columns, each class starting with the uniform mass of its members
+    keep = ln_p > -np.inf
+    columns, class_of, mult = np.unique(payoff[keep].T, axis=0,
+                                        return_inverse=True,
+                                        return_counts=True)
+    class_of = class_of.reshape(-1)  # numpy 2.0.0 returns it 2-D
+    ln_pk = ln_p[keep]
+    lumped = columns.T
+    ln_mult = np.log(mult)
+    tilt = beta * _LN2 * lumped
+    ln_cond = np.broadcast_to(ln_mult - math.log(payoff.shape[1]), lumped.shape)
     prev_rate = math.inf
     prev_obj = math.inf
-    rate, mean_payoff = math.inf, 0.0
-    for _ in range(max_iters):
-        ln_q = np.logaddexp.reduce(ln_p[:, None] + ln_cond, axis=0)
+    converged = False
+    for iterations in range(1, max_iters + 1):
+        ln_q = np.logaddexp.reduce(ln_pk[:, None] + ln_cond, axis=0)
         ln_cond = ln_q[None, :] + tilt
         ln_cond = ln_cond - np.logaddexp.reduce(ln_cond, axis=1)[:, None]
-        rate, mean_payoff = _mutual_bits(ln_p, ln_cond, payoff)
+        rate, mean_payoff = _mutual_bits(ln_pk, ln_cond, lumped)
         obj = rate - beta * mean_payoff
         if obj > prev_obj + _MONOTONE_SLACK:
             raise RuntimeError(f"objective increased from {prev_obj!r} to "
                                f"{obj!r} at beta={beta:g}")
         prev_obj = obj
         if abs(rate - prev_rate) < tol:
+            converged = True
             break
         prev_rate = rate
-    conditional = tuple(tuple(row) for row in np.exp(ln_cond))
-    return RDPoint(rate, mean_payoff, beta, conditional)
+    # every row, weighted or not, tilts against the last marginal, whose
+    # class mass splits evenly over the class's columns
+    ln_full = (ln_q - ln_mult)[class_of][None, :] + beta * _LN2 * payoff
+    ln_full = ln_full - np.logaddexp.reduce(ln_full, axis=1)[:, None]
+    conditional = tuple(map(tuple, np.exp(ln_full).tolist()))
+    return RDPoint(rate, mean_payoff, beta, conditional,
+                   iterations, converged, obj)
 
 
 def _argmax_point(ln_p: np.ndarray, payoff: np.ndarray) -> RDPoint:
@@ -149,7 +183,7 @@ def _argmax_point(ln_p: np.ndarray, payoff: np.ndarray) -> RDPoint:
     ln_cond = np.full((n, m), -np.inf)
     ln_cond[np.arange(n), best] = 0.0
     rate, mean_payoff = _mutual_bits(ln_p, ln_cond, payoff)
-    conditional = tuple(tuple(row) for row in np.exp(ln_cond))
+    conditional = tuple(map(tuple, np.exp(ln_cond).tolist()))
     return RDPoint(rate, mean_payoff, math.inf, conditional)
 
 
@@ -186,10 +220,8 @@ def rd_sweep(source: MessagePartition, alphabet: list[Sentence],
     """
     ln_p = _ln_probs(source.probs)
     payoff = payoff_matrix(source, alphabet, model)
-    with ThreadPoolExecutor(max_workers=min(8, len(cfg.beta_grid))) as pool:
-        points = list(pool.map(
-            lambda beta: _ba_point(ln_p, payoff, beta, cfg.max_iters, cfg.tol),
-            cfg.beta_grid))
+    points = [_ba_point(ln_p, payoff, beta, cfg.max_iters, cfg.tol)
+              for beta in cfg.beta_grid]
     points.sort(key=lambda pt: (pt.rate_bits, -pt.cont_info, pt.beta))
     frontier: list[RDPoint] = []
     best = -math.inf

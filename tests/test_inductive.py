@@ -5,6 +5,7 @@ closed form under test, and a literal Bayes computation that walks the
 observation sequence and multiplies smoothed next-case probabilities.
 """
 
+import io
 import math
 import random
 from itertools import combinations
@@ -14,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcomm.errors import DomainMismatchError
+from semcomm.fol import parse_evidence
 from semcomm.inductive import (InductiveModel, InductiveParams,
-                               carnap_characteristic, check_convergence,
-                               constituent_likelihood, constituent_posterior,
-                               constituent_prior, pac_error, pac_sample_bound,
+                               check_convergence, constituent_likelihood,
+                               constituent_posterior, constituent_prior,
+                               pac_error, pac_sample_bound,
                                predictive_probability)
-from semcomm.sublang import Constituent, EvidenceSummary
+from semcomm.sublang import (Constituent, EvidenceSummary, SubLanguageConfig,
+                             build_sublanguage)
 from semcomm.xreal import xsum
 
 from conftest import random_model
@@ -164,13 +167,6 @@ def test_dogmatic_likelihood_closed_form():
         assert got == pytest.approx((1.0 / w) ** 12, rel=1e-12)
 
 
-def test_carnap_characteristic():
-    # smoothed next-case rule at a few hand-checked points
-    assert carnap_characteristic(0, 0, 2.0, 4) == pytest.approx(0.25)
-    assert carnap_characteristic(3, 10, 2.0, 2) == pytest.approx((3 + 1) / 12)
-    assert carnap_characteristic(5, 5, math.inf, 5) == pytest.approx(0.2)
-
-
 def test_predictive_probability_mixture(rng):
     # prediction for a seen kind exceeds the one for a slack kind
     model = random_model(rng, slack=2)
@@ -241,6 +237,23 @@ def test_check_convergence_posterior_trace_matches_direct():
         con = Constituent(frozenset(counts))
         want = constituent_posterior(con, summary).to_float()
         assert report.points[i - 1].posterior == pytest.approx(want, rel=1e-12)
+
+
+def test_large_k_class_mass_stays_finite():
+    # C(K - c, w - c) passes the float range near K = 1030; class masses
+    # and the odds bound must still come out as floats
+    report = check_convergence([0, 1, 0], 1100)
+    assert [p.c_seen for p in report.points] == [1, 2, 2]
+    assert all(0.0 <= p.posterior <= 1.0 for p in report.points)
+    assert report.pac_consistent  # the bound is vacuous (inf) at n = 3
+    assert pac_error(1100, 3, c=2) == math.inf
+    assert pac_error(1100, 3, c=0) == 0.0
+    ev = parse_evidence(io.StringIO("Barks(Ada)\nHums(Bo)\nBarks(Cyr)\n"))
+    sl = build_sublanguage(ev, SubLanguageConfig(slack=1098))
+    assert sl.big_k == 1100
+    by_width = InductiveModel(sl).report()["posterior_by_width"]
+    assert len(by_width) == 1099
+    assert math.fsum(by_width) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())

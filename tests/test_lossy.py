@@ -19,7 +19,7 @@ from semcomm.lossy import (LossyConfig, RDPoint, _argmax_point, _ba_point,
 from semcomm.measures import MessagePartition, cont_sentence
 from semcomm.sublang import SubLanguageConfig, build_sublanguage
 
-from conftest import random_evidence_text, random_model
+from conftest import DATA_DIR, random_evidence_text, random_model
 
 _LN2 = math.log(2.0)
 
@@ -115,12 +115,76 @@ def test_rising_objective_is_an_error(monkeypatch):
         _ba_point(_ln_probs(probs), payoff, 1.0, 50, 1e-12)
 
 
+def _dense_ba(ln_p, payoff, beta, max_iters, tol):
+    """Textbook alternating minimization on the full channel (the oracle)."""
+    n, m = payoff.shape
+    tilt = beta * _LN2 * payoff
+    ln_cond = np.full((n, m), -math.log(m))
+    prev_rate = math.inf
+    for iterations in range(1, max_iters + 1):
+        ln_q = np.logaddexp.reduce(ln_p[:, None] + ln_cond, axis=0)
+        ln_cond = ln_q[None, :] + tilt
+        ln_cond = ln_cond - np.logaddexp.reduce(ln_cond, axis=1)[:, None]
+        rate, mean_payoff = lossy._mutual_bits(ln_p, ln_cond, payoff)
+        converged = abs(rate - prev_rate) < tol
+        if converged:
+            break
+        prev_rate = rate
+    return rate, mean_payoff, np.exp(ln_cond), iterations, converged
+
+
+def _assert_matches_dense(ln_p, payoff, beta, max_iters=500, tol=1e-10):
+    point = _ba_point(ln_p, payoff, beta, max_iters, tol)
+    rate, info, cond, iterations, converged = _dense_ba(ln_p, payoff, beta,
+                                                        max_iters, tol)
+    assert (point.iterations, point.converged) == (iterations, converged)
+    assert abs(point.rate_bits - rate) <= 1e-12
+    assert abs(point.cont_info - info) <= 1e-12
+    assert np.abs(np.array(point.conditional) - cond).max() <= 1e-12
+    assert point.objective == pytest.approx(rate - beta * info, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lumped_solver_matches_dense_on_random_channels(seed):
+    # zero-weight rows and columns equal on every weighted row are what
+    # the solver lumps; the zero-weight rows still tell those columns apart
+    rnd = np.random.default_rng(seed)
+    n = int(rnd.integers(2, 8))
+    probs = rnd.dirichlet(np.ones(n))
+    probs[rnd.permutation(n)[:int(rnd.integers(1, n))]] = 0.0
+    probs /= probs.sum()
+    base = rnd.uniform(0.0, 1.0, size=(n, int(rnd.integers(1, 5))))
+    base[rnd.uniform(size=base.shape) < 0.3] = 0.0
+    payoff = base[:, rnd.integers(0, base.shape[1], size=int(rnd.integers(2, 12)))]
+    payoff[probs == 0.0] = rnd.uniform(0.0, 1.0, size=(int((probs == 0.0).sum()),
+                                                       payoff.shape[1]))
+    for beta in (0.0, 0.5, 2.0, 8.0, 64.0):
+        _assert_matches_dense(_ln_probs(probs), payoff, beta)
+    # a pass budget too small to settle is reported, not hidden
+    assert not _ba_point(_ln_probs(probs), payoff, 64.0, 1, 1e-10).converged
+
+
+@pytest.mark.parametrize("story, slack", [("story1", 4), ("story3", 3),
+                                          ("story5", 2), ("story7", 1)])
+def test_lumped_solver_matches_dense_on_stories(story, slack):
+    ev = parse_evidence(DATA_DIR / f"{story}.fol")
+    sl = build_sublanguage(ev, SubLanguageConfig(slack=slack))
+    assert sl.big_k <= 8
+    model = InductiveModel(sl)
+    source = MessagePartition.from_model(model)
+    payoff = payoff_matrix(source, candidate_reconstructions(model),
+                           receiver_prior(sl))
+    for beta in LossyConfig().beta_grid[::2]:  # 0, 2, 8, ..., 8192
+        _assert_matches_dense(_ln_probs(source.probs), payoff, beta)
+
+
 def test_argmax_point_attains_cap():
     probs = np.array([0.5, 0.5])
     payoff = np.array([[0.8, 0.1], [0.3, 0.9]])
     point = _argmax_point(_ln_probs(probs), payoff)
     assert point.cont_info == pytest.approx(0.5 * 0.8 + 0.5 * 0.9, abs=1e-12)
     assert point.beta == math.inf
+    assert (point.iterations, point.converged, point.objective) == (0, True, None)
 
 
 @functools.lru_cache(maxsize=4)
@@ -278,4 +342,6 @@ def test_config_validation():
 
 def test_rd_point_json():
     pt = RDPoint(1.5, 0.25, 8.0, ((1.0,),))
-    assert pt.as_json() == {"beta": 8.0, "rate_bits": 1.5, "cont_info": 0.25}
+    assert pt.as_json() == {"beta": 8.0, "rate_bits": 1.5, "cont_info": 0.25,
+                            "iterations": 0, "converged": True,
+                            "objective": None}
