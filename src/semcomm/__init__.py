@@ -8,8 +8,7 @@ coding of statement streams.
 
 from .errors import (ArityConflictError, CapacityError, DecodeError,
                      DomainMismatchError, InconsistentEvidenceError,
-                     InfeasibleTargetError, SemcommError, StatementParseError,
-                     UnsupportedConfigError)
+                     InfeasibleTargetError, SemcommError, StatementParseError)
 from .fol import (AtomicStatement, EvidenceSet, Vocabulary, parse_evidence,
                   parse_triple_list)
 from .inductive import (InductiveModel, InductiveParams, check_convergence,
@@ -38,8 +37,8 @@ __all__ = [
     "AtomicStatement", "InfeasibleTargetError", "LosslessReport",
     "LossyConfig", "MessagePartition", "RDPoint", "SemcommError", "Sentence",
     "StatementParseError", "SubLanguage", "SubLanguageConfig",
-    "UniverseSignature", "UnsupportedConfigError",
-    "Vocabulary", "build_sublanguage", "candidate_reconstructions",
+    "UniverseSignature", "Vocabulary", "build_sublanguage",
+    "candidate_reconstructions",
     "check_convergence", "cond_cont", "cont", "cont_entropy",
     "cont_sentence", "content_cap", "constituent_likelihood",
     "constituent_posterior", "constituent_prior",

@@ -41,10 +41,6 @@ class DomainMismatchError(SemcommError, ValueError):
     """Sentences or constituents from different sub-languages were mixed."""
 
 
-class UnsupportedConfigError(SemcommError, ValueError):
-    """The requested closed form does not cover these parameters."""
-
-
 class InfeasibleTargetError(SemcommError, ValueError):
     """The requested fidelity target exceeds what any mapping achieves."""
 

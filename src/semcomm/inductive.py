@@ -15,11 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    DomainMismatchError,
-    InconsistentEvidenceError,
-    UnsupportedConfigError,
-)
+from .errors import DomainMismatchError, InconsistentEvidenceError
 from .sublang import Constituent, EvidenceSummary, Sentence, SubLanguage
 from .xreal import ExtremeReal, lse
 
@@ -40,15 +36,12 @@ class InductiveParams:
     to 1/k and observations stop mattering.
 
     ``alpha`` is the prior sample-size weight; 0 gives the uniform prior over
-    the 2^K - 1 non-empty hypotheses.  ``force_single_lambda`` makes the
-    prior factor reuse the per-width weight instead of the whole-language
-    one (they differ only under the proportional policy with alpha > 0).
+    the 2^K - 1 non-empty hypotheses.
     """
 
     lambda_policy: str = PROPORTIONAL
     lambda_value: float | None = None
     alpha: float = 0.0
-    force_single_lambda: bool = False
 
     def __post_init__(self):
         if self.lambda_policy not in (PROPORTIONAL, CONSTANT):
@@ -81,7 +74,6 @@ class InductiveParams:
             "lambda_policy": self.lambda_policy,
             "lambda_value": lam,
             "alpha": self.alpha,
-            "force_single_lambda": self.force_single_lambda,
         }
 
 
@@ -101,14 +93,8 @@ def _ln_prior_factor(width: int, big_k: int, params: InductiveParams) -> float:
     # normalizer and is dropped before taking the limit.
     if params.dogmatic:
         return params.alpha * math.log(width / big_k)
-    lam = params.lambda_of(width if params.force_single_lambda else big_k)
+    lam = params.lambda_of(big_k)
     return _ln_rising(params.alpha, width * lam / big_k)
-
-
-def _ln_prior_normalizer(big_k: int, params: InductiveParams) -> float:
-    return lse(
-        math.log(math.comb(big_k, i)) + _ln_prior_factor(i, big_k, params)
-        for i in range(1, big_k + 1))
 
 
 def constituent_prior(width: int, big_k: int,
@@ -117,8 +103,7 @@ def constituent_prior(width: int, big_k: int,
     params = params or InductiveParams()
     if not 1 <= width <= big_k:
         raise ValueError(f"width must lie in 1..{big_k}")
-    ln = _ln_prior_factor(width, big_k, params) - _ln_prior_normalizer(big_k, params)
-    return ExtremeReal.from_ln(ln)
+    return _WidthTable(0, 0, (), big_k, params).unit(width)
 
 
 def _ln_likelihood_width(width: int, n: int, counts: Sequence[int],
@@ -139,17 +124,22 @@ def _ln_likelihood_width(width: int, n: int, counts: Sequence[int],
     return acc
 
 
+def _holds_evidence(constituent: Constituent, summary: EvidenceSummary) -> bool:
+    # exemplified kinds occupy cells 0..c-1 by construction
+    if any(not 0 <= k < summary.big_k for k in constituent.kinds):
+        raise DomainMismatchError("hypothesis mentions cells outside the language")
+    return set(range(summary.c)) <= constituent.kinds
+
+
 def constituent_likelihood(constituent: Constituent, summary: EvidenceSummary,
                            params: InductiveParams | None = None) -> ExtremeReal:
     """Probability of the evidence sequence under one fixed hypothesis.
 
-    Exemplified kinds occupy cells 0..c-1 by construction; a hypothesis that
-    omits any of them assigns the evidence probability exactly zero.
+    A hypothesis that omits any exemplified kind assigns the evidence
+    probability exactly zero.
     """
     params = params or InductiveParams()
-    if any(not 0 <= k < summary.big_k for k in constituent.kinds):
-        raise DomainMismatchError("hypothesis mentions cells outside the language")
-    if not set(range(summary.c)) <= constituent.kinds:
+    if not _holds_evidence(constituent, summary):
         return ExtremeReal.zero()
     ln = _ln_likelihood_width(constituent.width, summary.n, summary.counts, params)
     if ln is None:
@@ -169,7 +159,12 @@ class WidthClass:
 
 
 class _WidthTable:
-    """Log-domain mass bookkeeping shared by posterior and predictive code."""
+    """The one place that sums hypothesis mass, in log space.
+
+    Prior, posterior, predictive and every content measure read their mass
+    from a table: the prior is the table of the empty evidence, and a
+    predictive probability is the ratio of two tables' normalizers.
+    """
 
     __slots__ = ("big_k", "n", "c", "classes", "ln_z", "_by_width")
 
@@ -204,6 +199,13 @@ class _WidthTable:
 
     def get(self, width: int) -> WidthClass | None:
         return self._by_width.get(width)
+
+    def unit(self, width: int) -> ExtremeReal:
+        """Posterior of any single compatible hypothesis of that width."""
+        cl = self._by_width.get(width)
+        if cl is None:
+            return ExtremeReal.zero()
+        return ExtremeReal.from_ln(cl.ln_each - self.ln_z)
 
     def ln_mass(self, width_counts: dict[int, int]) -> float:
         """Log total mass of a bag of hypotheses given as width -> count."""
@@ -245,29 +247,12 @@ class InductiveModel:
     def ln_normalizer(self) -> float:
         return self._table.ln_z
 
-    def width_classes(self) -> tuple[WidthClass, ...]:
-        return self._table.classes
-
-    def unit_posterior(self, width: int) -> float:
-        """Posterior of any single compatible hypothesis of that width."""
-        cl = self._table.get(width)
-        return 0.0 if cl is None else cl.posterior_each
-
     # -- single hypotheses ------------------------------------------------
 
-    def _compatible(self, constituent: Constituent) -> bool:
-        if any(not 0 <= k < self.big_k for k in constituent.kinds):
-            raise DomainMismatchError(
-                "hypothesis mentions cells outside the language")
-        return set(range(self.summary.c)) <= constituent.kinds
-
     def constituent_posterior(self, constituent: Constituent) -> ExtremeReal:
-        if not self._compatible(constituent):
+        if not _holds_evidence(constituent, self.summary):
             return ExtremeReal.zero()
-        cl = self._table.get(constituent.width)
-        if cl is None:
-            return ExtremeReal.zero()
-        return ExtremeReal.from_ln(cl.ln_each - self._table.ln_z)
+        return self._table.unit(constituent.width)
 
     # -- sentences --------------------------------------------------------
 
@@ -305,6 +290,10 @@ class InductiveModel:
                 terms.append(m * cl.posterior_each)
         return terms
 
+    def ln_probability(self, counts: dict[int, int]) -> float:
+        """Log posterior mass of a width -> count bag; -inf when it is empty."""
+        return self._table.ln_mass(counts) - self._table.ln_z
+
     def sentence_probability(self, sentence: Sentence) -> float:
         return math.fsum(self.probability_terms(self.member_width_counts(sentence)))
 
@@ -315,24 +304,7 @@ class InductiveModel:
         10^-15000 of one.
         """
         counts = self.complement_width_counts(self.member_width_counts(sentence))
-        ln = self._table.ln_mass(counts)
-        if ln == -math.inf:
-            return ExtremeReal.zero()
-        return ExtremeReal.from_ln(ln - self._table.ln_z)
-
-    def ln_unit_complement(self, width: int) -> float:
-        """Log posterior mass of everything except one width-w hypothesis."""
-        cl = self._table.get(width)
-        if cl is None:
-            return 0.0  # the hypothesis has mass zero, the rest has it all
-        terms = []
-        for other in self._table.classes:
-            size = other.size - 1 if other.width == width else other.size
-            if size > 0:
-                terms.append(other.ln_each + math.log(size))
-        if not terms:
-            return -math.inf
-        return lse(terms) - self._table.ln_z
+        return ExtremeReal.from_ln(self.ln_probability(counts))
 
     def report(self) -> dict:
         widths = [cl.width for cl in self._table.classes]
@@ -349,54 +321,31 @@ def constituent_posterior(constituent: Constituent, summary: EvidenceSummary,
                           params: InductiveParams | None = None) -> ExtremeReal:
     """Posterior of one hypothesis given an evidence summary."""
     params = params or InductiveParams()
-    if any(not 0 <= k < summary.big_k for k in constituent.kinds):
-        raise DomainMismatchError("hypothesis mentions cells outside the language")
+    holds = _holds_evidence(constituent, summary)
     table = _WidthTable(summary.n, summary.c, summary.counts, summary.big_k, params)
-    if not set(range(summary.c)) <= constituent.kinds:
-        return ExtremeReal.zero()
-    cl = table.get(constituent.width)
-    if cl is None:
-        return ExtremeReal.zero()
-    return ExtremeReal.from_ln(cl.ln_each - table.ln_z)
+    return table.unit(constituent.width) if holds else ExtremeReal.zero()
 
 
 # -- predictive probabilities ---------------------------------------------
 
 
-def _ln_marginal(n: int, c: int, counts: Sequence[int], big_k: int) -> float:
-    # Log marginal likelihood of the evidence under the proportional policy
-    # with alpha = 0 (the uniform prior normalizer is dropped; it cancels in
-    # every ratio this feeds).
-    terms = []
-    for w in range(max(c, 1), big_k + 1):
-        terms.append(math.log(math.comb(big_k - c, w - c))
-                     + math.lgamma(w) - math.lgamma(n + w))
-    base = lse(terms)
-    return base + math.fsum(math.lgamma(n_j + 1) for n_j in counts)
-
-
 def predictive_probability(model: InductiveModel, kind: int) -> float:
-    """Closed-form next-case probability of a kind, as a marginal ratio.
+    """Next-case probability of a kind, as a ratio of evidence marginals.
 
-    Implemented for the proportional policy with alpha = 0, where the ratio
-    of marginal evidence likelihoods closes in terms of factorials; other
-    configurations raise UnsupportedConfigError.
+    The numerator is the normalizer of the width table with the next case
+    appended to the evidence; an unseen kind takes the next free cell.
+    Exact under every smoothing configuration.
     """
-    params = model.params
-    if params.lambda_policy != PROPORTIONAL or params.alpha != 0.0:
-        raise UnsupportedConfigError(
-            "closed-form predictive probability covers the proportional "
-            "policy with alpha=0 only")
     s = model.summary
     if not 0 <= kind < s.big_k:
         raise ValueError(f"kind must lie in 0..{s.big_k - 1}")
+    counts = list(s.counts)
     if kind < s.c:
-        ext = list(s.counts)
-        ext[kind] += 1
-        ln_num = _ln_marginal(s.n + 1, s.c, ext, s.big_k)
+        counts[kind] += 1
     else:
-        ln_num = _ln_marginal(s.n + 1, s.c + 1, list(s.counts) + [1], s.big_k)
-    return math.exp(ln_num - _ln_marginal(s.n, s.c, s.counts, s.big_k))
+        counts.append(1)
+    table = _WidthTable(s.n + 1, len(counts), counts, s.big_k, model.params)
+    return math.exp(table.ln_z - model.ln_normalizer)
 
 
 # -- sample-complexity bounds ---------------------------------------------

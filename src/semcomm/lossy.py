@@ -4,9 +4,9 @@ Trades channel rate against transmitted content: minimize the Shannon
 mutual information between source messages and reconstructions while the
 expected transmitted-content payoff stays above a floor.  The scalarized
 objective rate - beta*payoff is minimized by the classic alternating
-scheme: with the conditional fixed, the best output marginal is the
-induced one; with the marginal fixed, the best conditional tilts each
-row by 2^(beta*payoff) and renormalizes.  Both half-steps lower the
+scheme: with the channel fixed, the best output marginal is the
+induced one; with the marginal fixed, the best channel tilts each row
+by 2^(beta*payoff) and renormalizes.  Both half-steps lower the
 objective, which is checked on every pass.
 
 The passes run on the lumped channel, which gives the same iterates as
@@ -17,11 +17,8 @@ that are left, reconstructions whose payoff columns are equal start
 equal under the uniform start and stay equal under both half-steps, so
 each class of m_J equal columns is carried as one column holding their
 summed mass, starting at m_J/A for A reconstructions.  Within a class
-every column has the same ratio of conditional to marginal, so the
-mutual information of the class-summed channel is the true rate.  The
-full conditional is rebuilt once at the end: every row, weighted or
-not, tilts against the final marginal, in which each class's mass is
-split evenly over its columns.
+every column has the same ratio of channel weight to marginal, so the
+mutual information of the class-summed channel is the true rate.
 
 A reconstruction only transmits content when the source message entails
 it: weakening a true description keeps it true, while a reconstruction
@@ -83,7 +80,6 @@ class RDPoint:
     rate_bits: float
     cont_info: float
     beta: float
-    conditional: tuple[tuple[float, ...], ...]
     iterations: int = 0             # BA passes; 0 for the deterministic cap
     converged: bool = True          # rate settled within tol before max_iters
     objective: float | None = None  # final rate - beta*payoff; None at beta=inf
@@ -141,15 +137,12 @@ def _ba_point(ln_p: np.ndarray, payoff: np.ndarray, beta: float,
     # the lumped channel: weighted rows against the classes of equal
     # columns, each class starting with the uniform mass of its members
     keep = ln_p > -np.inf
-    columns, class_of, mult = np.unique(payoff[keep].T, axis=0,
-                                        return_inverse=True,
-                                        return_counts=True)
-    class_of = class_of.reshape(-1)  # numpy 2.0.0 returns it 2-D
+    columns, mult = np.unique(payoff[keep].T, axis=0, return_counts=True)
     ln_pk = ln_p[keep]
     lumped = columns.T
-    ln_mult = np.log(mult)
     tilt = beta * _LN2 * lumped
-    ln_cond = np.broadcast_to(ln_mult - math.log(payoff.shape[1]), lumped.shape)
+    ln_cond = np.broadcast_to(np.log(mult) - math.log(payoff.shape[1]),
+                              lumped.shape)
     prev_rate = math.inf
     prev_obj = math.inf
     converged = False
@@ -167,13 +160,7 @@ def _ba_point(ln_p: np.ndarray, payoff: np.ndarray, beta: float,
             converged = True
             break
         prev_rate = rate
-    # every row, weighted or not, tilts against the last marginal, whose
-    # class mass splits evenly over the class's columns
-    ln_full = (ln_q - ln_mult)[class_of][None, :] + beta * _LN2 * payoff
-    ln_full = ln_full - np.logaddexp.reduce(ln_full, axis=1)[:, None]
-    conditional = tuple(map(tuple, np.exp(ln_full).tolist()))
-    return RDPoint(rate, mean_payoff, beta, conditional,
-                   iterations, converged, obj)
+    return RDPoint(rate, mean_payoff, beta, iterations, converged, obj)
 
 
 def _argmax_point(ln_p: np.ndarray, payoff: np.ndarray) -> RDPoint:
@@ -183,8 +170,7 @@ def _argmax_point(ln_p: np.ndarray, payoff: np.ndarray) -> RDPoint:
     ln_cond = np.full((n, m), -np.inf)
     ln_cond[np.arange(n), best] = 0.0
     rate, mean_payoff = _mutual_bits(ln_p, ln_cond, payoff)
-    conditional = tuple(map(tuple, np.exp(ln_cond).tolist()))
-    return RDPoint(rate, mean_payoff, math.inf, conditional)
+    return RDPoint(rate, mean_payoff, math.inf)
 
 
 def lossy_optimize(source: MessagePartition, reconstruction_alphabet: list[Sentence],
@@ -241,7 +227,7 @@ def candidate_reconstructions(model, cap: int = DEFAULT_CANDIDATE_CAP) -> list[S
     full-detail claims down to the empty one (the tautology, the free
     zero-content reconstruction).  When the subsets outnumber the cap, a
     greedy pass keeps the ones adding the most posterior-weighted
-    transmitted content.
+    transmitted content, priced like every payoff by the receiver prior.
     """
     if cap < 1:
         raise ValueError("candidate cap must be positive")
@@ -259,7 +245,8 @@ def candidate_reconstructions(model, cap: int = DEFAULT_CANDIDATE_CAP) -> list[S
     source = MessagePartition.from_model(model)
     ln_p = _ln_probs(source.probs)
     p = np.exp(ln_p)
-    payoff = payoff_matrix(source, sentences, model)
+    payoff = payoff_matrix(source, sentences,
+                           receiver_prior(sl, model.params))
     chosen: list[int] = []
     covered = np.zeros(len(source.members))
     remaining = set(range(len(sentences)))

@@ -121,24 +121,23 @@ class MessagePartition:
         remaining hypotheses in log space.
         """
         sl = model.sublang
-        members = []
-        probs = []
-        lns = []
-        lcs = []
         need = set(range(model.summary.c))
+        by_width: dict[int, tuple[float, float, float]] = {}
+        members = []
+        columns = []
         for constituent in sl.all_constituents():
             members.append(sl.sentence([constituent]))
             if not need <= constituent.kinds:
-                probs.append(0.0)
-                lns.append(-math.inf)
-                lcs.append(0.0)
+                columns.append((0.0, -math.inf, 0.0))
                 continue
             w = constituent.width
-            probs.append(model.unit_posterior(w))
-            x = model.constituent_posterior(constituent)
-            lns.append(x.ln_mag if not x.is_zero else -math.inf)
-            lcs.append(model.ln_unit_complement(w))
-        return cls(tuple(members), tuple(probs), tuple(lns), tuple(lcs))
+            if w not in by_width:
+                ln_p = model.ln_probability({w: 1})
+                ln_c = model.ln_probability(model.complement_width_counts({w: 1}))
+                by_width[w] = (math.exp(ln_p), ln_p, ln_c)
+            columns.append(by_width[w])
+        probs, lns, lcs = zip(*columns)
+        return cls(tuple(members), probs, lns, lcs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,10 +223,7 @@ def cond_cont_extreme(s2: Sentence, s1: Sentence,
     have = model.member_width_counts(s1)
     keep = model.member_width_counts(s1 & s2)
     diff = {w: have[w] - keep.get(w, 0) for w in have}
-    ln = model._table.ln_mass(diff)
-    if ln == -math.inf:
-        return ExtremeReal.zero()
-    return ExtremeReal.from_ln(ln - model.ln_normalizer)
+    return ExtremeReal.from_ln(model.ln_probability(diff))
 
 
 def transcont_extreme(s2: Sentence, s1: Sentence,
@@ -240,14 +236,13 @@ class JointMessageDistribution:
     """Joint weights over sent and reconstructed messages.
 
     The joint matrix is supplied by the caller (typically a compressor's
-    transition choice); union confirmations are derived from the model so
-    the two conditional measures can be taken per pair.
+    transition choice); the model prices the two conditional measures per
+    pair.
     """
 
     row_messages: tuple[Sentence, ...]
     col_messages: tuple[Sentence, ...]
     joint: tuple[tuple[float, ...], ...]
-    union_conf: tuple[tuple[float, ...], ...]
     model: InductiveModel = field(repr=False)
 
     def __post_init__(self):
@@ -259,21 +254,13 @@ class JointMessageDistribution:
             raise ValueError("joint weights must be nonnegative")
         if abs(math.fsum(flat) - 1.0) > _NORM_TOL:
             raise ValueError("joint weights must sum to one")
-        for row in self.union_conf:
-            if any(not 0.0 <= x <= 1.0 for x in row):
-                raise ValueError("union confirmations must lie in [0, 1]")
 
     @classmethod
     def from_matrix(cls, rows: Sequence[Sentence], cols: Sequence[Sentence],
                     joint: Sequence[Sequence[float]],
                     model: InductiveModel) -> "JointMessageDistribution":
-        rows = tuple(rows)
-        cols = tuple(cols)
         jm = tuple(tuple(float(x) for x in row) for row in joint)
-        conf = tuple(
-            tuple(min(1.0, model.sentence_probability(s | r)) for r in cols)
-            for s in rows)  # a full-cover union sums to 1 + O(ulp)
-        return cls(rows, cols, jm, conf, model)
+        return cls(tuple(rows), tuple(cols), jm, model)
 
 
 def cond_cont_entropy(joint: JointMessageDistribution,

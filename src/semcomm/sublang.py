@@ -26,6 +26,7 @@ from .fol import Entity, EvidenceSet
 PatternKey = tuple
 
 _token_counter = itertools.count(1)
+_MAX_ENUM_K = 20  # enumeration cap: 2^20 - 1 hypotheses
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,7 +127,6 @@ class EvidenceSummary:
 class SubLanguageConfig:
     slack: int = 0
     explicit_k: int | None = None
-    max_enum_k: int = 20
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,6 @@ class SubLanguage:
 
     def tautology(self) -> Sentence:
         return self.sentence(self.all_constituents())
-
-    def contradiction(self) -> Sentence:
-        return Sentence(self.token, frozenset())
 
     def minimal_constituent(self) -> Constituent:
         """The narrowest constituent compatible with the evidence."""
@@ -273,9 +270,9 @@ def build_sublanguage(ev: EvidenceSet, config: SubLanguageConfig | None = None) 
 
 def enumerate_constituents(sl: SubLanguage) -> list[Constituent]:
     """Every constituent, ordered by (width, lexicographic cell tuple)."""
-    if sl.big_k > sl.config.max_enum_k:
+    if sl.big_k > _MAX_ENUM_K:
         raise CapacityError(
-            f"K={sl.big_k} exceeds the enumeration cap {sl.config.max_enum_k}"
+            f"K={sl.big_k} exceeds the enumeration cap {_MAX_ENUM_K}"
         )
     out = []
     for width in range(1, sl.big_k + 1):

@@ -180,6 +180,42 @@ def test_predictive_probability_mixture(rng):
     assert total == pytest.approx(1.0, rel=1e-9)
 
 
+def _oracle_next(kinds, counts, kind, params):
+    """Next-case rule of one hypothesis after the observed counts."""
+    if kind not in kinds:
+        return 0.0
+    w = len(kinds)
+    lam = _lambda_of(w, params)
+    if math.isinf(lam):
+        return 1.0 / w
+    seen = counts[kind] if kind < len(counts) else 0
+    return (seen + lam / w) / (sum(counts) + lam)
+
+
+@pytest.mark.parametrize("params", [
+    InductiveParams(),
+    InductiveParams(lambda_policy="constant", lambda_value=1.0),
+    InductiveParams(lambda_policy="constant", lambda_value=math.inf),
+    InductiveParams(alpha=1.0),
+])
+def test_predictive_matches_brute_force(params):
+    # posterior-weighted next-case rules, summed hypothesis by hypothesis
+    rnd = random.Random(46)
+    checked = 0
+    while checked < 12:
+        model = random_model(rnd, params=params)
+        s = model.summary
+        if s.big_k > 7:
+            continue
+        checked += 1
+        post = _oracle_posteriors(s, params)
+        for kind in range(s.big_k):
+            want = math.fsum(p * _oracle_next(con.kinds, s.counts, kind, params)
+                             for con, p in post.items())
+            got = predictive_probability(model, kind)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+
 def test_pac_error_formula():
     # direct finite sum, written out independently
     for k, c, n in ((4, 2, 7), (6, 3, 11), (5, 5, 9)):
