@@ -17,9 +17,6 @@ from .inductive import (InductiveModel, InductiveParams, check_convergence,
                         predictive_probability)
 from .lossless import (LosslessReport, gzip_bits, lossless_decode,
                        lossless_encode_report, shannon_baseline)
-from .lossy import (LossyConfig, RDPoint, candidate_reconstructions,
-                    content_cap, lossy_optimize, payoff_matrix, rd_sweep,
-                    receiver_prior, relative_informativeness)
 from .measures import (MessagePartition, UniverseSignature, cond_cont, cont,
                        cont_entropy, cont_sentence, inf_entropy, inf_measure,
                        is_inductively_independent, is_l_exclusive,
@@ -50,3 +47,18 @@ __all__ = [
     "relative_informativeness", "scale_entropies", "shannon_baseline",
     "transcont", "xsum",
 ]
+
+# the lossy layer is the one user of numpy; its names resolve on first use
+# (PEP 562), so the other commands start without importing numpy
+_LOSSY_NAMES = frozenset({
+    "LossyConfig", "RDPoint", "candidate_reconstructions", "content_cap",
+    "lossy_optimize", "payoff_matrix", "rd_sweep", "receiver_prior",
+    "relative_informativeness",
+})
+
+
+def __getattr__(name: str):
+    if name in _LOSSY_NAMES:
+        from . import lossy
+        return getattr(lossy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,9 +2,8 @@
 
 32-bit carry-free coder: interval endpoints are kept in [0, 2^32), with the
 classic three-way renormalization (emit on agreement of the top bit, count
-middle-straddling steps as pending underflow bits).  The compiled backend
-runs the same arithmetic one bit at a time; both must produce
-bit-identical streams for every input, which the test suite enforces.
+middle-straddling steps as pending underflow bits).  Golden SHA-256
+digests in the test suite pin the stream layout bit for bit.
 
 Renormalization runs in two phases per narrowing: first every leading bit
 on which low and high agree is shifted out, then every underflow step,
@@ -15,8 +14,8 @@ opposite bits included, into an integer accumulator and flushes whole
 bytes; the decoder pulls the same number of bits from a 64-bit window.
 
 :class:`AdaptiveModel` is the one add-one model: the block coder below is
-a loop over it, and the container dictionary drives it under either
-backend.  Its cumulative counts live in a Fenwick tree (Fenwick 1994), so pricing a
+a loop over it, and the container dictionary drives it directly.  Its
+cumulative counts live in a Fenwick tree (Fenwick 1994), so pricing a
 symbol and finding the symbol under a decoder target (binary descent,
 Moffat 1999) each cost O(log k) rather than a scan over k counts.
 """

@@ -35,9 +35,6 @@ from .inductive import (CONSTANT, PROPORTIONAL, InductiveModel, InductiveParams,
                         check_convergence, pac_error, pac_sample_bound)
 from .lossless import (gzip_bits, lossless_decode, lossless_encode_report,
                        shannon_baseline)
-from .lossy import (LossyConfig, candidate_reconstructions, content_cap,
-                    lossy_optimize, rd_sweep, receiver_prior,
-                    relative_informativeness)
 from .measures import (MessagePartition, UniverseSignature, cont_entropy,
                        inf_entropy, scale_entropies)
 from .sublang import SubLanguageConfig, build_sublanguage
@@ -65,7 +62,11 @@ def _parse_lambda(text: str) -> tuple[str, float | None]:
 
 def _make_params(lam: str, alpha: float) -> InductiveParams:
     policy, value = _parse_lambda(lam)
-    return InductiveParams(lambda_policy=policy, lambda_value=value, alpha=alpha)
+    try:
+        return InductiveParams(lambda_policy=policy, lambda_value=value,
+                               alpha=alpha)
+    except ValueError as exc:  # _parse_lambda vetted the rest, so it is alpha
+        raise click.BadParameter(str(exc), param_hint="--alpha")
 
 
 def _params_record(lam: str, alpha: float, slack: int,
@@ -150,7 +151,8 @@ def _analyze_one(ev: EvidenceSet, fmt: str, slack: int,
 @main.command()
 @click.argument("paths", nargs=-1, required=True,
                 type=click.Path(exists=True))
-@click.option("--slack", default=1, show_default=True,
+@click.option("--slack", type=click.IntRange(min=0), default=1,
+              show_default=True,
               help="Unexemplified cells kept in the hypothesis space.")
 @_lam_option
 @_alpha_option
@@ -344,7 +346,8 @@ def decompress(container, out):
 
 @main.command()
 @click.argument("evidence", type=click.Path(exists=True))
-@click.option("--slack", default=3, show_default=True,
+@click.option("--slack", type=click.IntRange(min=0), default=3,
+              show_default=True,
               help="Unexemplified cells kept in the hypothesis space.")
 @_lam_option
 @_alpha_option
@@ -364,15 +367,12 @@ def lossy(evidence, slack, lam, alpha, betas, dstar, out):
     posterior; reconstructions are truthful weakenings, valued by what
     they rule out for a receiver who has seen no evidence.
     """
-    params = _make_params(lam, alpha)
-    ev, _ = load_evidence(evidence)
-    sl = build_sublanguage(ev, SubLanguageConfig(slack=slack))
-    model = InductiveModel(sl, params)
-    source = MessagePartition.from_model(model)
-    receiver = receiver_prior(sl, params)
-    alphabet = candidate_reconstructions(model)
-    log.info("alphabet: %d reconstruction sentences", len(alphabet))
+    # imported here so that the other commands start without numpy
+    from .lossy import (LossyConfig, candidate_reconstructions, content_cap,
+                        lossy_optimize, rd_sweep, receiver_prior,
+                        relative_informativeness)
 
+    params = _make_params(lam, alpha)
     if betas is not None:
         try:
             grid = tuple(sorted(float(b) for b in betas.split(",")))
@@ -381,17 +381,28 @@ def lossy(evidence, slack, lam, alpha, betas, dstar, out):
                                      param_hint="--betas")
     else:
         grid = LossyConfig().beta_grid
+    try:
+        cfg = LossyConfig(d_star=0.0 if dstar is None else dstar,
+                          beta_grid=grid)
+    except ValueError as exc:  # a negative or non-finite beta or floor
+        raise click.UsageError(str(exc))
+
+    ev, _ = load_evidence(evidence)
+    sl = build_sublanguage(ev, SubLanguageConfig(slack=slack))
+    model = InductiveModel(sl, params)
+    source = MessagePartition.from_model(model)
+    receiver = receiver_prior(sl, params)
+    alphabet = candidate_reconstructions(model)
+    log.info("alphabet: %d reconstruction sentences", len(alphabet))
 
     cap = content_cap(source, alphabet, receiver)
     if dstar is not None:
-        cfg = LossyConfig(d_star=dstar, beta_grid=grid)
         point = lossy_optimize(source, alphabet, cfg, receiver)
         click.echo(f"target {dstar:g}: rate={point.rate_bits:.4f} bits, "
                    f"content={point.cont_info:.6f} "
                    f"(beta={point.beta:g}, cap={cap.cont_info:.6f})")
         return
 
-    cfg = LossyConfig(beta_grid=grid)
     points = rd_sweep(source, alphabet, cfg, receiver)
     header = f"{'beta':>10}{'rate_bits':>12}{'cont_info':>12}{'relative':>10}"
     click.echo(header)
@@ -417,8 +428,7 @@ def lossy(evidence, slack, lam, alpha, betas, dstar, out):
 
 @main.command()
 @click.argument("k", type=int)
-@click.option("--alpha", default=0.0, show_default=True,
-              help="Prior sample-size weight.")
+@_alpha_option
 @click.option("--epsilon", default=1e-3, show_default=True,
               help="Error budget, in (0, 1).")
 @click.option("--out", type=click.Path(), default=None,
@@ -430,11 +440,16 @@ def pac(k, alpha, epsilon, out):
         raise click.UsageError("K must be at least 1")
     if not 0.0 < epsilon < 1.0:
         raise click.UsageError("epsilon must lie strictly between 0 and 1")
-    n0 = pac_sample_bound(k, alpha, epsilon)
+    try:
+        n0 = pac_sample_bound(k, alpha, epsilon)
+    except ValueError as exc:  # K and epsilon were vetted above
+        raise click.BadParameter(str(exc), param_hint="--alpha")
     click.echo(f"K={k} alpha={alpha:g} epsilon={epsilon:g} -> n0={n0}")
     click.echo("smallest n at which the worst-case posterior error on "
                "over-wide hypotheses drops below the budget")
-    rows = [(n, pac_error(k, n, alpha)) for n in range(1, n0 + 5)]
+    # the bound needs n > alpha
+    rows = [(n, pac_error(k, n, alpha))
+            for n in range(math.floor(alpha) + 1, n0 + 5)]
     for n, bound in rows:
         marker = " <- n0" if n == n0 else ""
         click.echo(f"  n={n:<4d} bound={bound:.3e}{marker}")
@@ -452,7 +467,8 @@ def pac(k, alpha, epsilon, out):
 
 @main.command()
 @click.argument("evidence", type=click.Path(exists=True))
-@click.option("--slack", default=1, show_default=True,
+@click.option("--slack", type=click.IntRange(min=0), default=1,
+              show_default=True,
               help="Unexemplified cells kept in the hypothesis space.")
 @_lam_option
 @_alpha_option
@@ -467,6 +483,8 @@ def converge(evidence, slack, lam, alpha, threshold, out):
     Individuals arrive in first-appearance order; after each one the
     hypothesis matching everything seen so far is re-priced.
     """
+    if not 0.0 < threshold <= 1.0:
+        raise click.BadParameter("must lie in (0, 1]", param_hint="--threshold")
     params = _make_params(lam, alpha)
     ev, _ = load_evidence(evidence)
     sl = build_sublanguage(ev, SubLanguageConfig(slack=slack))

@@ -391,6 +391,8 @@ def pac_sample_bound(k: int, alpha: float, epsilon: float) -> int:
         raise ValueError("epsilon must lie strictly inside (0, 1)")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not (alpha >= 0 and math.isfinite(alpha)):
+        raise ValueError("alpha must be finite and >= 0")
     eps_odds = epsilon / (1.0 - epsilon)
     lo = math.floor(alpha) + 1
     if pac_error(k, lo, alpha) <= eps_odds:

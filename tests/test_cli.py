@@ -1,11 +1,16 @@
 """Command-line behavior, file outputs, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from semcomm.cli import main
+
+from conftest import DATA_DIR
 
 SMALL_FOL = """\
 Sails(Gull)
@@ -73,6 +78,14 @@ def test_pac_bad_epsilon(runner):
 
 def test_pac_bad_k(runner):
     assert runner.invoke(main, ["pac", "0"]).exit_code == 2
+
+
+def test_pac_table_starts_above_alpha(runner):
+    # the bound is defined only for n > alpha
+    res = runner.invoke(main, ["pac", "5", "--alpha", "2"])
+    assert res.exit_code == 0, res.output
+    assert "\n  n=3 " in res.output
+    assert "n=2 " not in res.output
 
 
 def test_pac_csv(runner, tmp_path):
@@ -304,3 +317,54 @@ def test_help_lists_commands(runner):
     for cmd in ("analyze", "compress", "decompress", "lossy", "pac",
                 "converge"):
         assert cmd in res.output
+
+
+@pytest.mark.parametrize("command, args", [
+    ("analyze", ["--slack", "-1"]),
+    ("analyze", ["--alpha", "-1"]),
+    ("lossy", ["--slack", "-1"]),
+    ("lossy", ["--alpha", "nan"]),
+    ("lossy", ["--betas", "-1,2"]),
+    ("lossy", ["--dstar", "nan"]),
+    ("converge", ["--threshold", "2"]),
+    ("converge", ["--threshold", "nan"]),
+    ("pac", ["--alpha", "nan"]),
+    ("pac", ["--alpha", "inf"]),
+    ("pac", ["--alpha", "-1"]),
+])
+def test_bad_numeric_option_is_usage_error(runner, evidence_file, command,
+                                           args):
+    target = "5" if command == "pac" else str(evidence_file)
+    res = runner.invoke(main, [command, target, *args])
+    assert res.exit_code == 2, res.output
+    assert "Error:" in res.output
+    assert isinstance(res.exception, SystemExit)  # not a raw traceback
+
+
+# only ``lossy`` needs numpy; the other commands must start without it
+_COLD_START = """
+import sys
+from semcomm.cli import main
+
+story, work = sys.argv[1], sys.argv[2]
+for args in (["compress", story, "--out", work + "/s.semc"],
+             ["decompress", work + "/s.semc", "--out", work + "/s.fol"],
+             ["pac", "3"]):
+    main.main(args=args, standalone_mode=False)
+if "numpy" in sys.modules:
+    sys.exit("numpy was imported")
+
+import semcomm
+from semcomm import rd_sweep
+missing = [name for name in semcomm.__all__ if not hasattr(semcomm, name)]
+if missing:
+    sys.exit(f"unresolved names: {missing}")
+"""
+
+
+def test_commands_start_without_numpy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(DATA_DIR / "story1.fol"),
+         str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -243,6 +243,12 @@ def test_pac_sample_bound_minimal():
             assert pac_error(k, n0 - 1, alpha) > eps_prime
 
 
+@pytest.mark.parametrize("alpha", [-1.0, -0.5, math.nan, math.inf])
+def test_pac_sample_bound_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        pac_sample_bound(5, alpha, 1e-3)
+
+
 def test_check_convergence_identifies():
     kinds = [0, 1, 2] * 200
     report = check_convergence(kinds, big_k=4, threshold=0.99)

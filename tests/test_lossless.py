@@ -2,10 +2,8 @@
 
 import hashlib
 import io
-import os
 import random
 import struct
-import sys
 import zlib
 
 import pytest
@@ -202,25 +200,6 @@ def test_header_counts_at_their_bounds_decode():
 def test_deterministic_container():
     ev = _parse(SAMPLE)
     assert lossless_encode(ev) == lossless_encode(ev)
-
-
-def test_cross_backend_decode(monkeypatch):
-    # a stream written by the selected backend decodes under the fallback
-    import subprocess
-
-    ev = _parse(SAMPLE)
-    blob = lossless_encode(ev)
-    code = (
-        "import sys; from semcomm.lossless import lossless_decode; "
-        ""
-        "blob = sys.stdin.buffer.read(); "
-        "sys.stdout.write(lossless_decode(blob).normalized_text())"
-    )
-    env = {"SEMCOMM_PURE": "1", "PATH": "/usr/bin:/bin",
-           "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.run([sys.executable, "-c", code], input=blob,
-                          capture_output=True, check=True, env=env)
-    assert proc.stdout.decode() == ev.normalized_text()
 
 
 def test_shannon_baseline_empty():
