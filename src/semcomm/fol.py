@@ -14,7 +14,6 @@ occurrence; later use with a different arity is an error.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -88,14 +87,6 @@ class Vocabulary:
             self._entities[name] = known
         return known
 
-    @property
-    def predicates(self) -> tuple[Predicate, ...]:
-        return tuple(self._predicates.values())
-
-    @property
-    def entities(self) -> tuple[Entity, ...]:
-        return tuple(self._entities.values())
-
 
 class _Scanner:
     def __init__(self, text: str, line_no: int):
@@ -166,8 +157,6 @@ def _iter_lines(source) -> Iterator[str]:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             yield from fh
-    elif isinstance(source, io.TextIOBase):
-        yield from source
     else:
         yield from source
 
@@ -203,10 +192,6 @@ class EvidenceSet:
         for st in self.statements:
             seen.setdefault(st)
         return tuple(seen)
-
-    @property
-    def duplicate_count(self) -> int:
-        return len(self.statements) - len(self.distinct_statements)
 
     def normalized_text(self) -> str:
         """Canonical file image: one statement per line, stream order kept."""

@@ -1,8 +1,8 @@
 """Posterior engine over existential-kind hypotheses.
 
 Everything here prices hypotheses of the form "exactly these kinds of
-individual exist" against an exchangeable evidence summary.  Hypotheses that
-assert the same number of kinds share one probability, so the engine works
+individual exist" against an exchangeable evidence summary.  Hypotheses
+claiming the same number of kinds share one probability, so the engine works
 with width classes rather than the full lattice of 2^K - 1 hypotheses, and
 it carries mass in natural-log space so that posteriors within 10^-15000 of
 0 or 1 stay distinguishable.
@@ -357,10 +357,13 @@ def pac_error(k: int, n: float, alpha: float = 0.0,
 
     With ``c`` given, the bound conditions on that many exemplified kinds:
     sum over i >= 1 of C(k-c, i) * (c / (c+i))^(n-alpha).  Without ``c`` the
-    worst case over c = 0..k-1 is returned.  Requires n > alpha.
+    worst case over c = 0..k-1 is returned.  Requires a finite alpha >= 0
+    and n > alpha.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not (alpha >= 0 and math.isfinite(alpha)):
+        raise ValueError("alpha must be finite and >= 0")
     if not n > alpha:
         raise ValueError("the bound needs n > alpha")
     if c is None:
@@ -431,18 +434,6 @@ class ConvergenceReport:
     eventually_monotone: bool
     pac_consistent: bool
     final_posterior: float
-
-    def as_json(self) -> dict:
-        return {
-            "big_k": self.big_k,
-            "threshold": self.threshold,
-            "reached_at": self.reached_at,
-            "eventually_monotone": self.eventually_monotone,
-            "pac_consistent": self.pac_consistent,
-            "final_posterior": self.final_posterior,
-            "trace": [{"n": p.n, "c": p.c_seen, "posterior": p.posterior}
-                      for p in self.points],
-        }
 
 
 def check_convergence(kinds: Iterable[int], big_k: int,

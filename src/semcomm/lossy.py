@@ -44,17 +44,17 @@ from .sublang import EvidenceSummary, Sentence
 
 _LN2 = math.log(2.0)
 _MONOTONE_SLACK = 1e-9
+_MAX_ITERS = 500  # BA passes per multiplier
+_TOL = 1e-10      # rate change (bits) that counts as converged
 DEFAULT_CANDIDATE_CAP = 1 << 12
 
 
 @dataclass(frozen=True, slots=True)
 class LossyConfig:
-    """Constraint floor and solver controls for the rate sweep."""
+    """Constraint floor and multiplier grid for the rate sweep."""
 
     d_star: float = 0.0
     beta_grid: tuple[float, ...] = (0.0,) + tuple(float(1 << i) for i in range(14))
-    max_iters: int = 500
-    tol: float = 1e-10
 
     def __post_init__(self):
         if not math.isfinite(self.d_star) or self.d_star < 0.0:
@@ -67,10 +67,6 @@ class LossyConfig:
         if list(grid) != sorted(grid):
             raise ValueError("beta_grid must be sorted ascending")
         object.__setattr__(self, "beta_grid", grid)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,7 +185,7 @@ def lossy_optimize(source: MessagePartition, reconstruction_alphabet: list[Sente
     cap_point = _argmax_point(ln_p, payoff)
     if cfg.d_star > cap_point.cont_info:
         raise InfeasibleTargetError(cfg.d_star, cap_point.cont_info)
-    candidates = [_ba_point(ln_p, payoff, beta, cfg.max_iters, cfg.tol)
+    candidates = [_ba_point(ln_p, payoff, beta, _MAX_ITERS, _TOL)
                   for beta in cfg.beta_grid]
     candidates.append(cap_point)
     feasible = [pt for pt in candidates if pt.cont_info >= cfg.d_star]
@@ -206,7 +202,7 @@ def rd_sweep(source: MessagePartition, alphabet: list[Sentence],
     """
     ln_p = _ln_probs(source.probs)
     payoff = payoff_matrix(source, alphabet, model)
-    points = [_ba_point(ln_p, payoff, beta, cfg.max_iters, cfg.tol)
+    points = [_ba_point(ln_p, payoff, beta, _MAX_ITERS, _TOL)
               for beta in cfg.beta_grid]
     points.sort(key=lambda pt: (pt.rate_bits, -pt.cont_info, pt.beta))
     frontier: list[RDPoint] = []
@@ -280,8 +276,12 @@ def receiver_prior(sublang, params=None) -> InductiveModel:
     return InductiveModel(sublang, params, empty)
 
 
-def relative_informativeness(point: RDPoint, source_entropy: float) -> float:
-    """Transmitted content as a fraction of the source's content entropy."""
-    if source_entropy <= 0.0:
+def relative_informativeness(point: RDPoint, cap: float) -> float:
+    """Transmitted content as a fraction of the payoff ceiling ``cap``.
+
+    ``cap`` is the content the best deterministic reconstruction channel
+    transmits (:func:`content_cap`); a cap of zero gives 0.
+    """
+    if cap <= 0.0:
         return 0.0
-    return point.cont_info / source_entropy
+    return point.cont_info / cap

@@ -74,10 +74,11 @@ class UniverseSignature:
 class MessagePartition:
     """Disjoint, exhaustive messages with their confirmation weights.
 
-    ``ln_probs`` and ``ln_complements`` optionally carry the natural-log
-    weight and the directly summed log of (1 - weight) per member; partition
-    builders that know the posterior in log space supply them so entropy
-    terms keep their meaning when weights sit within 10^-15000 of 0 or 1.
+    ``ln_probs`` and ``ln_complements`` carry the natural-log weight and the
+    directly summed log of (1 - weight) per member; partition builders that
+    know the posterior in log space supply them so entropy terms keep their
+    meaning when weights sit within 10^-15000 of 0 or 1.  A column left out
+    is computed from the weights.
     """
 
     members: tuple[Sentence, ...]
@@ -100,6 +101,12 @@ class MessagePartition:
             if not covered.isdisjoint(member.constituents):
                 raise ValueError("partition members must be disjoint")
             covered.update(member.constituents)
+        if self.ln_probs is None:
+            object.__setattr__(self, "ln_probs", tuple(
+                -math.inf if x == 0.0 else math.log(x) for x in self.probs))
+        if self.ln_complements is None:
+            object.__setattr__(self, "ln_complements", tuple(
+                -math.inf if x == 1.0 else math.log1p(-x) for x in self.probs))
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -107,10 +114,7 @@ class MessagePartition:
     @classmethod
     def from_probs(cls, probs: Sequence[float]) -> "MessagePartition":
         """Synthetic partition given by weights alone (no sentences)."""
-        p = tuple(float(x) for x in probs)
-        ln = tuple(-math.inf if x == 0.0 else math.log(x) for x in p)
-        lc = tuple(-math.inf if x == 1.0 else math.log1p(-x) for x in p)
-        return cls((), p, ln, lc)
+        return cls((), tuple(float(x) for x in probs))
 
     @classmethod
     def from_model(cls, model: InductiveModel) -> "MessagePartition":
@@ -169,14 +173,8 @@ def cont_entropy(partition: MessagePartition,
     returned as ExtremeReal because real sources push the sum far below the
     smallest positive float.
     """
-    if partition.ln_probs is not None and partition.ln_complements is not None:
-        pairs = zip(partition.ln_probs, partition.ln_complements)
-    else:
-        pairs = (((-math.inf if p == 0.0 else math.log(p)),
-                  (-math.inf if p == 1.0 else math.log1p(-p)))
-                 for p in partition.probs)
     terms = [ExtremeReal.from_ln(ln_p + ln_c)
-             for ln_p, ln_c in pairs
+             for ln_p, ln_c in zip(partition.ln_probs, partition.ln_complements)
              if ln_p != -math.inf and ln_c != -math.inf]
     normalized = xsum(terms) if terms else ExtremeReal.zero()
     raw = normalized * ExtremeReal.from_log2(float(sig.volume_exponent))
@@ -205,12 +203,18 @@ def cont_sentence(s: Sentence, model: InductiveModel) -> float:
     return math.fsum(model.probability_terms(counts))
 
 
-def cond_cont(s2: Sentence, s1: Sentence, model: InductiveModel) -> float:
-    """Content s2 adds on top of s1: weight of s1's cells that s2 rejects."""
+def _rejected_width_counts(s2: Sentence, s1: Sentence,
+                           model: InductiveModel) -> dict[int, int]:
+    # s1's compatible hypotheses that s2 rejects, as width -> count
     have = model.member_width_counts(s1)
     keep = model.member_width_counts(s1 & s2)
-    diff = {w: have[w] - keep.get(w, 0) for w in have}
-    return math.fsum(model.probability_terms(diff))
+    return {w: have[w] - keep.get(w, 0) for w in have}
+
+
+def cond_cont(s2: Sentence, s1: Sentence, model: InductiveModel) -> float:
+    """Content s2 adds on top of s1: weight of s1's cells that s2 rejects."""
+    return math.fsum(model.probability_terms(
+        _rejected_width_counts(s2, s1, model)))
 
 
 def transcont(s2: Sentence, s1: Sentence, model: InductiveModel) -> float:
@@ -220,10 +224,8 @@ def transcont(s2: Sentence, s1: Sentence, model: InductiveModel) -> float:
 
 def cond_cont_extreme(s2: Sentence, s1: Sentence,
                       model: InductiveModel) -> ExtremeReal:
-    have = model.member_width_counts(s1)
-    keep = model.member_width_counts(s1 & s2)
-    diff = {w: have[w] - keep.get(w, 0) for w in have}
-    return ExtremeReal.from_ln(model.ln_probability(diff))
+    return ExtremeReal.from_ln(model.ln_probability(
+        _rejected_width_counts(s2, s1, model)))
 
 
 def transcont_extreme(s2: Sentence, s1: Sentence,
@@ -263,39 +265,35 @@ class JointMessageDistribution:
         return cls(tuple(rows), tuple(cols), jm, model)
 
 
-def cond_cont_entropy(joint: JointMessageDistribution,
-                      sig: UniverseSignature) -> ExtremeReal:
-    """Expected volume-scaled content the receiver still lacks per pair."""
+def _expected_pair_content(joint: JointMessageDistribution,
+                           sig: UniverseSignature, content) -> ExtremeReal:
+    # joint-weighted sum of content(row, column, model), volume-scaled
     terms = []
     for i, s in enumerate(joint.row_messages):
         for j, r in enumerate(joint.col_messages):
             p = joint.joint[i][j]
             if p == 0.0:
                 continue
-            contrib = cond_cont_extreme(s, r, joint.model)
+            contrib = content(s, r, joint.model)
             if not contrib.is_zero:
                 terms.append(ExtremeReal.from_float(p) * contrib)
     total = xsum(terms) if terms else ExtremeReal.zero()
     return total * ExtremeReal.from_log2(float(sig.volume_exponent))
+
+
+def cond_cont_entropy(joint: JointMessageDistribution,
+                      sig: UniverseSignature) -> ExtremeReal:
+    """Expected volume-scaled content the receiver still lacks per pair."""
+    return _expected_pair_content(joint, sig, cond_cont_extreme)
 
 
 def mutual_cont_information(joint: JointMessageDistribution,
                             sig: UniverseSignature) -> ExtremeReal:
     """Expected volume-scaled content shared between the matched messages."""
-    terms = []
-    for i, s in enumerate(joint.row_messages):
-        for j, r in enumerate(joint.col_messages):
-            p = joint.joint[i][j]
-            if p == 0.0:
-                continue
-            contrib = transcont_extreme(s, r, joint.model)
-            if not contrib.is_zero:
-                terms.append(ExtremeReal.from_float(p) * contrib)
-    total = xsum(terms) if terms else ExtremeReal.zero()
-    return total * ExtremeReal.from_log2(float(sig.volume_exponent))
+    return _expected_pair_content(joint, sig, transcont_extreme)
 
 
-def is_l_exclusive(m1: Sentence, m2: Sentence, model=None) -> bool:
+def is_l_exclusive(m1: Sentence, m2: Sentence) -> bool:
     """True when the sentences share no hypothesis (no common world)."""
     if m1.sublang_token != m2.sublang_token:
         raise DomainMismatchError("sentences belong to different sub-languages")

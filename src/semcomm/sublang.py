@@ -30,15 +30,6 @@ _MAX_ENUM_K = 20  # enumeration cap: 2^20 - 1 hypotheses
 
 
 @dataclass(frozen=True, slots=True)
-class AttributiveConstituent:
-    """One cell of the sub-language: a kind an individual can have."""
-
-    kind_id: int
-    pattern: PatternKey | None  # None for slack cells
-    observed: bool
-
-
-@dataclass(frozen=True, slots=True)
 class Constituent:
     """A claim about which kinds are inhabited: a non-empty cell set."""
 
@@ -47,9 +38,6 @@ class Constituent:
     @property
     def width(self) -> int:
         return len(self.kinds)
-
-    def sort_key(self) -> tuple:
-        return (self.width, tuple(sorted(self.kinds)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,14 +107,10 @@ class EvidenceSummary:
             short += 1
         return EvidenceSummary(n_eff, self.c, tuple(counts), self.big_k)
 
-    def to_json(self) -> dict:
-        return {"K": self.big_k, "c": self.c, "n": self.n, "counts": list(self.counts)}
-
 
 @dataclass(frozen=True, slots=True)
 class SubLanguageConfig:
     slack: int = 0
-    explicit_k: int | None = None
 
 
 @dataclass(frozen=True)
@@ -134,11 +118,8 @@ class SubLanguage:
     """The quotiented finite language for one evidence set."""
 
     big_k: int
-    cells: tuple[AttributiveConstituent, ...]
-    cell_map: dict
     entity_kinds: dict
     summary: EvidenceSummary
-    config: SubLanguageConfig
     token: int = field(default_factory=lambda: next(_token_counter))
 
     def kind_of(self, entity: Entity) -> int:
@@ -179,18 +160,6 @@ class SubLanguage:
         if s.sublang_token != self.token:
             raise DomainMismatchError("sentence belongs to a different sub-language")
         return Sentence(self.token, frozenset(self.all_constituents()) - s.constituents)
-
-    def to_json(self) -> dict:
-        cells = {}
-        for cell in self.cells:
-            cells[str(cell.kind_id)] = {
-                "observed": cell.observed,
-                "pattern": [list(item) + [count] for item, count in cell.pattern] if cell.pattern else None,
-                "count": self.summary.counts[cell.kind_id] if cell.kind_id < self.summary.c else 0,
-            }
-        out = self.summary.to_json()
-        out["cells"] = cells
-        return out
 
 
 def entity_patterns(ev: EvidenceSet) -> dict[str, PatternKey]:
@@ -244,28 +213,12 @@ def build_sublanguage(ev: EvidenceSet, config: SubLanguageConfig | None = None) 
         counts[kind] += 1
 
     c = len(cell_map)
-    if config.explicit_k is not None:
-        if config.explicit_k < c:
-            raise ValueError(f"explicit K={config.explicit_k} smaller than {c} observed kinds")
-        big_k = config.explicit_k
-    else:
-        big_k = c + config.slack
+    big_k = c + config.slack
     if big_k < 1:
         raise CapacityError("empty evidence with no slack cells leaves no language")
 
-    cells = tuple(
-        AttributiveConstituent(j, pat, True) for pat, j in sorted(cell_map.items(), key=lambda kv: kv[1])
-    ) + tuple(AttributiveConstituent(j, None, False) for j in range(c, big_k))
-
     summary = EvidenceSummary(n=sum(counts), c=c, counts=tuple(counts), big_k=big_k)
-    return SubLanguage(
-        big_k=big_k,
-        cells=cells,
-        cell_map=cell_map,
-        entity_kinds=entity_kinds,
-        summary=summary,
-        config=config,
-    )
+    return SubLanguage(big_k=big_k, entity_kinds=entity_kinds, summary=summary)
 
 
 def enumerate_constituents(sl: SubLanguage) -> list[Constituent]:

@@ -249,6 +249,14 @@ def test_pac_sample_bound_rejects_bad_alpha(alpha):
         pac_sample_bound(5, alpha, 1e-3)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, -math.inf, math.nan, math.inf])
+def test_pac_error_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        pac_error(5, 3, alpha)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        pac_error(5, 3, alpha, c=2)
+
+
 def test_check_convergence_identifies():
     kinds = [0, 1, 2] * 200
     report = check_convergence(kinds, big_k=4, threshold=0.99)

@@ -318,8 +318,6 @@ def test_config_validation():
         LossyConfig(beta_grid=())
     with pytest.raises(ValueError):
         LossyConfig(beta_grid=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        LossyConfig(max_iters=0)
 
 
 def test_rd_point_json():

@@ -150,6 +150,26 @@ def test_cont_entropy_degenerate_zero():
     assert ce.normalized.is_zero and ce.raw.is_zero
 
 
+@pytest.mark.parametrize("probs", [
+    (1.0, 0.0, 0.0),
+    (1e-300, 1.0),
+    (0.5, 0.25, 0.25, 0.0),
+    (1e-300, 0.3, 0.7),
+    (0.1,) * 10,
+])
+def test_cont_entropy_direct_partition_matches_from_probs(probs):
+    # a partition built directly derives its log columns from the weights,
+    # exactly as from_probs does
+    sig = UniverseSignature(3, 5)
+    direct = MessagePartition((), probs)
+    assert direct.ln_probs == tuple(
+        -math.inf if p == 0.0 else math.log(p) for p in probs)
+    assert direct.ln_complements == tuple(
+        -math.inf if p == 1.0 else math.log1p(-p) for p in probs)
+    assert (cont_entropy(direct, sig)
+            == cont_entropy(MessagePartition.from_probs(probs), sig))
+
+
 def test_cont_entropy_uniform_peak():
     m = 8
     part = MessagePartition.from_probs([1.0 / m] * m)

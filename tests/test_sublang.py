@@ -40,14 +40,6 @@ def test_slack_extends_language():
     assert _sl(text, slack=3).big_k == 5
 
 
-def test_explicit_k():
-    ev = parse_evidence(io.StringIO("Barks(Rex)\n"), source_id="t")
-    sl = build_sublanguage(ev, SubLanguageConfig(explicit_k=4))
-    assert sl.big_k == 4
-    with pytest.raises(ValueError):
-        build_sublanguage(ev, SubLanguageConfig(explicit_k=0))
-
-
 def test_inconsistent_evidence_rejected():
     ev = parse_evidence(io.StringIO("Barks(Rex)\n!Barks(Rex)\n"),
                         source_id="t")
