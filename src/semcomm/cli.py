@@ -17,12 +17,10 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import io
 import json
 import logging
 import math
 import os
-import sys
 from pathlib import Path
 
 import click
@@ -30,7 +28,7 @@ import click
 from . import __version__
 from .dataset import load_evidence, load_manifest
 from .errors import DecodeError, SemcommError
-from .fol import EvidenceSet, parse_evidence
+from .fol import EvidenceSet
 from .inductive import (CONSTANT, PROPORTIONAL, InductiveModel, InductiveParams,
                         check_convergence, pac_error, pac_sample_bound)
 from .lossless import (gzip_bits, lossless_decode, lossless_encode_report,
@@ -369,8 +367,8 @@ def lossy(evidence, slack, lam, alpha, betas, dstar, out):
     """
     # imported here so that the other commands start without numpy
     from .lossy import (LossyConfig, candidate_reconstructions, content_cap,
-                        lossy_optimize, rd_sweep, receiver_prior,
-                        relative_informativeness)
+                        lossy_optimize, payoff_matrix, rd_sweep,
+                        receiver_prior, relative_informativeness)
 
     params = _make_params(lam, alpha)
     if betas is not None:
@@ -395,15 +393,17 @@ def lossy(evidence, slack, lam, alpha, betas, dstar, out):
     alphabet = candidate_reconstructions(model)
     log.info("alphabet: %d reconstruction sentences", len(alphabet))
 
-    cap = content_cap(source, alphabet, receiver)
+    # one payoff matrix serves the cap and the sweep
+    payoff = payoff_matrix(source, alphabet, receiver)
+    cap = content_cap(source, alphabet, receiver, payoff)
     if dstar is not None:
-        point = lossy_optimize(source, alphabet, cfg, receiver)
+        point = lossy_optimize(source, alphabet, cfg, receiver, payoff)
         click.echo(f"target {dstar:g}: rate={point.rate_bits:.4f} bits, "
                    f"content={point.cont_info:.6f} "
                    f"(beta={point.beta:g}, cap={cap.cont_info:.6f})")
         return
 
-    points = rd_sweep(source, alphabet, cfg, receiver)
+    points = rd_sweep(source, alphabet, cfg, receiver, payoff)
     header = f"{'beta':>10}{'rate_bits':>12}{'cont_info':>12}{'relative':>10}"
     click.echo(header)
     rows = []

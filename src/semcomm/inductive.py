@@ -10,6 +10,8 @@ it carries mass in natural-log space so that posteriors within 10^-15000 of
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 import sys
 from dataclasses import dataclass
@@ -351,6 +353,84 @@ def predictive_probability(model: InductiveModel, kind: int) -> float:
 # -- sample-complexity bounds ---------------------------------------------
 
 
+_TAIL = 2.0 ** -60  # a c-sum stops once its tail is below this share of it
+_DIRECT_MAX_K = 16  # pac_error sums every c in full up to this many cells
+
+
+@functools.lru_cache(maxsize=4)
+def _ln_tables(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # ln i! and ln i for i <= k, with ln 0 (never read) as 0
+    return (tuple(math.lgamma(i + 1) for i in range(k + 1)),
+            (0.0,) + tuple(math.log(i) for i in range(1, k + 1)))
+
+
+def _pac_scan(m: int, c: int, expo: float,
+              ln_floor: float = -math.inf) -> tuple[int, float] | None:
+    # Walks the terms T_i = C(m, i) * (c / (c+i))^expo of one c-sum, scaled
+    # by the largest so far, and returns how many to keep and the log of
+    # their sum, or None once the whole sum is certified below
+    # exp(ln_floor).  From term i + 1 on, the term ratio is at most
+    # R = (m-i-1)/(i+2) * ((c+m-1)/(c+m))^expo, so once R < 1 the tail is at
+    # most T_{i+1} / (1 - R); the sum stops when that is below 2^-60 of the
+    # part summed, far under half an ulp of the result.
+    lf, ln_int = _ln_tables(m + c)
+    rho = math.exp(expo * math.log1p(-1 / (c + m)))
+    ln_top = lf[m] + expo * ln_int[c]
+    ln_ref = ln_top - lf[m - 1] - expo * ln_int[c + 1]
+    part, nxt = 0.0, 1.0
+    # R >= 1 before term i0, so no tail test can pass there
+    i0 = max(1, min(m, math.ceil((m * rho - rho - 2) / (1 + rho))))
+    for i in range(1, m):
+        part += nxt
+        ln_next = ln_top - lf[i + 1] - lf[m - i - 1] - expo * ln_int[c + i + 1]
+        if ln_next > ln_ref:
+            part *= math.exp(ln_ref - ln_next)
+            ln_ref = ln_next
+        nxt = math.exp(ln_next - ln_ref)
+        if i < i0:
+            continue
+        ratio = (m - i - 1) / (i + 2) * rho
+        if ratio < 1.0:
+            tail = nxt / (1.0 - ratio)
+            if tail < part * _TAIL:
+                return i, ln_ref + math.log(part)
+            if ln_ref + math.log(part + tail) < ln_floor:
+                return None
+    return m, ln_ref + math.log(part + nxt)
+
+
+def _pac_sum(m: int, c: int, expo: float, terms: int) -> float:
+    # the first `terms` terms, with exact binomials, as the float route of
+    # fsum; the log route takes sums past the float range
+    binoms, binom = [], 1
+    for i in range(1, terms + 1):
+        binom = binom * (m - i + 1) // i
+        binoms.append(binom)
+    try:
+        return math.fsum(b * (c / (c + i)) ** expo
+                         for i, b in enumerate(binoms, start=1))
+    except OverflowError:  # a binomial or the sum leaves the float range
+        pass
+    ln_odds = lse(math.log(b) + expo * math.log(c / (c + i))
+                  for i, b in enumerate(binoms, start=1))
+    return math.exp(ln_odds) if ln_odds < _LN_FLOAT_MAX else math.inf
+
+
+def _ln_pac_ceiling(m: int, c: int, expo: float) -> float:
+    # ln(1 + j/c) is concave in j, so on 1..m it lies above its chord and
+    # (c / (c+j))^expo <= r q^(j-1) with r = (c / (c+1))^expo and q the
+    # chord's rate; against the binomials that sums to r ((1+q)^m - 1) / q
+    ln_r = -expo * math.log1p(1 / c)
+    if m == 1:
+        return ln_r
+    ln_q = -expo * (math.log1p(m / c) - math.log1p(1 / c)) / (m - 1)
+    x = m * math.log1p(math.exp(ln_q))
+    if x > 1.0:
+        return ln_r + x + math.log(-math.expm1(-x)) - ln_q
+    # (1+q)^m - 1 <= m q (1+q)^(m-1), which stays finite when q underflows
+    return ln_r + math.log(m) + (m - 1) * math.log1p(math.exp(ln_q))
+
+
 def pac_error(k: int, n: float, alpha: float = 0.0,
               c: int | None = None) -> float:
     """Upper bound on the posterior odds against the exact-evidence hypothesis.
@@ -359,6 +439,11 @@ def pac_error(k: int, n: float, alpha: float = 0.0,
     sum over i >= 1 of C(k-c, i) * (c / (c+i))^(n-alpha).  Without ``c`` the
     worst case over c = 0..k-1 is returned.  Requires a finite alpha >= 0
     and n > alpha.
+
+    A sum stops once its tail is certified below 2^-60 of it.  Past 16
+    cells the worst case is a best-first search over blocks of c by
+    closed-form ceilings, which skips every c that cannot beat the largest
+    sum found, so only a few sums are walked to the end.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -366,21 +451,58 @@ def pac_error(k: int, n: float, alpha: float = 0.0,
         raise ValueError("alpha must be finite and >= 0")
     if not n > alpha:
         raise ValueError("the bound needs n > alpha")
-    if c is None:
-        return max(pac_error(k, n, alpha, c=cc) for cc in range(k))
-    if not 0 <= c <= k:
-        raise ValueError(f"c must lie in 0..{k}")
     expo = n - alpha
-    try:
-        return math.fsum(math.comb(k - c, i) * (c / (c + i)) ** expo
-                         for i in range(1, k - c + 1))
-    except OverflowError:  # a binomial or the sum leaves the float range
-        pass
-    if c == 0:
-        return 0.0
-    ln_odds = lse(math.log(math.comb(k - c, i)) + expo * math.log(c / (c + i))
-                  for i in range(1, k - c + 1))
-    return math.exp(ln_odds) if ln_odds < _LN_FLOAT_MAX else math.inf
+    if c is not None:
+        if not 0 <= c <= k:
+            raise ValueError(f"c must lie in 0..{k}")
+        if c in (0, k):
+            return 0.0
+        terms, _ = _pac_scan(k - c, c, expo)
+        return _pac_sum(k - c, c, expo, terms)
+    # c = 0 contributes nothing.  Up to _DIRECT_MAX_K every sum is taken
+    # in full, which is cheaper than pruning.  Beyond it, a bisection on
+    # the slope of the sums finds a large one (the best when they are
+    # unimodal in c) to start the floor.  Then a best-first search over
+    # blocks lo..hi of c: within a block every term is at most
+    # C(k-lo, i) * (hi / (hi+i))^expo, so the ceiling of that sum bounds
+    # the block.  A block or a running sum below the largest sum found,
+    # less a margin for the rounding of the logs, is left out.
+    if k <= _DIRECT_MAX_K:
+        return max((_pac_sum(k - cc, cc, expo, k - cc) for cc in range(1, k)),
+                   default=0.0)
+    lf, ln_int = _ln_tables(k)
+    margin = 1e-12 * (1.0 + lf[k] + expo * ln_int[k])
+    kept = {}
+
+    def ln_sum_at(cc: int) -> float:
+        if cc not in kept:
+            kept[cc] = _pac_scan(k - cc, cc, expo)
+        return kept[cc][1]
+
+    lo, hi = 1, k - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ln_sum_at(mid) < ln_sum_at(mid + 1):
+            lo = mid + 1
+        else:
+            hi = mid
+    ln_floor = ln_sum_at(lo) - margin
+    heap = [(-_ln_pac_ceiling(k - 1, k - 1, expo), 1, k - 1)]
+    while heap:
+        neg_ceiling, lo, hi = heapq.heappop(heap)
+        if -neg_ceiling < ln_floor:
+            break
+        if lo < hi:
+            mid = (lo + hi) // 2
+            for a, b in ((lo, mid), (mid + 1, hi)):
+                heapq.heappush(heap, (-_ln_pac_ceiling(k - a, b, expo), a, b))
+        elif lo not in kept:
+            scanned = _pac_scan(k - lo, lo, expo, ln_floor)
+            if scanned is not None:
+                kept[lo] = scanned
+                ln_floor = max(ln_floor, scanned[1] - margin)
+    return max(_pac_sum(k - cc, cc, expo, terms)
+               for cc, (terms, ln_sum) in kept.items() if ln_sum >= ln_floor)
 
 
 def pac_sample_bound(k: int, alpha: float, epsilon: float) -> int:
@@ -445,7 +567,9 @@ def check_convergence(kinds: Iterable[int], big_k: int,
     the posterior after each prefix, whether the trace is nondecreasing once
     the last new kind has appeared, and whether the final value is
     consistent with the odds bound of :func:`pac_error` evaluated at the
-    final (n, c).
+    final (n, c).  Each observation costs O(K - c): no width is dropped,
+    because one negligible against c kinds can dominate once a new kind
+    appears.
     """
     params = params or InductiveParams()
     seq = list(kinds)
@@ -454,18 +578,44 @@ def check_convergence(kinds: Iterable[int], big_k: int,
     if any(not 0 <= k < big_k for k in seq):
         raise ValueError(f"kind ids must lie in 0..{big_k - 1}")
 
+    # Log mass of one width-w hypothesis plus ln C(K-c, w-c), carried across
+    # prefixes, up to terms every width shares (they cancel from the
+    # posterior): ln (K-c)!, the per-cell lgamma sum of the proportional
+    # policy and lgamma(lam) - lgamma(n + lam) of the constant one.
+    ln_fact = [math.lgamma(i + 1) for i in range(big_k + 1)]
+    proportional = params.lambda_policy == PROPORTIONAL
+    fixed = [0.0] + [_ln_prior_factor(w, big_k, params) - ln_fact[big_k - w]
+                     + (math.lgamma(w) if proportional else 0.0)
+                     for w in range(1, big_k + 1)]
+    if params.dogmatic:
+        ln_width = [0.0] + [math.log(w) for w in range(1, big_k + 1)]
+    elif not proportional:
+        per_cell = [0.0] + [params.lambda_value / w for w in range(1, big_k + 1)]
+        cell_sums = [0.0] * (big_k + 1)
+
     counts: dict[int, int] = {}
     points: list[ConvergencePoint] = []
     last_growth = 1
+    c = 0
     for t, kind in enumerate(seq, start=1):
-        if kind not in counts:
-            counts[kind] = 0
+        m = counts.get(kind, 0)
+        counts[kind] = m + 1
+        if m == 0:
+            c += 1
             last_growth = t
-        counts[kind] += 1
-        c = len(counts)
-        table = _WidthTable(t, c, tuple(counts.values()), big_k, params)
-        cl = table.get(c)
-        points.append(ConvergencePoint(t, c, cl.posterior_each))
+            widths = range(c, big_k + 1)
+            base = [fixed[w] - ln_fact[w - c] for w in widths]
+        if params.dogmatic:
+            terms = [b - t * ln_width[w] for b, w in zip(base, widths)]
+        elif proportional:
+            terms = [b - math.lgamma(t + w) for b, w in zip(base, widths)]
+        else:  # a count m -> m + 1 adds log(m + lam/w) to the per-cell sum
+            for w in widths:
+                cell_sums[w] += math.log(m + per_cell[w])
+            terms = [b + cell_sums[w] for b, w in zip(base, widths)]
+        top = max(terms)  # lse(terms) inlined for speed; no term is -inf
+        ln_z = top + math.log(math.fsum([math.exp(v - top) for v in terms]))
+        points.append(ConvergencePoint(t, c, math.exp(terms[0] - ln_z)))
 
     reached_at = next((p.n for p in points if p.posterior >= threshold), None)
     tail = [p.posterior for p in points[last_growth - 1:]]

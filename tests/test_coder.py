@@ -1,7 +1,6 @@
 """Range coder: round trips, code length accounting, golden streams."""
 
 import hashlib
-import math
 import random
 
 import pytest

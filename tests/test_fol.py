@@ -1,7 +1,6 @@
 """Statement parsing and evidence sets."""
 
 import io
-import random
 
 import pytest
 

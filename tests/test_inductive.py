@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from semcomm.errors import DomainMismatchError
 from semcomm.fol import parse_evidence
-from semcomm.inductive import (InductiveModel, InductiveParams,
+from semcomm.inductive import (InductiveModel, InductiveParams, _WidthTable,
                                check_convergence, constituent_likelihood,
                                constituent_posterior, constituent_prior,
                                pac_error, pac_sample_bound,
@@ -316,3 +316,97 @@ def test_posterior_width_monotone_in_prefix(big_k, data):
     report = check_convergence(kinds, big_k=big_k)
     tail = [p.posterior for p in report.points if p.c_seen == c]
     assert all(b >= a - 1e-12 for a, b in zip(tail, tail[1:]))
+
+
+# -- the incremental trace and the pruned bound against the direct routes --
+
+
+def _oracle_pac_error(k, n, alpha=0.0, c=None):
+    """The literal bignum sum, maximised over every c when c is None."""
+    if c is None:
+        return max(_oracle_pac_error(k, n, alpha, cc) for cc in range(k))
+    expo = n - alpha
+    try:
+        return math.fsum(math.comb(k - c, i) * (c / (c + i)) ** expo
+                         for i in range(1, k - c + 1))
+    except OverflowError:
+        return math.inf
+
+
+def _oracle_convergence(kinds, big_k, params, threshold):
+    """Rebuild the width table for every prefix, as the definition reads."""
+    counts = {}
+    posts = []
+    last_growth = 1
+    for t, kind in enumerate(kinds, start=1):
+        if kind not in counts:
+            counts[kind] = 0
+            last_growth = t
+        counts[kind] += 1
+        table = _WidthTable(t, len(counts), tuple(counts.values()), big_k,
+                            params)
+        posts.append(table.get(len(counts)).posterior_each)
+    # both sides of a posterior within 1e-12 of the threshold are right
+    reached = {next((t for t, p in enumerate(posts, start=1)
+                     if p >= threshold + shift), None)
+               for shift in (-1e-12, 1e-12)}
+    tail = posts[last_growth - 1:]
+    monotone = all(b >= a - 1e-12 for a, b in zip(tail, tail[1:]))
+    pac_ok = False
+    if len(kinds) > params.alpha:
+        bound = _oracle_pac_error(big_k, len(kinds), params.alpha, len(counts))
+        limit = bound / (1.0 + bound) if bound < math.inf else 1.0
+        pac_ok = (1.0 - posts[-1]) <= limit * (1.0 + 1e-9) + 1e-15
+    return posts, reached, monotone, pac_ok
+
+
+@pytest.mark.parametrize("params", [
+    InductiveParams(),
+    InductiveParams(alpha=1.5),
+    InductiveParams(lambda_policy="constant", lambda_value=2.0),
+    InductiveParams(lambda_policy="constant", lambda_value=math.inf),
+], ids=["w", "w-alpha", "const2", "dogmatic"])
+def test_convergence_trace_matches_per_prefix_tables(params):
+    rnd = random.Random(17)
+    for case in range(40):
+        big_k = rnd.randint(1, 12)
+        used = rnd.randint(1, big_k)
+        # a few streams front-load the kinds so the tail is long
+        kinds = [rnd.randrange(used) for _ in range(rnd.randint(1, 90))]
+        if case % 4 == 0:
+            kinds = list(range(used)) + kinds
+        threshold = rnd.choice([0.5, 0.9, 0.99])  # 0.9 ties exact posteriors
+        report = check_convergence(kinds, big_k, params, threshold)
+        posts, reached, monotone, pac_ok = _oracle_convergence(
+            kinds, big_k, params, threshold)
+        got = [p.posterior for p in report.points]
+        assert max(abs(a - b) for a, b in zip(got, posts)) <= 1e-12
+        assert report.reached_at in reached
+        assert report.eventually_monotone == monotone
+        assert report.pac_consistent == pac_ok
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_pac_error_matches_bignum_sum(alpha):
+    for k in (1, 2, 3, 5, 8, 13, 16, 17, 21, 34, 60):  # both sides of _DIRECT_MAX_K
+        for n in (1, 2, 5, 20, 100, 1000):
+            want = _oracle_pac_error(k, n, alpha)
+            assert pac_error(k, n, alpha) == pytest.approx(want, rel=1e-12)
+            for c in range(k + 1):
+                want = _oracle_pac_error(k, n, alpha, c)
+                got = pac_error(k, n, alpha, c=c)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, 1e-3])
+def test_pac_sample_bound_matches_bignum_search(epsilon):
+    odds = epsilon / (1.0 - epsilon)
+    for k in range(1, 31):
+        # the odds bound falls in n, so bisect on the bignum route
+        lo, hi = 0, 1
+        while _oracle_pac_error(k, hi) > odds:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _oracle_pac_error(k, mid) <= odds else (mid, hi)
+        assert pac_sample_bound(k, 0.0, epsilon) == hi

@@ -1,7 +1,6 @@
 """Kind quotient, evidence summaries, and sentence algebra."""
 
 import io
-import random
 
 import pytest
 from hypothesis import given, settings
