@@ -367,8 +367,8 @@ def lossy(evidence, slack, lam, alpha, betas, dstar, out):
     """
     # imported here so that the other commands start without numpy
     from .lossy import (LossyConfig, candidate_reconstructions, content_cap,
-                        lossy_optimize, payoff_matrix, rd_sweep,
-                        receiver_prior, relative_informativeness)
+                        lossy_optimize, rd_sweep, receiver_prior,
+                        relative_informativeness)
 
     params = _make_params(lam, alpha)
     if betas is not None:
@@ -393,17 +393,15 @@ def lossy(evidence, slack, lam, alpha, betas, dstar, out):
     alphabet = candidate_reconstructions(model)
     log.info("alphabet: %d reconstruction sentences", len(alphabet))
 
-    # one payoff matrix serves the cap and the sweep
-    payoff = payoff_matrix(source, alphabet, receiver)
-    cap = content_cap(source, alphabet, receiver, payoff)
+    cap = content_cap(source, alphabet, receiver)
     if dstar is not None:
-        point = lossy_optimize(source, alphabet, cfg, receiver, payoff)
+        point = lossy_optimize(source, alphabet, cfg, receiver)
         click.echo(f"target {dstar:g}: rate={point.rate_bits:.4f} bits, "
                    f"content={point.cont_info:.6f} "
                    f"(beta={point.beta:g}, cap={cap.cont_info:.6f})")
         return
 
-    points = rd_sweep(source, alphabet, cfg, receiver, payoff)
+    points = rd_sweep(source, alphabet, cfg, receiver)
     header = f"{'beta':>10}{'rate_bits':>12}{'cont_info':>12}{'relative':>10}"
     click.echo(header)
     rows = []

@@ -79,6 +79,9 @@ class InductiveParams:
         }
 
 
+_STIRLING_MIN = 32.0
+
+
 def _ln_rising(a: float, x: float) -> float:
     # log of the rising factorial x * (x+1) * ... over a steps,
     # Gamma(x + a) / Gamma(x); empty product is 1, and a > 0 at x = 0 is 0
@@ -86,7 +89,21 @@ def _ln_rising(a: float, x: float) -> float:
         return 0.0
     if x == 0.0:
         return -math.inf
-    return math.lgamma(x + a) - math.lgamma(x)
+    if x < _STIRLING_MIN:
+        return math.lgamma(x + a) - math.lgamma(x)
+    # For large x the two lgammas cancel (at x = 1e300 both read the same
+    # float), so take their difference from Stirling's series, whose
+    # omitted terms are below 1e-16 from x = 32 on.
+    y = x + a
+    return ((x - 0.5) * math.log1p(a / x) + a * math.log(y) - a
+            + _stirling_tail(y) - _stirling_tail(x))
+
+
+def _stirling_tail(z: float) -> float:
+    # lgamma(z) - (z - 1/2) ln z + z - ln(2 pi) / 2, four terms, z >= 32
+    r = 1.0 / z
+    r2 = r * r
+    return r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680)))
 
 
 def _ln_prior_factor(width: int, big_k: int, params: InductiveParams) -> float:
@@ -118,11 +135,21 @@ def _ln_likelihood_width(width: int, n: int, counts: Sequence[int],
         return 0.0
     if params.dogmatic:
         return -n * math.log(width)
+    # each term is a rising factorial; below _STIRLING_MIN, where
+    # _ln_rising is an lgamma difference, it is inlined for speed
     lam = params.lambda_of(width)
+    if lam < _STIRLING_MIN:
+        acc = math.lgamma(lam) - math.lgamma(n + lam)
+    else:
+        acc = -_ln_rising(n, lam)
     per_cell = lam / width
-    acc = math.lgamma(lam) - math.lgamma(n + lam)
+    if per_cell >= _STIRLING_MIN:
+        for n_j in counts:
+            acc += _ln_rising(n_j, per_cell)
+        return acc
+    ln_cell = math.lgamma(per_cell)
     for n_j in counts:
-        acc += math.lgamma(n_j + per_cell) - math.lgamma(per_cell)
+        acc += math.lgamma(n_j + per_cell) - ln_cell
     return acc
 
 
@@ -354,7 +381,11 @@ def predictive_probability(model: InductiveModel, kind: int) -> float:
 
 
 _TAIL = 2.0 ** -60  # a c-sum stops once its tail is below this share of it
-_DIRECT_MAX_K = 16  # pac_error sums every c in full up to this many cells
+# pac_error sums every c in full up to this many cells.  Timed on the pac
+# command's table (epsilon 1e-3, 2-core Xeon), the pruned route is 2-11%
+# slower at K = 13-14, within 7% either way at 15, and 4-9% faster at 16,
+# 2x at 28 and 5x at 80.
+_DIRECT_MAX_K = 15
 
 
 @functools.lru_cache(maxsize=4)
@@ -440,7 +471,7 @@ def pac_error(k: int, n: float, alpha: float = 0.0,
     worst case over c = 0..k-1 is returned.  Requires a finite alpha >= 0
     and n > alpha.
 
-    A sum stops once its tail is certified below 2^-60 of it.  Past 16
+    A sum stops once its tail is certified below 2^-60 of it.  Past 15
     cells the worst case is a best-first search over blocks of c by
     closed-form ceilings, which skips every c that cannot beat the largest
     sum found, so only a few sums are walked to the end.
@@ -581,16 +612,19 @@ def check_convergence(kinds: Iterable[int], big_k: int,
     # Log mass of one width-w hypothesis plus ln C(K-c, w-c), carried across
     # prefixes, up to terms every width shares (they cancel from the
     # posterior): ln (K-c)!, the per-cell lgamma sum of the proportional
-    # policy and lgamma(lam) - lgamma(n + lam) of the constant one.
+    # policy, and lgamma(lam) - lgamma(n + lam) and n ln lam of the constant
+    # one.  There a count m -> m + 1 adds ln(m + lam/w), which is
+    # ln lam - ln w + ln(1 + m w / lam); the shared ln lam is left out, which
+    # keeps the sums accurate for a large lam and makes lam = inf the dogmatic
+    # -n ln w.
     ln_fact = [math.lgamma(i + 1) for i in range(big_k + 1)]
     proportional = params.lambda_policy == PROPORTIONAL
     fixed = [0.0] + [_ln_prior_factor(w, big_k, params) - ln_fact[big_k - w]
                      + (math.lgamma(w) if proportional else 0.0)
                      for w in range(1, big_k + 1)]
-    if params.dogmatic:
+    if not proportional:
         ln_width = [0.0] + [math.log(w) for w in range(1, big_k + 1)]
-    elif not proportional:
-        per_cell = [0.0] + [params.lambda_value / w for w in range(1, big_k + 1)]
+        inv_cell = [0.0] + [w / params.lambda_value for w in range(1, big_k + 1)]
         cell_sums = [0.0] * (big_k + 1)
 
     counts: dict[int, int] = {}
@@ -605,14 +639,14 @@ def check_convergence(kinds: Iterable[int], big_k: int,
             last_growth = t
             widths = range(c, big_k + 1)
             base = [fixed[w] - ln_fact[w - c] for w in widths]
-        if params.dogmatic:
-            terms = [b - t * ln_width[w] for b, w in zip(base, widths)]
-        elif proportional:
+        if proportional:
             terms = [b - math.lgamma(t + w) for b, w in zip(base, widths)]
-        else:  # a count m -> m + 1 adds log(m + lam/w) to the per-cell sum
-            for w in widths:
-                cell_sums[w] += math.log(m + per_cell[w])
-            terms = [b + cell_sums[w] for b, w in zip(base, widths)]
+        else:
+            if m and not params.dogmatic:
+                for w in widths:
+                    cell_sums[w] += math.log1p(m * inv_cell[w])
+            terms = [b + cell_sums[w] - t * ln_width[w]
+                     for b, w in zip(base, widths)]
         top = max(terms)  # lse(terms) inlined for speed; no term is -inf
         ln_z = top + math.log(math.fsum([math.exp(v - top) for v in terms]))
         points.append(ConvergencePoint(t, c, math.exp(terms[0] - ln_z)))

@@ -170,8 +170,7 @@ def _argmax_point(ln_p: np.ndarray, payoff: np.ndarray) -> RDPoint:
 
 
 def lossy_optimize(source: MessagePartition, reconstruction_alphabet: list[Sentence],
-                   cfg: LossyConfig, model,
-                   payoff: np.ndarray | None = None) -> RDPoint:
+                   cfg: LossyConfig, model) -> RDPoint:
     """Cheapest channel whose transmitted content reaches cfg.d_star.
 
     d_star is in normalized content units (same scale as the payoff
@@ -179,12 +178,10 @@ def lossy_optimize(source: MessagePartition, reconstruction_alphabet: list[Sente
     best-reconstruction channel is kept as the final candidate, and the
     smallest-rate point meeting the floor wins.  A floor above what even
     the deterministic channel transmits raises InfeasibleTargetError
-    naming that maximum.  ``payoff`` is the :func:`payoff_matrix` of the
-    same inputs, when the caller has built it already.
+    naming that maximum.
     """
     ln_p = _ln_probs(source.probs)
-    if payoff is None:
-        payoff = payoff_matrix(source, reconstruction_alphabet, model)
+    payoff = payoff_matrix(source, reconstruction_alphabet, model)
     cap_point = _argmax_point(ln_p, payoff)
     if cfg.d_star > cap_point.cont_info:
         raise InfeasibleTargetError(cfg.d_star, cap_point.cont_info)
@@ -196,19 +193,15 @@ def lossy_optimize(source: MessagePartition, reconstruction_alphabet: list[Sente
 
 
 def rd_sweep(source: MessagePartition, alphabet: list[Sentence],
-             cfg: LossyConfig, model,
-             payoff: np.ndarray | None = None) -> list[RDPoint]:
+             cfg: LossyConfig, model) -> list[RDPoint]:
     """One solved point per multiplier, pruned to the efficient frontier.
 
     Retained points are sorted by rate, no retained point spends more
     rate for less transmitted content than another, and exact duplicates
-    collapse to the smallest multiplier that produced them.  ``payoff``
-    is the :func:`payoff_matrix` of the same inputs, when the caller has
-    built it already.
+    collapse to the smallest multiplier that produced them.
     """
     ln_p = _ln_probs(source.probs)
-    if payoff is None:
-        payoff = payoff_matrix(source, alphabet, model)
+    payoff = payoff_matrix(source, alphabet, model)
     points = [_ba_point(ln_p, payoff, beta, _MAX_ITERS, _TOL)
               for beta in cfg.beta_grid]
     points.sort(key=lambda pt: (pt.rate_bits, -pt.cont_info, pt.beta))
@@ -266,15 +259,10 @@ def candidate_reconstructions(model, cap: int = DEFAULT_CANDIDATE_CAP) -> list[S
 
 
 def content_cap(source: MessagePartition, alphabet: list[Sentence],
-                model, payoff: np.ndarray | None = None) -> RDPoint:
-    """Deterministic best-reconstruction channel: the payoff ceiling.
-
-    ``payoff`` is the :func:`payoff_matrix` of the same inputs, when the
-    caller has built it already.
-    """
-    if payoff is None:
-        payoff = payoff_matrix(source, alphabet, model)
-    return _argmax_point(_ln_probs(source.probs), payoff)
+                model) -> RDPoint:
+    """Deterministic best-reconstruction channel: the payoff ceiling."""
+    return _argmax_point(_ln_probs(source.probs),
+                         payoff_matrix(source, alphabet, model))
 
 
 def receiver_prior(sublang, params=None) -> InductiveModel:

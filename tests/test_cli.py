@@ -289,25 +289,6 @@ def test_lossy_target_mode(runner, evidence_file):
     assert "cap=" in res.output
 
 
-@pytest.mark.parametrize("mode", [[], ["--dstar", "0.05"]])
-def test_lossy_builds_one_payoff_matrix(runner, evidence_file, tmp_path,
-                                        monkeypatch, mode):
-    from semcomm import lossy
-
-    calls = []
-    build = lossy.payoff_matrix
-
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(lossy, "payoff_matrix", counted)
-    res = runner.invoke(main, ["lossy", str(evidence_file), "--slack", "2",
-                               "--out", str(tmp_path / "rd.csv"), *mode])
-    assert res.exit_code == 0, res.output
-    assert len(calls) == 1
-
-
 def test_lossy_infeasible_target(runner, evidence_file):
     res = runner.invoke(main, ["lossy", str(evidence_file), "--slack", "1",
                                "--dstar", "5.0"])

@@ -364,8 +364,10 @@ def _oracle_convergence(kinds, big_k, params, threshold):
     InductiveParams(),
     InductiveParams(alpha=1.5),
     InductiveParams(lambda_policy="constant", lambda_value=2.0),
+    InductiveParams(lambda_policy="constant", lambda_value=1e6, alpha=0.5),
+    InductiveParams(lambda_policy="constant", lambda_value=1e300),
     InductiveParams(lambda_policy="constant", lambda_value=math.inf),
-], ids=["w", "w-alpha", "const2", "dogmatic"])
+], ids=["w", "w-alpha", "const2", "const1e6", "const1e300", "dogmatic"])
 def test_convergence_trace_matches_per_prefix_tables(params):
     rnd = random.Random(17)
     for case in range(40):
@@ -384,6 +386,22 @@ def test_convergence_trace_matches_per_prefix_tables(params):
         assert report.reached_at in reached
         assert report.eventually_monotone == monotone
         assert report.pac_consistent == pac_ok
+
+
+def test_large_constant_lambda_tends_to_the_dogmatic_limit():
+    # lgamma(n + lam) - lgamma(lam) cancels to nothing at lam = 1e300; the
+    # table must still see the evidence, as the convergence trace does
+    summary = EvidenceSummary(big_k=4, n=40, c=2, counts=(20, 20))
+    tight = Constituent(frozenset({0, 1}))
+    limit = constituent_posterior(tight, summary, InductiveParams(
+        lambda_policy="constant", lambda_value=math.inf)).to_float()
+    assert limit == pytest.approx(1.0 - 1.8e-7, abs=1e-8)
+    for lam in (1e15, 1e300):
+        params = InductiveParams(lambda_policy="constant", lambda_value=lam)
+        got = constituent_posterior(tight, summary, params).to_float()
+        assert got == pytest.approx(limit, abs=1e-12)
+        trace = check_convergence([0, 1] * 20, 4, params)
+        assert trace.final_posterior == pytest.approx(got, abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])

@@ -325,15 +325,3 @@ def test_rd_point_json():
     assert pt.as_json() == {"beta": 8.0, "rate_bits": 1.5, "cont_info": 0.25,
                             "iterations": 0, "converged": True,
                             "objective": None}
-
-
-def test_prebuilt_payoff_gives_the_same_points():
-    model, source, receiver, alphabet = _story_setup()
-    payoff = payoff_matrix(source, alphabet, receiver)
-    cfg = LossyConfig(d_star=0.0)
-    assert (content_cap(source, alphabet, receiver, payoff)
-            == content_cap(source, alphabet, receiver))
-    assert (rd_sweep(source, alphabet, cfg, receiver, payoff)
-            == rd_sweep(source, alphabet, cfg, receiver))
-    assert (lossy_optimize(source, alphabet, cfg, receiver, payoff)
-            == lossy_optimize(source, alphabet, cfg, receiver))
