@@ -180,16 +180,20 @@ def analyze(ctx, paths, slack, lam, alpha, out):
             raise click.UsageError(str(exc))
         for st in stories:
             ev, fmt = load_evidence(st.evidence_path, st.observations)
-            jobs.append((ev, fmt, st.observations, st.story_id))
+            jobs.append((st.evidence_path, ev, fmt, st.observations, st.story_id))
     else:
         for p in paths:
             ev, fmt = load_evidence(p)
-            jobs.append((ev, fmt, ev.observations, Path(p).stem))
+            jobs.append((p, ev, fmt, ev.observations, Path(p).stem))
 
     rows = []
     normalized = []
-    for ev, fmt, observations, label in jobs:
+    for path, ev, fmt, observations, label in jobs:
         record, value = _analyze_one(ev, fmt, slack, params, observations)
+        if value.is_zero:  # the scaled columns divide by it
+            raise click.ClickException(f"{path}: one hypothesis holds all the "
+                                       "mass, so there is no content to scale; "
+                                       "raise --slack")
         record["params"] = record_params
         record["params_hash"] = digest
         rows.append((label, record, value))
@@ -487,6 +491,8 @@ def converge(evidence, slack, lam, alpha, threshold, out):
     ev, _ = load_evidence(evidence)
     sl = build_sublanguage(ev, SubLanguageConfig(slack=slack))
     kinds = [sl.kind_of(e) for e in ev.entities]
+    if not kinds:
+        raise click.ClickException(f"{evidence}: no individuals to trace")
     report = check_convergence(kinds, sl.big_k, params, threshold)
     for pt in report.points:
         click.echo(f"  n={pt.n:<4d} kinds_seen={pt.c_seen:<3d} "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import StatementParseError
-from .fol import EvidenceSet, parse_evidence, parse_triple_list
+from .fol import EvidenceSet, parse_evidence, parse_triple_list, utf8_error
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,7 +60,13 @@ def load_evidence(path: str | Path, observations: int | None = None) -> tuple[Ev
     """Read a statement file; returns the evidence and the format used."""
     path = Path(path)
     if path.suffix.lower() == ".json":
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise utf8_error(path) from exc
+        except json.JSONDecodeError as exc:
+            raise StatementParseError(f"{path}: not JSON ({exc.msg})",
+                                      exc.lineno, exc.colno) from exc
         if isinstance(payload, dict):
             payload = payload.get("triples", payload.get("statements"))
         if not isinstance(payload, list):
@@ -81,10 +87,16 @@ def load_manifest(directory: str | Path) -> list[Story]:
     if not manifest_path.is_file():
         raise FileNotFoundError(f"no manifest.json in {directory}")
     payload = json.loads(manifest_path.read_text(encoding="utf-8"))
-    entries = payload["stories"] if isinstance(payload, dict) else payload
+    entries = payload.get("stories") if isinstance(payload, dict) else payload
+    if not isinstance(entries, list):
+        raise ValueError(f'{manifest_path} holds no "stories" list')
     stories = []
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{manifest_path}: entry {i + 1} is not an object")
         story_id = str(entry.get("id", f"story{i + 1}"))
+        if not all(isinstance(entry.get(key), str) for key in ("text", "evidence")):
+            raise ValueError(f"manifest entry {story_id} names no text or evidence file")
         text_path = directory / entry["text"]
         evidence_path = directory / entry["evidence"]
         for p in (text_path, evidence_path):
@@ -92,7 +104,11 @@ def load_manifest(directory: str | Path) -> list[Story]:
                 raise FileNotFoundError(f"manifest entry {story_id}: missing {p}")
         obs = entry.get("observations")
         if obs is not None:
-            obs = int(obs)
+            try:
+                obs = int(obs)
+            except TypeError:
+                raise ValueError(f"manifest entry {story_id}: observations "
+                                 f"must be a number") from None
             if obs < 1:
                 raise ValueError(f"manifest entry {story_id}: observations must be positive")
         stories.append(Story(story_id, text_path, evidence_path, obs, i))

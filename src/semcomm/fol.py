@@ -155,10 +155,26 @@ def parse_statement(text: str, vocab: Vocabulary, line_no: int = 1) -> AtomicSta
 
 def _iter_lines(source) -> Iterator[str]:
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                yield from fh
+        except UnicodeDecodeError as exc:
+            raise utf8_error(Path(source)) from exc
     else:
         yield from source
+
+
+def utf8_error(path: Path) -> StatementParseError:
+    """Parse error placed at the first bytes of a file that are not UTF-8."""
+    # the text reader decodes ahead of the line it yields, so decode again
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        return StatementParseError(f"{path}: not UTF-8 text", head.count("\n") + 1,
+                                   len(head) - head.rfind("\n"))
+    return StatementParseError(f"{path}: not UTF-8 text")
 
 
 @dataclass(frozen=True)

@@ -68,16 +68,6 @@ class InductiveParams:
             return float(width)
         return self.lambda_value
 
-    def as_json(self) -> dict:
-        lam = self.lambda_value
-        if lam is not None and math.isinf(lam):
-            lam = "inf"
-        return {
-            "lambda_policy": self.lambda_policy,
-            "lambda_value": lam,
-            "alpha": self.alpha,
-        }
-
 
 _STIRLING_MIN = 32.0
 
@@ -135,21 +125,12 @@ def _ln_likelihood_width(width: int, n: int, counts: Sequence[int],
         return 0.0
     if params.dogmatic:
         return -n * math.log(width)
-    # each term is a rising factorial; below _STIRLING_MIN, where
-    # _ln_rising is an lgamma difference, it is inlined for speed
+    # one rising factorial for the total count, one per cell
     lam = params.lambda_of(width)
-    if lam < _STIRLING_MIN:
-        acc = math.lgamma(lam) - math.lgamma(n + lam)
-    else:
-        acc = -_ln_rising(n, lam)
+    acc = -_ln_rising(n, lam)
     per_cell = lam / width
-    if per_cell >= _STIRLING_MIN:
-        for n_j in counts:
-            acc += _ln_rising(n_j, per_cell)
-        return acc
-    ln_cell = math.lgamma(per_cell)
     for n_j in counts:
-        acc += math.lgamma(n_j + per_cell) - ln_cell
+        acc += _ln_rising(n_j, per_cell)
     return acc
 
 
@@ -184,7 +165,6 @@ class WidthClass:
     size: int                 # number of compatible hypotheses of this width
     ln_each: float            # log unnormalized mass of any single one
     posterior_each: float
-    posterior_class: float
 
 
 class _WidthTable:
@@ -195,7 +175,7 @@ class _WidthTable:
     predictive probability is the ratio of two tables' normalizers.
     """
 
-    __slots__ = ("big_k", "n", "c", "classes", "ln_z", "_by_width")
+    __slots__ = ("classes", "ln_z", "_by_width")
 
     def __init__(self, n: int, c: int, counts: Sequence[int], big_k: int,
                  params: InductiveParams):
@@ -208,23 +188,17 @@ class _WidthTable:
             if ln_each == -math.inf:
                 continue
             size = math.comb(big_k - c, w - c)
-            rows.append((w, size, math.log(size), ln_each))
+            rows.append((w, size, ln_each))
         if not rows:
             raise InconsistentEvidenceError(
                 f"no hypothesis is compatible with the evidence (c={c}, "
                 f"K={big_k}); the posterior normalizer is zero")
-        self.big_k = big_k
-        self.n = n
-        self.c = c
-        self.ln_z = lse(ln_each + ln_size for _, _, ln_size, ln_each in rows)
-        classes = []
-        for w, size, ln_size, ln_each in rows:
-            # class mass stays in log space: size can exceed any float
-            classes.append(WidthClass(w, size, ln_each,
-                                      math.exp(ln_each - self.ln_z),
-                                      math.exp(ln_each + ln_size - self.ln_z)))
-        self.classes = tuple(classes)
-        self._by_width = {cl.width: cl for cl in classes}
+        # class mass stays in log space: size can exceed any float
+        self.ln_z = lse(ln_each + math.log(size) for _, size, ln_each in rows)
+        self.classes = tuple(WidthClass(w, size, ln_each,
+                                        math.exp(ln_each - self.ln_z))
+                             for w, size, ln_each in rows)
+        self._by_width = {cl.width: cl for cl in self.classes}
 
     def get(self, width: int) -> WidthClass | None:
         return self._by_width.get(width)
@@ -334,16 +308,6 @@ class InductiveModel:
         """
         counts = self.complement_width_counts(self.member_width_counts(sentence))
         return ExtremeReal.from_ln(self.ln_probability(counts))
-
-    def report(self) -> dict:
-        widths = [cl.width for cl in self._table.classes]
-        return {
-            "params": self.params.as_json(),
-            "widths": widths,
-            "posterior_by_width": [cl.posterior_class for cl in self._table.classes],
-            "c": self.summary.c,
-            "n": self.summary.n,
-        }
 
 
 def constituent_posterior(constituent: Constituent, summary: EvidenceSummary,

@@ -110,8 +110,8 @@ def payoff_matrix(source: MessagePartition, alphabet: list[Sentence],
 
 
 def _mutual_bits(ln_p: np.ndarray, ln_cond: np.ndarray,
-                 payoff: np.ndarray) -> tuple[float, float]:
-    """True mutual information (bits) and expected payoff of a channel."""
+                 payoff: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Mutual information (bits), mean payoff and log output marginal."""
     ln_joint = ln_p[:, None] + ln_cond
     ln_q = np.logaddexp.reduce(ln_joint, axis=0)
     w = np.exp(ln_joint)
@@ -119,13 +119,7 @@ def _mutual_bits(ln_p: np.ndarray, ln_cond: np.ndarray,
         gain = ln_cond - ln_q[None, :]
         terms = np.where(w > 0.0, w * gain, 0.0)
     rate = max(float(terms.sum()) / _LN2, 0.0)
-    return rate, float((w * payoff).sum())
-
-
-def _ln_probs(probs) -> np.ndarray:
-    p = np.asarray(probs, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.log(p)
+    return rate, float((w * payoff).sum()), ln_q
 
 
 def _ba_point(ln_p: np.ndarray, payoff: np.ndarray, beta: float,
@@ -139,14 +133,16 @@ def _ba_point(ln_p: np.ndarray, payoff: np.ndarray, beta: float,
     tilt = beta * _LN2 * lumped
     ln_cond = np.broadcast_to(np.log(mult) - math.log(payoff.shape[1]),
                               lumped.shape)
+    # each pass tilts the output marginal its predecessor measured the
+    # rate on, so the marginal is reduced once per pass
+    ln_q = np.logaddexp.reduce(ln_pk[:, None] + ln_cond, axis=0)
     prev_rate = math.inf
     prev_obj = math.inf
     converged = False
     for iterations in range(1, max_iters + 1):
-        ln_q = np.logaddexp.reduce(ln_pk[:, None] + ln_cond, axis=0)
         ln_cond = ln_q[None, :] + tilt
         ln_cond = ln_cond - np.logaddexp.reduce(ln_cond, axis=1)[:, None]
-        rate, mean_payoff = _mutual_bits(ln_pk, ln_cond, lumped)
+        rate, mean_payoff, ln_q = _mutual_bits(ln_pk, ln_cond, lumped)
         obj = rate - beta * mean_payoff
         if obj > prev_obj + _MONOTONE_SLACK:
             raise RuntimeError(f"objective increased from {prev_obj!r} to "
@@ -159,14 +155,13 @@ def _ba_point(ln_p: np.ndarray, payoff: np.ndarray, beta: float,
     return RDPoint(rate, mean_payoff, beta, iterations, converged, obj)
 
 
-def _argmax_point(ln_p: np.ndarray, payoff: np.ndarray) -> RDPoint:
+def _argmax_point(p: np.ndarray, payoff: np.ndarray) -> RDPoint:
     """Deterministic best-reconstruction channel; attains the payoff cap."""
-    n, m = payoff.shape
-    best = payoff.argmax(axis=1)
-    ln_cond = np.full((n, m), -np.inf)
-    ln_cond[np.arange(n), best] = 0.0
-    rate, mean_payoff = _mutual_bits(ln_p, ln_cond, payoff)
-    return RDPoint(rate, mean_payoff, math.inf)
+    # each row sends its first best column: the rate is the output entropy
+    q = np.bincount(payoff.argmax(axis=1), weights=p)
+    q = q[q > 0.0]
+    rate = max(0.0, -float((q * np.log(q)).sum()) / _LN2)
+    return RDPoint(rate, float((p * payoff.max(axis=1)).sum()), math.inf)
 
 
 def lossy_optimize(source: MessagePartition, reconstruction_alphabet: list[Sentence],
@@ -180,9 +175,9 @@ def lossy_optimize(source: MessagePartition, reconstruction_alphabet: list[Sente
     the deterministic channel transmits raises InfeasibleTargetError
     naming that maximum.
     """
-    ln_p = _ln_probs(source.probs)
+    ln_p = np.array(source.ln_probs)
     payoff = payoff_matrix(source, reconstruction_alphabet, model)
-    cap_point = _argmax_point(ln_p, payoff)
+    cap_point = _argmax_point(np.array(source.probs), payoff)
     if cfg.d_star > cap_point.cont_info:
         raise InfeasibleTargetError(cfg.d_star, cap_point.cont_info)
     candidates = [_ba_point(ln_p, payoff, beta, _MAX_ITERS, _TOL)
@@ -200,7 +195,7 @@ def rd_sweep(source: MessagePartition, alphabet: list[Sentence],
     rate for less transmitted content than another, and exact duplicates
     collapse to the smallest multiplier that produced them.
     """
-    ln_p = _ln_probs(source.probs)
+    ln_p = np.array(source.ln_probs)
     payoff = payoff_matrix(source, alphabet, model)
     points = [_ba_point(ln_p, payoff, beta, _MAX_ITERS, _TOL)
               for beta in cfg.beta_grid]
@@ -239,8 +234,7 @@ def candidate_reconstructions(model, cap: int = DEFAULT_CANDIDATE_CAP) -> list[S
         return sentences
 
     source = MessagePartition.from_model(model)
-    ln_p = _ln_probs(source.probs)
-    p = np.exp(ln_p)
+    p = np.array(source.probs)
     payoff = payoff_matrix(source, sentences,
                            receiver_prior(sl, model.params))
     chosen: list[int] = []
@@ -261,7 +255,7 @@ def candidate_reconstructions(model, cap: int = DEFAULT_CANDIDATE_CAP) -> list[S
 def content_cap(source: MessagePartition, alphabet: list[Sentence],
                 model) -> RDPoint:
     """Deterministic best-reconstruction channel: the payoff ceiling."""
-    return _argmax_point(_ln_probs(source.probs),
+    return _argmax_point(np.array(source.probs),
                          payoff_matrix(source, alphabet, model))
 
 

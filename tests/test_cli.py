@@ -1,5 +1,6 @@
 """Command-line behavior, file outputs, and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -296,6 +297,34 @@ def test_lossy_infeasible_target(runner, evidence_file):
     assert "infeasible" in res.output
 
 
+# SHA-256 of the lossy CSV of each bundled story at --slack 1, 2, 3; stories
+# 1, 3, 4 and 6 share one frontier per slack, as do 2 and 5
+_FRONTIER_A = ("65bcb6493510eebc60b2e343bf5122ca030db6c80b6172ccbae4997fb1dfd9f4",
+               "dd11ae9807b4a5872d7476135f339bf9839837b6fb57d11350993ac0502bb2bf",
+               "ec9e12399a6551e7e6fe8c6c40c9b7e446ec3f9ff75b74ee69c42e9390326a28")
+_FRONTIER_B = ("b9fb9e49fa4260027676c560ffc940e05c8b04b2b81a221718ac22605e873edf",
+               "717a3a96654de10efe72f09a27ba1e2fa29b258944f4e9784a9042eb99dac6e4",
+               "10fcd5915c43499398f1b978d08ed09f0edf09971a779708844c0860d24c860e")
+_LOSSY_CSV_SHA256 = {
+    "story1": _FRONTIER_A, "story2": _FRONTIER_B, "story3": _FRONTIER_A,
+    "story4": _FRONTIER_A, "story5": _FRONTIER_B, "story6": _FRONTIER_A,
+    "story7": ("6b479b653fea7bea02df2befd7a048e8ab7be46f9d1b7e233796adbf9b232de1",
+               "f9a06348cedb750ef415682990220be0f5a96e6cdfa75f7e7052ec97c47e146c",
+               "6d6028b18d90dd2eac753618c7f06b63326992820278c234e840720bce848e98"),
+}
+
+
+@pytest.mark.parametrize("story", sorted(_LOSSY_CSV_SHA256))
+@pytest.mark.parametrize("slack", [1, 2, 3])
+def test_lossy_csv_golden(runner, tmp_path, story, slack):
+    out = tmp_path / "rd.csv"
+    res = runner.invoke(main, ["lossy", str(DATA_DIR / f"{story}.fol"),
+                               "--slack", str(slack), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == _LOSSY_CSV_SHA256[story][slack - 1]
+
+
 def test_lossy_bad_betas(runner, evidence_file):
     res = runner.invoke(main, ["lossy", str(evidence_file),
                                "--betas", "0,fast"])
@@ -339,6 +368,51 @@ def test_bad_numeric_option_is_usage_error(runner, evidence_file, command,
     assert res.exit_code == 2, res.output
     assert "Error:" in res.output
     assert isinstance(res.exception, SystemExit)  # not a raw traceback
+
+
+def _one_error_line(res, code=1):
+    assert res.exit_code == code, res.output
+    assert isinstance(res.exception, SystemExit)  # not a raw traceback
+    errors = [line for line in res.output.splitlines() if "Error:" in line]
+    assert len(errors) == 1, res.output
+    return errors[0]
+
+
+@pytest.mark.parametrize("command", ["analyze", "compress", "lossy",
+                                     "converge"])
+@pytest.mark.parametrize("name, content", [("bad.json", b"{not json"),
+                                           ("bad.fol", b"\xffRuns(Wren)\n")])
+def test_bad_evidence_file_is_one_error_line(runner, tmp_path, command,
+                                             name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    res = runner.invoke(main, [command, str(path)])
+    assert name in _one_error_line(res)
+
+
+@pytest.mark.parametrize("command", ["analyze", "compress"])
+@pytest.mark.parametrize("manifest", [
+    {"stories": ["x"]},
+    {"items": []},
+    {"stories": [{"id": "a", "evidence": "a.fol"}]},
+])
+def test_malformed_manifest_is_usage_error(runner, tiny_corpus, command,
+                                           manifest):
+    (tiny_corpus / "manifest.json").write_text(json.dumps(manifest))
+    _one_error_line(runner.invoke(main, [command, str(tiny_corpus)]), code=2)
+
+
+@pytest.mark.parametrize("command, content, args", [
+    ("converge", "", []),
+    ("analyze", "", []),                         # K = 1 at --slack 1
+    ("analyze", "Runs(Wren)\nRuns(Coot)\n", ["--slack", "0"]),
+])
+def test_degenerate_evidence_is_one_error_line(runner, tmp_path, command,
+                                               content, args):
+    path = tmp_path / "thin.fol"
+    path.write_text(content)
+    res = runner.invoke(main, [command, str(path), *args])
+    assert str(path) in _one_error_line(res)
 
 
 # only ``lossy`` needs numpy; the other commands must start without it

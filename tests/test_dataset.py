@@ -152,3 +152,40 @@ def test_story_paths_are_paths():
     s = stories[0]
     assert isinstance(s, Story)
     assert s.text_path.is_file() and s.evidence_path.is_file()
+
+
+# malformed shapes: a bare string entry, no "stories" list, an entry that
+# names no text file, and a count that is no number
+@pytest.mark.parametrize("manifest, names", [
+    ({"stories": ["x"]}, "entry 1"),
+    ({"items": []}, '"stories"'),
+    ([{"id": "a", "evidence": "a.fol"}], "entry a"),
+    ([{"id": "a", "text": "a.txt", "evidence": "a.fol",
+       "observations": [40]}], "entry a"),
+])
+def test_manifest_malformed_is_value_error(tmp_path, manifest, names):
+    root = _write_corpus(tmp_path / "d", manifest,
+                         {"a.txt": "x", "a.fol": "Runs(Wren)\n"})
+    with pytest.raises(ValueError, match=names):
+        load_manifest(root)
+
+
+def test_load_evidence_bad_json_names_its_place(tmp_path):
+    p = tmp_path / "e.json"
+    p.write_text('["Runs(Wren)",\n {not json')
+    with pytest.raises(StatementParseError, match="not JSON") as info:
+        load_evidence(p)
+    assert (info.value.line, info.value.column) == (2, 3)
+    assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+
+@pytest.mark.parametrize("suffix", [".fol", ".json"])
+def test_load_evidence_not_utf8_names_its_place(tmp_path, suffix):
+    # the bad byte follows a two-byte character, so the column counts
+    # characters rather than bytes
+    p = tmp_path / f"e{suffix}"
+    p.write_bytes(b"Runs(Wren)\nIdles(Co\xc3\xa9\xff)\n")
+    with pytest.raises(StatementParseError, match="not UTF-8") as info:
+        load_evidence(p)
+    assert (info.value.line, info.value.column) == (2, 10)
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)

@@ -4,6 +4,7 @@ import functools
 import io
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from semcomm.errors import InfeasibleTargetError
 from semcomm.fol import parse_evidence
 from semcomm.inductive import InductiveModel, InductiveParams, constituent_prior
 from semcomm.lossy import (LossyConfig, RDPoint, _argmax_point, _ba_point,
-                           _ln_probs, candidate_reconstructions, content_cap,
+                           candidate_reconstructions, content_cap,
                            lossy_optimize, payoff_matrix, rd_sweep,
                            receiver_prior, relative_informativeness)
 from semcomm.measures import MessagePartition, cont_sentence
@@ -22,6 +23,11 @@ from semcomm.sublang import SubLanguageConfig, build_sublanguage
 from conftest import DATA_DIR, random_evidence_text, random_model
 
 _LN2 = math.log(2.0)
+
+
+def _ln_probs(probs):
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(probs, dtype=float))
 
 
 def _grid_min_2(probs, payoff, beta, steps=400):
@@ -75,11 +81,24 @@ def test_rising_objective_is_an_error(monkeypatch):
     # the monotone-descent check must survive python -O
     calls = iter(range(1, 1000))
     monkeypatch.setattr(lossy, "_mutual_bits",
-                        lambda ln_p, ln_cond, payoff: (float(next(calls)), 0.0))
+                        lambda ln_p, ln_cond, payoff: (float(next(calls)), 0.0,
+                                                       ln_cond[0]))
     probs = np.array([0.4, 0.6])
     payoff = np.array([[0.9, 0.3], [0.2, 0.7]])
     with pytest.raises(RuntimeError, match="objective increased"):
         _ba_point(_ln_probs(probs), payoff, 1.0, 50, 1e-12)
+
+
+def _dense_mutual_bits(ln_p, ln_cond, payoff):
+    """Rate (bits) and expected payoff of a full channel (the oracle's own)."""
+    ln_joint = ln_p[:, None] + ln_cond
+    ln_q = np.logaddexp.reduce(ln_joint, axis=0)
+    w = np.exp(ln_joint)
+    with np.errstate(invalid="ignore"):
+        gain = ln_cond - ln_q[None, :]
+        terms = np.where(w > 0.0, w * gain, 0.0)
+    rate = max(float(terms.sum()) / _LN2, 0.0)
+    return rate, float((w * payoff).sum())
 
 
 def _dense_ba(ln_p, payoff, beta, max_iters, tol):
@@ -92,7 +111,7 @@ def _dense_ba(ln_p, payoff, beta, max_iters, tol):
         ln_q = np.logaddexp.reduce(ln_p[:, None] + ln_cond, axis=0)
         ln_cond = ln_q[None, :] + tilt
         ln_cond = ln_cond - np.logaddexp.reduce(ln_cond, axis=1)[:, None]
-        rate, mean_payoff = lossy._mutual_bits(ln_p, ln_cond, payoff)
+        rate, mean_payoff = _dense_mutual_bits(ln_p, ln_cond, payoff)
         converged = abs(rate - prev_rate) < tol
         if converged:
             break
@@ -147,10 +166,48 @@ def test_lumped_solver_matches_dense_on_stories(story, slack):
 def test_argmax_point_attains_cap():
     probs = np.array([0.5, 0.5])
     payoff = np.array([[0.8, 0.1], [0.3, 0.9]])
-    point = _argmax_point(_ln_probs(probs), payoff)
+    point = _argmax_point(probs, payoff)
     assert point.cont_info == pytest.approx(0.5 * 0.8 + 0.5 * 0.9, abs=1e-12)
     assert point.beta == math.inf
     assert (point.iterations, point.converged, point.objective) == (0, True, None)
+
+
+def _dense_argmax(probs, payoff):
+    """The deterministic channel spelled out as a full log-channel."""
+    n, m = payoff.shape
+    ln_cond = np.full((n, m), -np.inf)
+    ln_cond[np.arange(n), payoff.argmax(axis=1)] = 0.0
+    return _dense_mutual_bits(_ln_probs(probs), ln_cond, payoff)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_argmax_point_matches_dense_channel(seed):
+    # coarse payoff levels tie many row maxima; zero-weight rows and a
+    # single weighted row are among the cases
+    rnd = np.random.default_rng(seed)
+    n, m = int(rnd.integers(1, 12)), int(rnd.integers(1, 9))
+    probs = rnd.dirichlet(np.ones(n))
+    if n > 1:
+        probs[rnd.permutation(n)[:int(rnd.integers(0, n))]] = 0.0
+        probs /= probs.sum()
+    payoff = rnd.integers(0, 3, size=(n, m)) / 2.0
+    rate, info = _dense_argmax(probs, payoff)
+    point = _argmax_point(probs, payoff)
+    assert abs(point.rate_bits - rate) <= 1e-12
+    assert abs(point.cont_info - info) <= 1e-12
+
+
+def test_argmax_point_allocates_no_channel():
+    rnd = np.random.default_rng(3)
+    payoff = rnd.uniform(size=(1023, 1024))
+    probs = rnd.dirichlet(np.ones(1023))
+    tracemalloc.start()
+    try:
+        _argmax_point(probs, payoff)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < payoff.nbytes / 4
 
 
 @functools.lru_cache(maxsize=4)
