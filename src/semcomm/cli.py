@@ -112,13 +112,16 @@ def main(ctx, seed):
 # --- analyze -----------------------------------------------------------
 
 
-def _analyze_one(ev: EvidenceSet, fmt: str, slack: int,
-                 params: InductiveParams, observations: int | None) -> dict:
+def _analyze_one(ev: EvidenceSet, fmt: str, slack: int, params: InductiveParams,
+                 observations: int | None, label: str) -> dict:
     sl = build_sublanguage(ev, SubLanguageConfig(slack=slack))
     summary = sl.summary
     scaled = observations is not None and observations != summary.n
     if observations is not None:
-        summary = summary.scaled_to(observations)
+        try:
+            summary = summary.scaled_to(observations)
+        except ValueError as exc:  # fewer observations than kinds
+            raise click.ClickException(f"{label}: {exc}") from exc
     model = InductiveModel(sl, params, summary)
     part = MessagePartition.from_model(model)
     sig = UniverseSignature(len(ev.predicates), len(ev.entities))
@@ -189,7 +192,7 @@ def analyze(ctx, paths, slack, lam, alpha, out):
     rows = []
     normalized = []
     for path, ev, fmt, observations, label in jobs:
-        record, value = _analyze_one(ev, fmt, slack, params, observations)
+        record, value = _analyze_one(ev, fmt, slack, params, observations, label)
         if value.is_zero:  # the scaled columns divide by it
             raise click.ClickException(f"{path}: one hypothesis holds all the "
                                        "mass, so there is no content to scale; "
@@ -262,7 +265,7 @@ def _compress_one(ev: EvidenceSet, text: bytes | None) -> tuple[bytes, dict]:
 
 @main.command()
 @click.argument("source", type=click.Path(exists=True))
-@click.option("--text", type=click.Path(exists=True), default=None,
+@click.option("--text", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Narrative file for the byte-level baseline "
                    "(single-file mode only; datasets carry their own).")
 @click.option("--out", type=click.Path(), default=None,
@@ -347,7 +350,7 @@ def decompress(container, out):
 
 
 @main.command()
-@click.argument("evidence", type=click.Path(exists=True))
+@click.argument("evidence", type=click.Path(exists=True, dir_okay=False))
 @click.option("--slack", type=click.IntRange(min=0), default=3,
               show_default=True,
               help="Unexemplified cells kept in the hypothesis space.")
@@ -468,7 +471,7 @@ def pac(k, alpha, epsilon, out):
 
 
 @main.command()
-@click.argument("evidence", type=click.Path(exists=True))
+@click.argument("evidence", type=click.Path(exists=True, dir_okay=False))
 @click.option("--slack", type=click.IntRange(min=0), default=1,
               show_default=True,
               help="Unexemplified cells kept in the hypothesis space.")

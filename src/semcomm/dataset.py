@@ -103,14 +103,10 @@ def load_manifest(directory: str | Path) -> list[Story]:
             if not p.is_file():
                 raise FileNotFoundError(f"manifest entry {story_id}: missing {p}")
         obs = entry.get("observations")
-        if obs is not None:
-            try:
-                obs = int(obs)
-            except TypeError:
-                raise ValueError(f"manifest entry {story_id}: observations "
-                                 f"must be a number") from None
-            if obs < 1:
-                raise ValueError(f"manifest entry {story_id}: observations must be positive")
+        # a JSON integer; bool is an int subclass, and floats would truncate
+        if obs is not None and (type(obs) is not int or obs < 1):
+            raise ValueError(f"manifest entry {story_id}: observations "
+                             f"must be a positive integer, not {obs!r}")
         stories.append(Story(story_id, text_path, evidence_path, obs, i))
     if not stories:
         raise ValueError(f"{manifest_path} lists no stories")

@@ -14,14 +14,13 @@ occurrence; later use with a different arity is an error.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ArityConflictError, StatementParseError
-
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,69 +87,43 @@ class Vocabulary:
         return known
 
 
-class _Scanner:
-    def __init__(self, text: str, line_no: int):
-        self.text = text
-        self.pos = 0
-        self.line_no = line_no
-
-    def error(self, message: str) -> StatementParseError:
-        return StatementParseError(message, line=self.line_no, column=self.pos + 1)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            got = repr(self.peek()) if self.peek() else "end of line"
-            raise self.error(f"expected {ch!r}, found {got}")
-        self.pos += 1
-
-    def ident(self, what: str) -> str:
-        if self.peek() not in _IDENT_START:
-            got = repr(self.peek()) if self.peek() else "end of line"
-            raise self.error(f"expected {what}, found {got}")
-        start = self.pos
-        while self.peek() in _IDENT_CONT:
-            self.pos += 1
-        return self.text[start : self.pos]
+# Each part is optional and nested in the one before it, so the match stops
+# where the first missing part belongs; the last group it matched names
+# what the statement needed next.  A comma with no name after it stops the
+# match before the closing parenthesis.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_STATEMENT = re.compile(rf"""
+    [ \t]* (?P<neg>!)? [ \t]*
+    (?: (?P<pred>{_NAME}) [ \t]*
+      (?: (?P<open>\() [ \t]*
+        (?: (?P<subj>{_NAME}) [ \t]*
+          (?: , [ \t]* (?: (?P<obj>{_NAME}) [ \t]* | (?P<no_obj>) ) )?
+          (?(no_obj) | (?: (?P<close>\)) [ \t]* )? )
+        )?
+      )?
+    )?
+""", re.VERBOSE)
+_EXPECTED_AFTER = {None: "predicate name", "neg": "predicate name", "pred": "'('",
+                   "open": "individual name", "no_obj": "individual name",
+                   "subj": "')'", "obj": "')'"}
 
 
 def parse_statement(text: str, vocab: Vocabulary, line_no: int = 1) -> AtomicStatement:
     """Parse one statement line (comments already stripped)."""
-    sc = _Scanner(text, line_no)
-    sc.skip_ws()
-    positive = True
-    if sc.peek() == "!":
-        positive = False
-        sc.pos += 1
-        sc.skip_ws()
-    pred_name = sc.ident("predicate name")
-    sc.skip_ws()
-    sc.expect("(")
-    sc.skip_ws()
-    subj_name = sc.ident("individual name")
-    sc.skip_ws()
-    obj_name = None
-    if sc.peek() == ",":
-        sc.pos += 1
-        sc.skip_ws()
-        obj_name = sc.ident("individual name")
-        sc.skip_ws()
-    sc.expect(")")
-    sc.skip_ws()
-    if sc.peek():
-        raise sc.error(f"unexpected trailing text {sc.text[sc.pos:]!r}")
-
-    arity = 1 if obj_name is None else 2
-    pred = vocab.predicate(pred_name, arity)
+    m = _STATEMENT.match(text)
+    end = m.end()
+    if m.lastgroup != "close":
+        found = repr(text[end]) if end < len(text) else "end of line"
+        raise StatementParseError(f"expected {_EXPECTED_AFTER[m.lastgroup]}, found {found}",
+                                  line=line_no, column=end + 1)
+    if end < len(text):
+        raise StatementParseError(f"unexpected trailing text {text[end:]!r}",
+                                  line=line_no, column=end + 1)
+    pred_name, subj_name, obj_name = m.group("pred", "subj", "obj")
+    pred = vocab.predicate(pred_name, 1 if obj_name is None else 2)
     subj = vocab.entity(subj_name)
     obj = vocab.entity(obj_name) if obj_name is not None else None
-    return AtomicStatement(pred, subj, obj, positive)
+    return AtomicStatement(pred, subj, obj, m["neg"] is None)
 
 
 def _iter_lines(source) -> Iterator[str]:
@@ -186,28 +159,20 @@ class EvidenceSet:
     source_id: str = "evidence"
     observations: int | None = None  # optional declared evidence volume
 
-    @property
-    def entities(self) -> tuple[Entity, ...]:
-        seen: dict[Entity, None] = {}
-        for st in self.statements:
-            seen.setdefault(st.subject)
-            if st.obj is not None:
-                seen.setdefault(st.obj)
-        return tuple(seen)
+    # each index is built on first use; all keep first-appearance order
 
-    @property
-    def predicates(self) -> tuple[Predicate, ...]:
-        seen: dict[Predicate, None] = {}
-        for st in self.statements:
-            seen.setdefault(st.predicate)
-        return tuple(seen)
-
-    @property
+    @cached_property
     def distinct_statements(self) -> tuple[AtomicStatement, ...]:
-        seen: dict[AtomicStatement, None] = {}
-        for st in self.statements:
-            seen.setdefault(st)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.statements))
+
+    @cached_property
+    def entities(self) -> tuple[Entity, ...]:
+        return tuple(dict.fromkeys(ent for st in self.distinct_statements
+                                   for ent in (st.subject, st.obj) if ent is not None))
+
+    @cached_property
+    def predicates(self) -> tuple[Predicate, ...]:
+        return tuple(dict.fromkeys(st.predicate for st in self.distinct_statements))
 
     def normalized_text(self) -> str:
         """Canonical file image: one statement per line, stream order kept."""

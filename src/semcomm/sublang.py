@@ -15,7 +15,7 @@ a sentence is a set of constituents (its disjunctive support).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -164,25 +164,18 @@ class SubLanguage:
 
 def entity_patterns(ev: EvidenceSet) -> dict[str, PatternKey]:
     """Participation pattern of every observed individual (deduped stream)."""
-    per_entity: dict[str, Counter] = {}
+    # keys arrive in the order of ev.entities: first appearance, subject first
+    per_entity: dict[str, Counter] = defaultdict(Counter)
     for st in ev.distinct_statements:
-        role_items = [(st.subject.name, "s")]
+        per_entity[st.subject.name][(st.predicate.name, "s", st.positive)] += 1
         if st.obj is not None:
-            role_items.append((st.obj.name, "o"))
-        for name, role in role_items:
-            per_entity.setdefault(name, Counter())[
-                (st.predicate.name, role, st.positive)
-            ] += 1
-    patterns: dict[str, PatternKey] = {}
-    for ent in ev.entities:
-        cnt = per_entity.get(ent.name, Counter())
-        patterns[ent.name] = tuple(sorted(cnt.items()))
-    return patterns
+            per_entity[st.obj.name][(st.predicate.name, "o", st.positive)] += 1
+    return {name: tuple(sorted(cnt.items())) for name, cnt in per_entity.items()}
 
 
 def check_consistent(ev: EvidenceSet) -> None:
     polarity_seen: dict[tuple, bool] = {}
-    for st in ev.statements:
+    for st in ev.distinct_statements:  # a repeat never conflicts first
         key = st.atom_key()
         prev = polarity_seen.get(key)
         if prev is None:

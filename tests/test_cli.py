@@ -415,6 +415,24 @@ def test_degenerate_evidence_is_one_error_line(runner, tmp_path, command,
     assert str(path) in _one_error_line(res)
 
 
+@pytest.mark.parametrize("command", [["lossy"], ["converge"],
+                                     ["compress", "FILE", "--text"]],
+                         ids=["lossy", "converge", "compress-text"])
+def test_directory_argument_is_usage_error(runner, evidence_file, tmp_path,
+                                           command):
+    args = [str(evidence_file) if a == "FILE" else a for a in command]
+    res = runner.invoke(main, [*args, str(tmp_path)])
+    assert "is a directory" in _one_error_line(res, code=2)
+
+
+def test_observations_below_kinds_is_one_error_line(runner, tiny_corpus):
+    manifest = json.loads((tiny_corpus / "manifest.json").read_text())
+    manifest["stories"][0]["observations"] = 2  # story a has 3 kinds
+    (tiny_corpus / "manifest.json").write_text(json.dumps(manifest))
+    line = _one_error_line(runner.invoke(main, ["analyze", str(tiny_corpus)]))
+    assert line == "Error: a: cannot spread 2 observations over 3 kinds"
+
+
 # only ``lossy`` needs numpy; the other commands must start without it
 _COLD_START = """
 import sys

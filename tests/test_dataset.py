@@ -71,11 +71,14 @@ def test_manifest_zero_stories(tmp_path):
 
 
 def test_manifest_bad_observations(tmp_path):
-    root = _write_corpus(tmp_path / "d", [{"text": "a.txt", "evidence": "a.fol",
-                          "observations": 0}],
-                  {"a.txt": "x", "a.fol": "Runs(Wren)\n"})
-    with pytest.raises(ValueError):
-        load_manifest(root)
+    # only a JSON integer of at least 1 is a volume: no truncation, no bools
+    for i, obs in enumerate([0, -3, 2.7, True, float("inf"), "3", [4]]):
+        root = _write_corpus(tmp_path / f"d{i}", [{"id": "tale", "text": "a.txt",
+                                                   "evidence": "a.fol",
+                                                   "observations": obs}],
+                             {"a.txt": "x", "a.fol": "Runs(Wren)\n"})
+        with pytest.raises(ValueError, match="manifest entry tale"):
+            load_manifest(root)
 
 
 def test_load_evidence_line_format(tmp_path):

@@ -51,19 +51,34 @@ def test_arity_conflict():
         _parse("Barks(Rex)\nBarks(Rex, Tom)\n")
 
 
-@pytest.mark.parametrize("bad", [
-    "Barks",
-    "Barks(",
-    "Barks()",
-    "Barks(Rex,)",
-    "Barks(Rex, Tom, Sid)",
-    "!!Barks(Rex)",
-    "Barks(Rex) extra",
-])
+# column and message of the first offending character on line 2
+_PARSE_ERRORS = {
+    "Barks": (6, "expected '(', found end of line"),
+    "Barks(": (7, "expected individual name, found end of line"),
+    "Barks()": (7, "expected individual name, found ')'"),
+    "Barks(Rex,)": (11, "expected individual name, found ')'"),
+    "Barks(Rex, Tom, Sid)": (15, "expected ')', found ','"),
+    "!!Barks(Rex)": (2, "expected predicate name, found '!'"),
+    "Barks(Rex) extra": (12, "unexpected trailing text 'extra'"),
+    "Barks(,Rex)": (7, "expected individual name, found ','"),
+    "x_1,": (4, "expected '(', found ','"),
+    "Barks(Rex, Tom Sid)": (16, "expected ')', found 'S'"),
+    "Barks(Zo\u00eb)": (9, "expected ')', found '\u00eb'"),
+}
+
+
+@pytest.mark.parametrize("bad", list(_PARSE_ERRORS))
 def test_parse_errors_carry_line_number(bad):
+    column, message = _PARSE_ERRORS[bad]
     with pytest.raises(StatementParseError) as err:
         _parse("Hums(Ada)\n" + bad + "\n")
-    assert "2" in str(err.value)
+    assert (err.value.line, err.value.column) == (2, column)
+    assert str(err.value) == f"line 2, column {column}: {message}"
+
+
+def test_tabs_and_spaces_everywhere():
+    ev = _parse(" \t! \tChases \t( \tRex \t, \tTom \t) \t\n")
+    assert ev.normalized_text() == "!Chases(Rex, Tom)\n"
 
 
 def test_parse_statement_direct():
