@@ -313,6 +313,9 @@ def compress(source, text, out):
         click.echo(f"mean ratio: {mean:.2f}")
         return
 
+    if out and Path(out).is_dir():
+        raise click.UsageError(f"--out {out} is a directory; single-file "
+                               "mode writes one container file")
     ev, _ = load_evidence(src)
     narrative = Path(text).read_bytes() if text else None
     blob, record = _compress_one(ev, narrative)
@@ -329,7 +332,7 @@ def compress(source, text, out):
 
 @main.command()
 @click.argument("container", type=click.Path(exists=True))
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Where to write the recovered statements.")
 @_friendly
 def decompress(container, out):
@@ -362,7 +365,7 @@ def decompress(container, out):
 @click.option("--dstar", type=float, default=None,
               help="Fidelity floor: report the cheapest channel whose "
                    "transmitted content reaches this value.")
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="CSV path for the sweep (default: <evidence>.rd.csv).")
 @_friendly
 def lossy(evidence, slack, lam, alpha, betas, dstar, out):
@@ -436,7 +439,7 @@ def lossy(evidence, slack, lam, alpha, betas, dstar, out):
 @_alpha_option
 @click.option("--epsilon", default=1e-3, show_default=True,
               help="Error budget, in (0, 1).")
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="CSV path for the bound curve.")
 @_friendly
 def pac(k, alpha, epsilon, out):
@@ -479,7 +482,7 @@ def pac(k, alpha, epsilon, out):
 @_alpha_option
 @click.option("--threshold", default=0.99, show_default=True,
               help="Posterior level counted as identification.")
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="CSV path for the posterior trace.")
 @_friendly
 def converge(evidence, slack, lam, alpha, threshold, out):

@@ -48,6 +48,10 @@ def _statement_from_item(item) -> str:
         raise StatementParseError(f"unrecognized triple item {item!r}")
     if not isinstance(pred, str) or not isinstance(subj, str):
         raise StatementParseError(f"triple item {item!r} needs string names")
+    # a JSON bool only: by truthiness the string "false" would read as true
+    if not isinstance(positive, bool):
+        raise StatementParseError(
+            f"triple item {item!r} has a non-boolean polarity {positive!r}")
     neg = "" if positive else "!"
     if obj is None:
         return f"{neg}{pred}({subj})"

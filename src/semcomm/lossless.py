@@ -7,10 +7,11 @@ priced by the one adaptive add-one model, ``coder.AdaptiveModel``: its
 price for a symbol with n_i prior occurrences out of t is (n_i + 1) /
 (t + k), the smoothed next-case rule with weight equal to the alphabet size
 k, and a Fenwick tree keeps each encode and decode at O(log k).  The
-dictionary drives model instances directly (name lengths, name bytes, and
-one per tuple field); the statement stream goes through
-``encode_block_adaptive``, a loop over one model, and so does the baseline,
-a character-level coding of the raw bytes.
+dictionary drives model instances directly: a name's length and each
+tuple field symbol by symbol, a name's bytes as one fused run
+(``AdaptiveModel.encode_run``).  The statement stream goes through
+``encode_block_adaptive``, a run under one model, and so does the
+baseline, a character-level coding of the raw bytes.
 
 Container layout (all integers unsigned LEB128 varints):
 
@@ -120,8 +121,7 @@ def lossless_encode_report(ev: EvidenceSet) -> tuple[bytes, LosslessReport]:
         for name in [p.name for p in preds] + [e.name for e in ents]:
             raw = _name_symbols(name)
             dict_bits += len_model.encode(enc, len(raw))
-            for b in raw:
-                dict_bits += char_model.encode(enc, b)
+            dict_bits += char_model.encode_run(enc, raw)
     if distinct:
         sign_model = AdaptiveModel(2)
         pred_model = AdaptiveModel(len(preds))
@@ -228,8 +228,7 @@ def _decode_block(coded: bytes, n_pred: int, n_ent: int, n_distinct: int,
         char_model = AdaptiveModel(256)
 
         def read_name() -> str:
-            length = len_model.decode(dec)
-            raw = bytes(char_model.decode(dec) for _ in range(length))
+            raw = bytes(char_model.decode_run(dec, len_model.decode(dec)))
             try:
                 return raw.decode("ascii")
             except UnicodeDecodeError as exc:

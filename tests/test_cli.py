@@ -460,3 +460,18 @@ def test_commands_start_without_numpy(tmp_path):
         [sys.executable, "-c", _COLD_START, str(DATA_DIR / "story1.fol"),
          str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["compress", "decompress", "lossy",
+                                     "converge", "pac"])
+def test_out_directory_is_usage_error(runner, evidence_file, tmp_path,
+                                      command):
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    target = {"pac": "3", "decompress": str(evidence_file.with_suffix(".semc"))
+              }.get(command, str(evidence_file))
+    if command == "decompress":
+        assert runner.invoke(main, ["compress", str(evidence_file)]).exit_code == 0
+    res = runner.invoke(main, [command, target, "--out", str(outdir)])
+    assert "Error:" in _one_error_line(res, code=2)
+    assert list(outdir.iterdir()) == []

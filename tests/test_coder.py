@@ -218,3 +218,96 @@ def test_golden_streams(seed):
             for lo, hi, total in item[1]:
                 assert lo <= dec.decode_target(total) < hi
                 dec.decode_update(lo, hi, total)
+
+
+def _code_ops(ops, ks, fused):
+    """Encode ops, each (model index, symbols, as a run?), into one encoder;
+    the fused route codes the run ops with encode_run, the other route
+    codes every symbol with encode.  Returns the stream and the ideal bits
+    of each op."""
+    enc = coder.RangeEncoder()
+    models = [coder.AdaptiveModel(k) for k in ks]
+    bits = []
+    for i, symbols, as_run in ops:
+        if fused and as_run:
+            bits.append(models[i].encode_run(enc, symbols))
+        else:
+            ideal = 0.0
+            for s in symbols:
+                ideal += models[i].encode(enc, s)
+            bits.append(ideal)
+    return enc.finish(), bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fused_runs_match_per_symbol_route(data):
+    ks = data.draw(st.lists(st.sampled_from((1, 2, 3, 7, 64, 256, 300)),
+                            min_size=1, max_size=3))
+    ops = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        i = data.draw(st.integers(0, len(ks) - 1))
+        symbols = data.draw(st.lists(st.integers(0, ks[i] - 1), max_size=120))
+        ops.append((i, symbols, data.draw(st.booleans())))
+    fused_blob, fused_bits = _code_ops(ops, ks, fused=True)
+    blob, bits = _code_ops(ops, ks, fused=False)
+    assert fused_blob == blob
+    assert fused_bits == bits  # the same floats, not merely close ones
+    dec = coder.RangeDecoder(fused_blob)
+    models = [coder.AdaptiveModel(k) for k in ks]
+    for i, symbols, as_run in ops:
+        if as_run:
+            assert models[i].decode_run(dec, len(symbols)) == symbols
+        else:
+            assert [models[i].decode(dec) for _ in symbols] == symbols
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_encode_run_rejects_symbols_outside_alphabet(bad):
+    enc = coder.RangeEncoder()
+    model = coder.AdaptiveModel(5)
+    model.encode_run(enc, [1, 2])
+    with pytest.raises(ValueError, match="outside alphabet"):
+        model.encode_run(enc, [0, bad, 3])
+    # nothing of the rejected run was coded or counted
+    assert model.total == 7
+    model.encode_run(enc, [4])
+    blob = enc.finish()
+    ref = coder.RangeEncoder()
+    coder.encode_block_adaptive([1, 2, 4], 5, ref)
+    assert blob == ref.finish()
+
+
+def test_encode_run_on_finished_encoder_raises():
+    enc = coder.RangeEncoder()
+    model = coder.AdaptiveModel(3)
+    model.encode_run(enc, [0, 1])
+    enc.finish()
+    with pytest.raises(ValueError, match="already finished"):
+        model.encode_run(enc, [2])
+    with pytest.raises(ValueError, match="already finished"):
+        model.encode_run(enc, [])
+
+
+def test_runs_past_max_total_rejected():
+    with pytest.raises(ValueError, match="past"):
+        coder.AdaptiveModel(4).encode_run(coder.RangeEncoder(),
+                                          range(coder.MAX_TOTAL - 2))
+    with pytest.raises(ValueError, match="past"):
+        coder.AdaptiveModel(4).decode_run(coder.RangeDecoder(b""),
+                                          coder.MAX_TOTAL - 2)
+    with pytest.raises(ValueError, match=">= 0"):
+        coder.AdaptiveModel(4).decode_run(coder.RangeDecoder(b""), -1)
+
+
+def test_decode_run_on_corrupt_stream_raises():
+    def steered():
+        # a wrong interval leaves the code above the decoder's high end,
+        # where a corrupt stream steers it
+        dec = coder.RangeDecoder(b"\xff" * 8)
+        dec.decode_update(0, 2, 3)
+        return dec
+    with pytest.raises(ValueError, match="outside alphabet total"):
+        coder.AdaptiveModel(4).decode_run(steered(), 3)
+    with pytest.raises(ValueError, match="outside alphabet total"):
+        coder.AdaptiveModel(4).decode(steered())

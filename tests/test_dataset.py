@@ -150,6 +150,18 @@ def test_statement_item_rejects(item):
         _statement_from_item(item)
 
 
+@pytest.mark.parametrize("polarity", ["false", 0, 1, None])
+@pytest.mark.parametrize("form", ["dict", "list"])
+def test_triple_polarity_must_be_json_bool(tmp_path, polarity, form):
+    # by truthiness "false" would be stored as the positive Runs(Coot)
+    item = ({"predicate": "Runs", "subject": "Coot", "positive": polarity}
+            if form == "dict" else ["Runs", "Coot", None, polarity])
+    p = tmp_path / "e.json"
+    p.write_text(json.dumps([item]))
+    with pytest.raises(StatementParseError, match="polarity"):
+        load_evidence(p)
+
+
 def test_story_paths_are_paths():
     stories = load_manifest(DATA_DIR)
     s = stories[0]
