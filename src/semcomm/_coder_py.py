@@ -16,23 +16,23 @@ bytes; the decoder pulls the same number of bits from a 64-bit window.
 :class:`AdaptiveModel` is the one add-one model.  Its cumulative counts
 live in a Fenwick tree (Fenwick 1994), so pricing a symbol and finding
 the symbol under a decoder target (binary descent, Moffat 1999) each cost
-O(log k) rather than a scan over k counts.  It codes in two forms that
-write the same bits.  ``encode_run``/``decode_run`` code a run of symbols
-under one model: the model's counts and tree and the coder's registers
-sit in locals for the whole run, and each symbol is one loop body of
-Fenwick walk, range step and count update, with no method call (Moffat,
-Neal & Witten 1998).  The block coder below is one run, and through it
-so are the container's statement stream and the byte-level baseline;
-each name's bytes are one more.  ``encode``/``decode`` code one symbol
-through :meth:`RangeEncoder.encode` and the decoder's ``decode_target``
-and ``decode_update``; the container's tuple fields, which take turns
-between four models, use them: as one-symbol runs they decoded 7-20%
-slower.
+O(log k) rather than a scan over k counts.  The model is state only; one
+kernel pair codes with it.  ``encode_run``/``decode_run`` code a run of
+symbols over a cycle of models, symbol j under model j mod the cycle
+length: the coder's registers sit in locals for the whole run, and each
+symbol is one loop body of Fenwick walk, range step and count update,
+with no method call (Moffat, Neal & Witten 1998).  A cycle of one model
+codes a block; the container's tuple fields are a cycle of four.
+Pricing is not the kernel's work: ``ideal_bits`` gives the ideal length
+of a block under a fresh model.  :meth:`RangeEncoder.encode` and the
+decoder's ``decode_target``/``decode_update`` code one raw interval; the
+tests check the kernel against them.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import cycle, islice
 from typing import Iterable, Sequence
 
 BACKEND = "pure-python"
@@ -201,53 +201,142 @@ class AdaptiveModel:
     equal to the alphabet size.  Node i of the Fenwick tree holds the
     counts of the symbols in (i - lowbit(i), i]; the tree is padded to a
     power of two with zero-count symbols, which the decoder never lands on.
+    No Fenwick walk reads node 0, so it holds the total.  The model is
+    state only, kept as one tuple (counts, tree, tree length, the step a
+    descent starts from) that :func:`encode_run` and :func:`decode_run`
+    take whole.
     """
 
-    __slots__ = ("k", "total", "_counts", "_tree", "_half")
+    __slots__ = ("k", "_state")
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("alphabet must be non-empty")
         size = 1 << (k - 1).bit_length()
         self.k = k
-        self.total = k
-        self._counts = [1] * k
-        self._tree = [0] + [max(0, min(i, k) - i + (i & -i))
-                            for i in range(1, size + 1)]
-        self._half = size >> 1
+        tree = [k] + [max(0, min(i, k) - i + (i & -i)) for i in range(1, size + 1)]
+        self._state = ([1] * k, tree, size + 1, size >> 1)
 
-    def encode(self, enc, s: int) -> float:
-        """Code symbol s and count it; returns its ideal length in bits."""
-        if not 0 <= s < self.k:
-            raise ValueError(f"symbol {s} outside alphabet of {self.k}")
-        tree = self._tree
+    @property
+    def total(self) -> int:
+        return self._state[1][0]
+
+
+def _states(models: Sequence[AdaptiveModel], n: int) -> list:
+    """The models' states, once a run of n symbols is known to fit."""
+    if not models:
+        raise ValueError("a run needs at least one model")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    states = []
+    for model in models:
+        state = model._state
+        # n bounds what any one model of the cycle counts, even one listed twice
+        if state[1][0] + n - 1 > MAX_TOTAL:
+            raise ValueError(f"a run of {n} symbols would take the model "
+                             f"total past {MAX_TOTAL}")
+        states.append(state)
+    return states
+
+
+def encode_run(enc: RangeEncoder, models: Sequence[AdaptiveModel],
+               symbols: Sequence[int]) -> None:
+    """Code and count symbols[j] under models[j % len(models)].
+
+    The coder registers live in locals for the whole run, and each model's
+    state comes from one cycled tuple: a symbol is one loop body (Fenwick
+    prefix, range step and renormalization, Fenwick update) with no method
+    call.  It writes the bits :meth:`RangeEncoder.encode` would write for
+    each symbol's interval.  The run is checked whole before anything is
+    coded: the symbols of each model's column must fall in its alphabet.
+    """
+    if enc._done:
+        raise ValueError("encoder already finished")
+    states = _states(models, len(symbols))
+    width = len(models)
+    for f, model in enumerate(models):
+        column = symbols[f::width] if width > 1 else symbols
+        if column and not (min(column) >= 0 and max(column) < model.k):
+            bad = min(column) if min(column) < 0 else max(column)
+            raise ValueError(f"symbol {bad} outside alphabet of {model.k}")
+    states = cycle(states)
+    low, high, pending = enc._low, enc._high, enc._pending
+    acc, nacc, out = enc._acc, enc._nacc, enc._out
+    nbits, mask, quarter = _BITS, _MASK, _QUARTER
+    three_quarter, below_half, half = _THREE_QUARTER, _BELOW_HALF, _HALF
+    for (counts, tree, end, _), s in zip(states, symbols):
+        total = tree[0]
         cum = 0
         i = s
         while i:
             cum += tree[i]
             i &= i - 1
-        counts = self._counts
         c = counts[s]
-        total = self.total
-        enc.encode(cum, cum + c, total)
+        rng = high - low + 1
+        high = low + (rng * (cum + c)) // total - 1
+        low += (rng * cum) // total
+        m = nbits - (low ^ high).bit_length()
+        if m:
+            # the first agreeing bit is followed by the pending opposite bits
+            top = low >> (nbits - m)
+            nacc += m
+            if pending:
+                rest = m - 1
+                first = top >> rest
+                acc = ((((acc << 1) | first) << pending
+                        | (0 if first else (1 << pending) - 1))
+                       << rest) | (top & ((1 << rest) - 1))
+                nacc += pending
+                pending = 0
+            else:
+                acc = (acc << m) | top
+            if nacc >= 32:
+                spare = nacc & 7
+                out += (acc >> spare).to_bytes(nacc >> 3, "big")
+                acc &= (1 << spare) - 1
+                nacc = spare
+            low = (low << m) & mask
+            high = ((high << m) | ((1 << m) - 1)) & mask
+        if quarter <= low and high < three_quarter:
+            # an underflow step needs bit 30 set in low and clear in high;
+            # it drops that bit from both and shifts the bits below it up
+            m = nbits - 1 - (~(low & ~high) & below_half).bit_length()
+            pending += m
+            low = (low << m) & below_half
+            high = ((high << m) & below_half) | half | ((1 << m) - 1)
         counts[s] = c + 1
-        self.total = total + 1
+        tree[0] = total + 1
         i = s + 1
-        end = len(tree)
         while i < end:
             tree[i] += 1
             i += i & -i
-        return -math.log2(c / total)
+    enc._low, enc._high, enc._pending = low, high, pending
+    enc._acc, enc._nacc = acc, nacc
 
-    def decode(self, dec) -> int:
-        """Decode one symbol and count it."""
-        total = self.total
-        target = dec.decode_target(total)
-        tree = self._tree
+
+def decode_run(dec: RangeDecoder, models: Sequence[AdaptiveModel],
+               n: int) -> list:
+    """Decode and count n symbols written by :func:`encode_run` under the
+    same cycle of models, the mirror of :meth:`RangeDecoder.decode_target`
+    and ``decode_update`` per symbol.  A target outside the model's total,
+    which only a corrupt stream gives, raises ValueError."""
+    states = cycle(_states(models, n))
+    low, high, code = dec._low, dec._high, dec._code
+    window, nwindow, pos, data = dec._window, dec._nwindow, dec._pos, dec._data
+    nbits, mask, quarter = _BITS, _MASK, _QUARTER
+    three_quarter, below_half, half = _THREE_QUARTER, _BELOW_HALF, _HALF
+    out = []
+    append = out.append
+    for counts, tree, end, start in islice(states, n):
+        total = tree[0]
+        rng = high - low + 1
+        target = ((code - low + 1) * total - 1) // rng
+        if target >= total:  # corrupt stream steering out of range
+            break
         # binary descent to the last s whose cumulative count is <= target
         s = 0
         rest = target
-        step = self._half
+        step = start
         while step:
             node = tree[s + step]
             if node <= rest:
@@ -255,194 +344,67 @@ class AdaptiveModel:
                 rest -= node
             step >>= 1
         cum = target - rest
-        counts = self._counts
         c = counts[s]
-        dec.decode_update(cum, cum + c, total)
+        high = low + (rng * (cum + c)) // total - 1
+        low += (rng * cum) // total
+        shift = nbits - (low ^ high).bit_length()
+        if shift:
+            low = (low << shift) & mask
+            high = ((high << shift) | ((1 << shift) - 1)) & mask
+        under = 0
+        if quarter <= low and high < three_quarter:
+            m = nbits - 1 - (~(low & ~high) & below_half).bit_length()
+            low = (low << m) & below_half
+            high = ((high << m) & below_half) | half | ((1 << m) - 1)
+            shift += m
+            # each underflow step also takes a quarter off the code
+            under = half * ((1 << m) - 1)
+        if shift:
+            nwindow -= shift
+            if nwindow < 0:
+                window = (window << 64) | int.from_bytes(
+                    data[pos:pos + 8].ljust(8, b"\0"), "big")
+                nwindow += 64
+                pos += 8
+            code = ((code << shift) + (window >> nwindow) - under) & mask
+            window &= (1 << nwindow) - 1
         counts[s] = c + 1
-        self.total = total + 1
+        tree[0] = total + 1
         i = s + 1
-        end = len(tree)
         while i < end:
             tree[i] += 1
             i += i & -i
-        return s
-
-    def _check_run(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        if self.total + n - 1 > MAX_TOTAL:
-            raise ValueError(f"a run of {n} symbols would take the model "
-                             f"total past {MAX_TOTAL}")
-
-    def encode_run(self, enc: RangeEncoder, symbols: Sequence[int]) -> float:
-        """Code and count every symbol of a run, exactly as one
-        :meth:`encode` per symbol would; returns the ideal bits of the run.
-
-        The model state and the encoder registers live in locals for the
-        whole run: each symbol is one loop body (Fenwick prefix, price,
-        range step and renormalization, Fenwick update), not three calls.
-        The run is checked whole before anything is coded.
-        """
-        if enc._done:
-            raise ValueError("encoder already finished")
-        n = len(symbols)
-        if not n:
-            return 0.0
-        self._check_run(n)
-        for s in (min(symbols), max(symbols)):
-            if not 0 <= s < self.k:
-                raise ValueError(f"symbol {s} outside alphabet of {self.k}")
-        counts = self._counts
-        tree = self._tree
-        end = len(tree)
-        total = self.total
-        low, high, pending = enc._low, enc._high, enc._pending
-        acc, nacc, out = enc._acc, enc._nacc, enc._out
-        nbits, mask, quarter = _BITS, _MASK, _QUARTER
-        three_quarter, below_half, half = _THREE_QUARTER, _BELOW_HALF, _HALF
-        log2 = math.log2
-        ideal = 0.0
-        for s in symbols:
-            cum = 0
-            i = s
-            while i:
-                cum += tree[i]
-                i &= i - 1
-            c = counts[s]
-            ideal -= log2(c / total)
-            rng = high - low + 1
-            high = low + (rng * (cum + c)) // total - 1
-            low += (rng * cum) // total
-            m = nbits - (low ^ high).bit_length()
-            if m:
-                # the first agreeing bit is followed by the pending opposite bits
-                top = low >> (nbits - m)
-                nacc += m
-                if pending:
-                    rest = m - 1
-                    first = top >> rest
-                    acc = ((((acc << 1) | first) << pending
-                            | (0 if first else (1 << pending) - 1))
-                           << rest) | (top & ((1 << rest) - 1))
-                    nacc += pending
-                    pending = 0
-                else:
-                    acc = (acc << m) | top
-                if nacc >= 32:
-                    spare = nacc & 7
-                    out += (acc >> spare).to_bytes(nacc >> 3, "big")
-                    acc &= (1 << spare) - 1
-                    nacc = spare
-                low = (low << m) & mask
-                high = ((high << m) | ((1 << m) - 1)) & mask
-            if quarter <= low and high < three_quarter:
-                m = nbits - 1 - (~(low & ~high) & below_half).bit_length()
-                pending += m
-                low = (low << m) & below_half
-                high = ((high << m) & below_half) | half | ((1 << m) - 1)
-            counts[s] = c + 1
-            total += 1
-            i = s + 1
-            while i < end:
-                tree[i] += 1
-                i += i & -i
-        self.total = total
-        enc._low, enc._high, enc._pending = low, high, pending
-        enc._acc, enc._nacc = acc, nacc
-        return ideal
-
-    def decode_run(self, dec: RangeDecoder, n: int) -> list:
-        """Decode and count n symbols, exactly as n :meth:`decode` calls
-        would, in the fused form of :meth:`encode_run`."""
-        self._check_run(n)
-        counts = self._counts
-        tree = self._tree
-        end = len(tree)
-        total = self.total
-        low, high, code = dec._low, dec._high, dec._code
-        window, nwindow, pos, data = dec._window, dec._nwindow, dec._pos, dec._data
-        nbits, mask, quarter = _BITS, _MASK, _QUARTER
-        three_quarter, below_half, half = _THREE_QUARTER, _BELOW_HALF, _HALF
-        start = self._half
-        out = []
-        append = out.append
-        for _ in range(n):
-            rng = high - low + 1
-            target = ((code - low + 1) * total - 1) // rng
-            if target >= total:  # corrupt stream steering out of range
-                break
-            # binary descent to the last s whose cumulative count is <= target
-            s = 0
-            rest = target
-            step = start
-            while step:
-                node = tree[s + step]
-                if node <= rest:
-                    s += step
-                    rest -= node
-                step >>= 1
-            cum = target - rest
-            c = counts[s]
-            high = low + (rng * (cum + c)) // total - 1
-            low += (rng * cum) // total
-            shift = nbits - (low ^ high).bit_length()
-            if shift:
-                low = (low << shift) & mask
-                high = ((high << shift) | ((1 << shift) - 1)) & mask
-            under = 0
-            if quarter <= low and high < three_quarter:
-                m = nbits - 1 - (~(low & ~high) & below_half).bit_length()
-                low = (low << m) & below_half
-                high = ((high << m) & below_half) | half | ((1 << m) - 1)
-                shift += m
-                # each underflow step also takes a quarter off the code
-                under = half * ((1 << m) - 1)
-            if shift:
-                nwindow -= shift
-                if nwindow < 0:
-                    window = (window << 64) | int.from_bytes(
-                        data[pos:pos + 8].ljust(8, b"\0"), "big")
-                    nwindow += 64
-                    pos += 8
-                code = ((code << shift) + (window >> nwindow) - under) & mask
-                window &= (1 << nwindow) - 1
-            counts[s] = c + 1
-            total += 1
-            i = s + 1
-            while i < end:
-                tree[i] += 1
-                i += i & -i
-            append(s)
-        self.total = total
-        dec._low, dec._high, dec._code = low, high, code
-        dec._window, dec._nwindow, dec._pos = window, nwindow, pos
-        if len(out) < n:
-            raise ValueError(
-                f"decoder target {target} outside alphabet total {total}")
-        return out
+        append(s)
+    dec._low, dec._high, dec._code = low, high, code
+    dec._window, dec._nwindow, dec._pos = window, nwindow, pos
+    if len(out) < n:
+        raise ValueError(
+            f"decoder target {target} outside alphabet total {total}")
+    return out
 
 
 def encode_block_adaptive(symbols: Sequence[int], k: int,
-                          encoder: RangeEncoder) -> float:
+                          encoder: RangeEncoder) -> None:
     """Encode a symbol block under a fresh :class:`AdaptiveModel` over k
-    symbols.  Returns the ideal code length sum -log2(price) in bits; the
-    actual emitted bits trail it by at most the coder overhead.
-    """
-    return AdaptiveModel(k).encode_run(encoder, symbols)
+    symbols; :func:`ideal_bits` prices it."""
+    encode_run(encoder, (AdaptiveModel(k),), symbols)
 
 
 def decode_block_adaptive(n: int, k: int, decoder: RangeDecoder) -> list:
     """Decode n symbols written by :func:`encode_block_adaptive`."""
-    return AdaptiveModel(k).decode_run(decoder, n)
+    return decode_run(decoder, (AdaptiveModel(k),), n)
 
 
 def ideal_bits(symbols: Iterable[int], k: int) -> float:
-    """Ideal adaptive code length of a block without encoding it."""
+    """Ideal adaptive code length, sum of -log2(price) in bits, of a block
+    under a fresh model over k symbols; the bits the coder emits for it
+    trail this by at most the coder overhead."""
     counts = [1] * k
     total = k
+    log2 = math.log2
     ideal = 0.0
     for s in symbols:
-        ideal -= math.log2(counts[s] / total)
+        ideal -= log2(counts[s] / total)
         counts[s] += 1
         total += 1
     return ideal

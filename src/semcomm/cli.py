@@ -288,6 +288,9 @@ def compress(source, text, out):
         except (FileNotFoundError, ValueError) as exc:
             raise click.UsageError(str(exc))
         outdir = Path(out) if out else Path("compressed")
+        if outdir.exists() and not outdir.is_dir():
+            raise click.UsageError(f"--out {outdir} is a file; dataset mode "
+                                   "writes a directory of containers")
         outdir.mkdir(parents=True, exist_ok=True)
         rows = []
         for story in stories:

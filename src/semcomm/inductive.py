@@ -446,7 +446,10 @@ def pac_error(k: int, n: float, alpha: float = 0.0,
         raise ValueError("alpha must be finite and >= 0")
     if not n > alpha:
         raise ValueError("the bound needs n > alpha")
-    expo = n - alpha
+    # n - alpha in one float rounds once n passes 2^53; the integer parts
+    # cancel exactly first
+    whole = math.floor(alpha)
+    expo = (n - whole) - (alpha - whole)
     if c is not None:
         if not 0 <= c <= k:
             raise ValueError(f"c must lie in 0..{k}")

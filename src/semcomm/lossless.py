@@ -3,15 +3,17 @@
 The container holds a factorized dictionary (name pools plus per-statement
 index tuples) and the symbol stream over the distinct-statement alphabet,
 all entropy-coded in a single arithmetic-coder block.  Every section is
-priced by the one adaptive add-one model, ``coder.AdaptiveModel``: its
+coded under the one adaptive add-one model, ``coder.AdaptiveModel``: its
 price for a symbol with n_i prior occurrences out of t is (n_i + 1) /
 (t + k), the smoothed next-case rule with weight equal to the alphabet size
-k, and a Fenwick tree keeps each encode and decode at O(log k).  The
-dictionary drives model instances directly: a name's length and each
-tuple field symbol by symbol, a name's bytes as one fused run
-(``AdaptiveModel.encode_run``).  The statement stream goes through
-``encode_block_adaptive``, a run under one model, and so does the
-baseline, a character-level coding of the raw bytes.
+k, and a Fenwick tree keeps each encode and decode at O(log k).  One
+kernel pair, ``coder.encode_run``/``decode_run``, codes every section as
+runs over a cycle of models: a name is a one-symbol length run, then a
+byte run; the tuple fields are one run over the four field models (decoded
+in chunks of rows); the statement stream, through
+``encode_block_adaptive``, is a run under one model, and so is the
+baseline, a character-level coding of the raw bytes.  The ideal section
+lengths in the report come from ``coder.ideal_bits``, per model column.
 
 Container layout (all integers unsigned LEB128 varints):
 
@@ -34,7 +36,10 @@ from .coder import (
     RangeDecoder,
     RangeEncoder,
     decode_block_adaptive,
+    decode_run,
     encode_block_adaptive,
+    encode_run,
+    ideal_bits,
 )
 from .errors import CapacityError, DecodeError
 from .fol import AtomicStatement, EvidenceSet, Vocabulary
@@ -42,6 +47,7 @@ from .fol import AtomicStatement, EvidenceSet, Vocabulary
 _MAGIC = b"SEMC"
 _VERSION = 1
 _MAX_NAME = 63  # name length symbol alphabet is 0..63
+_ROWS = 4096  # distinct statements decoded per tuple-field run
 
 
 def _write_uvarint(buf: bytearray, value: int) -> None:
@@ -104,6 +110,21 @@ def _name_symbols(name: str) -> bytes:
     return raw
 
 
+def _encode_tuples(enc: RangeEncoder, distinct, pred_index: dict,
+                   ent_index: dict) -> float:
+    """Code one (sign, predicate, subject, object) tuple per distinct
+    statement as one run over the four field models; returns its ideal
+    bits."""
+    no_obj = len(ent_index)  # the object model's last index means "no object"
+    fields = [sym for st in distinct for sym in (
+        0 if st.positive else 1, pred_index[st.predicate],
+        ent_index[st.subject],
+        no_obj if st.obj is None else ent_index[st.obj])]
+    ks = (2, len(pred_index), len(ent_index), no_obj + 1)
+    encode_run(enc, tuple(AdaptiveModel(k) for k in ks), fields)
+    return sum(ideal_bits(fields[f::4], k) for f, k in enumerate(ks))
+
+
 def lossless_encode_report(ev: EvidenceSet) -> tuple[bytes, LosslessReport]:
     """Encode an evidence stream; returns the container and its accounting."""
     preds = ev.predicates
@@ -111,33 +132,25 @@ def lossless_encode_report(ev: EvidenceSet) -> tuple[bytes, LosslessReport]:
     distinct = ev.distinct_statements
     pred_index = {p: i for i, p in enumerate(preds)}
     ent_index = {e: i for i, e in enumerate(ents)}
-    distinct_index = {st: i for i, st in enumerate(distinct)}
 
     enc = RangeEncoder()
-    dict_bits = 0.0
+    dict_bits = payload_bits = 0.0
     if preds or ents:
         len_model = AdaptiveModel(_MAX_NAME + 1)
         char_model = AdaptiveModel(256)
-        for name in [p.name for p in preds] + [e.name for e in ents]:
-            raw = _name_symbols(name)
-            dict_bits += len_model.encode(enc, len(raw))
-            dict_bits += char_model.encode_run(enc, raw)
+        names = [_name_symbols(x.name) for x in (*preds, *ents)]
+        for raw in names:
+            encode_run(enc, (len_model,), (len(raw),))
+            encode_run(enc, (char_model,), raw)
+        dict_bits += ideal_bits([len(raw) for raw in names], _MAX_NAME + 1)
+        dict_bits += ideal_bits(b"".join(names), 256)
     if distinct:
-        sign_model = AdaptiveModel(2)
-        pred_model = AdaptiveModel(len(preds))
-        subj_model = AdaptiveModel(len(ents))
-        obj_model = AdaptiveModel(len(ents) + 1)  # last index means "no object"
-        for st in distinct:
-            dict_bits += sign_model.encode(enc, 0 if st.positive else 1)
-            dict_bits += pred_model.encode(enc, pred_index[st.predicate])
-            dict_bits += subj_model.encode(enc, ent_index[st.subject])
-            obj = len(ents) if st.obj is None else ent_index[st.obj]
-            dict_bits += obj_model.encode(enc, obj)
-
-    payload_bits = 0.0
-    if distinct:
-        payload_bits = encode_block_adaptive(
-            [distinct_index[st] for st in ev.statements], len(distinct), enc)
+        dict_bits += _encode_tuples(enc, distinct, pred_index, ent_index)
+        # built only now, so the tuple fields are gone before it
+        distinct_index = {st: i for i, st in enumerate(distinct)}
+        stream = [distinct_index[st] for st in ev.statements]
+        encode_block_adaptive(stream, len(distinct), enc)
+        payload_bits = ideal_bits(stream, len(distinct))
     coded = enc.finish() if (preds or ents or distinct) else b""
 
     buf = bytearray(_MAGIC)
@@ -228,7 +241,8 @@ def _decode_block(coded: bytes, n_pred: int, n_ent: int, n_distinct: int,
         char_model = AdaptiveModel(256)
 
         def read_name() -> str:
-            raw = bytes(char_model.decode_run(dec, len_model.decode(dec)))
+            size = decode_run(dec, (len_model,), 1)[0]
+            raw = bytes(decode_run(dec, (char_model,), size))
             try:
                 return raw.decode("ascii")
             except UnicodeDecodeError as exc:
@@ -239,24 +253,28 @@ def _decode_block(coded: bytes, n_pred: int, n_ent: int, n_distinct: int,
 
     vocab = Vocabulary()
     entities = [vocab.entity(name) for name in ent_names]
-    distinct: list[AtomicStatement] = []
-    if n_distinct:
-        sign_model = AdaptiveModel(2)
-        pred_model = AdaptiveModel(n_pred)
-        subj_model = AdaptiveModel(n_ent)
-        obj_model = AdaptiveModel(n_ent + 1)
-        for _ in range(n_distinct):
-            positive = sign_model.decode(dec) == 0
-            p_i = pred_model.decode(dec)
-            s_i = subj_model.decode(dec)
-            o_i = obj_model.decode(dec)
-            obj = None if o_i == n_ent else entities[o_i]
-            pred = vocab.predicate(pred_names[p_i], 1 if obj is None else 2)
-            distinct.append(AtomicStatement(pred, entities[s_i], obj, positive))
-
+    distinct = (_decode_tuples(dec, vocab, pred_names, entities, n_distinct)
+                if n_distinct else [])
     stream = decode_block_adaptive(n_stream, n_distinct, dec) if n_stream else []
     statements = tuple(distinct[i] for i in stream)
     return EvidenceSet(statements, vocab, source_id="decoded")
+
+
+def _decode_tuples(dec: RangeDecoder, vocab: Vocabulary, pred_names: list,
+                   entities: list, n_distinct: int) -> list[AtomicStatement]:
+    """Rebuild the distinct statements written by :func:`_encode_tuples`."""
+    n_ent = len(entities)
+    models = tuple(AdaptiveModel(k) for k in (2, len(pred_names), n_ent, n_ent + 1))
+    distinct = []
+    # rows come in bounded chunks, so the transient symbol list stays
+    # small beside the statements built from it
+    for first in range(0, n_distinct, _ROWS):
+        fields = iter(decode_run(dec, models, 4 * min(_ROWS, n_distinct - first)))
+        for sign, p_i, s_i, o_i in zip(fields, fields, fields, fields):
+            obj = None if o_i == n_ent else entities[o_i]
+            pred = vocab.predicate(pred_names[p_i], 1 if obj is None else 2)
+            distinct.append(AtomicStatement(pred, entities[s_i], obj, sign == 0))
+    return distinct
 
 
 def shannon_baseline(text: bytes) -> int:

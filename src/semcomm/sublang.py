@@ -89,16 +89,13 @@ class EvidenceSummary:
             raise ValueError(f"cannot spread {n_eff} observations over {self.c} kinds")
         if self.n == 0:
             raise ValueError("cannot scale an empty summary")
-        quotas = [n_eff * x / self.n for x in self.counts]
-        floors = [max(1, int(q)) for q in quotas]
-        short = n_eff - sum(floors)
-        order = sorted(range(self.c), key=lambda j: (-(quotas[j] - int(quotas[j])), j))
-        counts = list(floors)
-        j = 0
-        while short > 0:
-            counts[order[j % self.c]] += 1
-            short -= 1
-            j += 1
+        # exact integer quotas: floors, then one more for each of the
+        # largest remainders; the floors fall short by fewer than c
+        counts = [max(1, n_eff * x // self.n) for x in self.counts]
+        short = n_eff - sum(counts)
+        order = sorted(range(self.c), key=lambda j: (-(n_eff * self.counts[j] % self.n), j))
+        for j in order[:max(short, 0)]:
+            counts[j] += 1
         while short < 0:  # floors clamped at 1 can overshoot
             idx = max(range(self.c), key=lambda t: (counts[t], -t))
             if counts[idx] <= 1:

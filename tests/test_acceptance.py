@@ -297,11 +297,11 @@ def test_codec_round_trip_and_ideal_length():
         else:
             symbols = [rnd.randrange(k) for _ in range(rnd.randint(0, 200))]
         enc = coder.RangeEncoder()
-        ideal = coder.encode_block_adaptive(symbols, k, enc)
+        coder.encode_block_adaptive(symbols, k, enc)
         blob = enc.finish()
         dec = coder.RangeDecoder(blob)
         assert coder.decode_block_adaptive(len(symbols), k, dec) == symbols
-        assert 8 * len(blob) <= ideal * 1.005 + 64
+        assert 8 * len(blob) <= coder.ideal_bits(symbols, k) * 1.005 + 64
 
 
 # --- 8. lossy solver against grid search -------------------------------

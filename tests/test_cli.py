@@ -89,6 +89,12 @@ def test_pac_table_starts_above_alpha(runner):
     assert "n=2 " not in res.output
 
 
+def test_pac_huge_alpha(runner):
+    res = runner.invoke(main, ["pac", "3", "--alpha", "1e308"])
+    assert res.exit_code == 0, res.output
+    assert "bound=" in res.output
+
+
 def test_pac_csv(runner, tmp_path):
     out = tmp_path / "bounds.csv"
     res = runner.invoke(main, ["pac", "2", "--epsilon", "1e-3",
@@ -423,6 +429,14 @@ def test_directory_argument_is_usage_error(runner, evidence_file, tmp_path,
     args = [str(evidence_file) if a == "FILE" else a for a in command]
     res = runner.invoke(main, [*args, str(tmp_path)])
     assert "is a directory" in _one_error_line(res, code=2)
+
+
+def test_dataset_out_file_is_usage_error(runner, tiny_corpus, tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("keep me")
+    res = runner.invoke(main, ["compress", str(tiny_corpus), "--out", str(out)])
+    assert "is a file" in _one_error_line(res, code=2)
+    assert out.read_text() == "keep me"
 
 
 def test_observations_below_kinds_is_one_error_line(runner, tiny_corpus):

@@ -1,6 +1,7 @@
 """Range coder: round trips, code length accounting, golden streams."""
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -12,8 +13,8 @@ from semcomm import coder
 
 def _encode(symbols, k):
     enc = coder.RangeEncoder()
-    ideal = coder.encode_block_adaptive(symbols, k, enc)
-    return enc.finish(), ideal
+    coder.encode_block_adaptive(symbols, k, enc)
+    return enc.finish(), coder.ideal_bits(symbols, k)
 
 
 def _decode(blob, n, k):
@@ -69,12 +70,14 @@ def test_round_trip_heavy_duplicates():
 
 
 def test_adaptive_prices_match_ideal_bits():
+    # the add-one rule prices a block at prod(n_s!) (k-1)! / (n+k-1)!,
+    # whatever the order of its symbols
     rnd = random.Random(7)
     symbols = [rnd.randrange(5) for _ in range(200)]
-    enc = coder.RangeEncoder()
-    ideal = coder.encode_block_adaptive(symbols, 5, enc)
-    enc.finish()
-    assert ideal == pytest.approx(coder.ideal_bits(symbols, 5), abs=1e-9)
+    ln_p = (sum(math.lgamma(symbols.count(s) + 1) for s in range(5))
+            + math.lgamma(5) - math.lgamma(len(symbols) + 5))
+    assert coder.ideal_bits(symbols, 5) == pytest.approx(-ln_p / math.log(2),
+                                                         abs=1e-9)
 
 
 def test_ideal_bits_skewed_below_uniform():
@@ -220,84 +223,169 @@ def test_golden_streams(seed):
                 dec.decode_update(lo, hi, total)
 
 
-def _code_ops(ops, ks, fused):
-    """Encode ops, each (model index, symbols, as a run?), into one encoder;
-    the fused route codes the run ops with encode_run, the other route
-    codes every symbol with encode.  Returns the stream and the ideal bits
-    of each op."""
+# --- the run kernel against a one-interval oracle --------------------------
+
+
+class _PlainModel:
+    """Add-one counts in a plain list, no Fenwick tree: each symbol is one
+    interval through RangeEncoder.encode or decode_target/decode_update."""
+
+    def __init__(self, k):
+        self.counts = [1] * k
+
+    def interval(self, s):
+        cum = sum(self.counts[:s])
+        return cum, cum + self.counts[s], sum(self.counts)
+
+    def encode(self, enc, s):
+        enc.encode(*self.interval(s))
+        self.counts[s] += 1
+
+    def decode(self, dec):
+        target = dec.decode_target(sum(self.counts))
+        s, cum_hi = 0, self.counts[0]
+        while cum_hi <= target:
+            s += 1
+            cum_hi += self.counts[s]
+        dec.decode_update(*self.interval(s))
+        self.counts[s] += 1
+        return s
+
+
+def _rotate(cycle, by):
+    by %= len(cycle)
+    return cycle[by:] + cycle[:by]
+
+
+@st.composite
+def _run_ops(draw):
+    """A pool of alphabets and ops over it: runs over cycles of 1-4 pool
+    models (a model may recur), each with a point where the kernel splits
+    it across two calls, and raw intervals in between."""
+    ks = draw(st.lists(st.sampled_from((1, 2, 3, 7, 64, 256, 300)),
+                       min_size=1, max_size=4))
+    ops = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            cycle = tuple(draw(st.lists(st.integers(0, len(ks) - 1),
+                                        min_size=1, max_size=4)))
+            raw = draw(st.lists(st.integers(0, 299), max_size=120))
+            symbols = [x % ks[cycle[j % len(cycle)]] for j, x in enumerate(raw)]
+            ops.append(("run", cycle, symbols,
+                        draw(st.integers(0, len(symbols)))))
+        else:
+            raw = []
+            for _ in range(draw(st.integers(0, 3))):
+                total = draw(st.integers(1, coder.MAX_TOTAL))
+                lo = draw(st.integers(0, total - 1))
+                raw.append((lo, draw(st.integers(lo + 1, total)), total))
+            ops.append(("raw", raw))
+    return ks, ops
+
+
+def _kernel_encode(ks, ops):
     enc = coder.RangeEncoder()
     models = [coder.AdaptiveModel(k) for k in ks]
-    bits = []
-    for i, symbols, as_run in ops:
-        if fused and as_run:
-            bits.append(models[i].encode_run(enc, symbols))
-        else:
-            ideal = 0.0
-            for s in symbols:
-                ideal += models[i].encode(enc, s)
-            bits.append(ideal)
-    return enc.finish(), bits
+    for op in ops:
+        if op[0] == "raw":
+            for interval in op[1]:
+                enc.encode(*interval)
+            continue
+        _, cycle, symbols, split = op
+        coder.encode_run(enc, [models[i] for i in cycle], symbols[:split])
+        coder.encode_run(enc, [models[i] for i in _rotate(cycle, split)],
+                         symbols[split:])
+    return enc.finish(), [m.total for m in models]
+
+
+def _oracle_encode(ks, ops):
+    enc = coder.RangeEncoder()
+    models = [_PlainModel(k) for k in ks]
+    for op in ops:
+        if op[0] == "raw":
+            for interval in op[1]:
+                enc.encode(*interval)
+            continue
+        _, cycle, symbols, _ = op
+        for j, s in enumerate(symbols):
+            models[cycle[j % len(cycle)]].encode(enc, s)
+    return enc.finish(), [sum(m.counts) for m in models]
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_fused_runs_match_per_symbol_route(data):
-    ks = data.draw(st.lists(st.sampled_from((1, 2, 3, 7, 64, 256, 300)),
-                            min_size=1, max_size=3))
-    ops = []
-    for _ in range(data.draw(st.integers(0, 8))):
-        i = data.draw(st.integers(0, len(ks) - 1))
-        symbols = data.draw(st.lists(st.integers(0, ks[i] - 1), max_size=120))
-        ops.append((i, symbols, data.draw(st.booleans())))
-    fused_blob, fused_bits = _code_ops(ops, ks, fused=True)
-    blob, bits = _code_ops(ops, ks, fused=False)
-    assert fused_blob == blob
-    assert fused_bits == bits  # the same floats, not merely close ones
-    dec = coder.RangeDecoder(fused_blob)
+@given(_run_ops())
+def test_fused_runs_match_per_symbol_route(case):
+    ks, ops = case
+    blob, totals = _kernel_encode(ks, ops)
+    assert (blob, totals) == _oracle_encode(ks, ops)
+    # the kernel decodes each run in one call, the oracle symbol by symbol
+    kernel_dec = coder.RangeDecoder(blob)
+    oracle_dec = coder.RangeDecoder(blob)
     models = [coder.AdaptiveModel(k) for k in ks]
-    for i, symbols, as_run in ops:
-        if as_run:
-            assert models[i].decode_run(dec, len(symbols)) == symbols
-        else:
-            assert [models[i].decode(dec) for _ in symbols] == symbols
+    plain = [_PlainModel(k) for k in ks]
+    for op in ops:
+        if op[0] == "raw":
+            for lo, hi, total in op[1]:
+                for dec in (kernel_dec, oracle_dec):
+                    assert lo <= dec.decode_target(total) < hi
+                    dec.decode_update(lo, hi, total)
+            continue
+        _, cycle, symbols, _ = op
+        assert coder.decode_run(kernel_dec, [models[i] for i in cycle],
+                                len(symbols)) == symbols
+        assert [plain[cycle[j % len(cycle)]].decode(oracle_dec)
+                for j in range(len(symbols))] == symbols
+
+
+def _state(enc, models):
+    return ((enc._low, enc._high, enc._pending, enc._acc, enc._nacc,
+             bytes(enc._out)),
+            [(list(m._state[0]), list(m._state[1])) for m in models])
 
 
 @pytest.mark.parametrize("bad", [-1, 5])
 def test_encode_run_rejects_symbols_outside_alphabet(bad):
+    # the bad symbol sits in field 2's column; 5 fits every other alphabet
     enc = coder.RangeEncoder()
-    model = coder.AdaptiveModel(5)
-    model.encode_run(enc, [1, 2])
-    with pytest.raises(ValueError, match="outside alphabet"):
-        model.encode_run(enc, [0, bad, 3])
+    models = [coder.AdaptiveModel(k) for k in (8, 8, 5, 8)]
+    coder.encode_run(enc, models, [1, 2, 0, 4, 3])
+    before = _state(enc, models)
+    with pytest.raises(ValueError, match="outside alphabet of 5"):
+        coder.encode_run(enc, models, [4, 4, 2, 4, 0, 1, bad, 3])
     # nothing of the rejected run was coded or counted
-    assert model.total == 7
-    model.encode_run(enc, [4])
-    blob = enc.finish()
+    assert _state(enc, models) == before
+    assert [m.total for m in models] == [10, 9, 6, 9]
+    coder.encode_run(enc, models[1:] + models[:1], [4])  # the sixth symbol
     ref = coder.RangeEncoder()
-    coder.encode_block_adaptive([1, 2, 4], 5, ref)
-    assert blob == ref.finish()
+    coder.encode_run(ref, [coder.AdaptiveModel(k) for k in (8, 8, 5, 8)],
+                     [1, 2, 0, 4, 3, 4])
+    assert enc.finish() == ref.finish()
 
 
 def test_encode_run_on_finished_encoder_raises():
     enc = coder.RangeEncoder()
     model = coder.AdaptiveModel(3)
-    model.encode_run(enc, [0, 1])
+    coder.encode_run(enc, [model], [0, 1])
     enc.finish()
     with pytest.raises(ValueError, match="already finished"):
-        model.encode_run(enc, [2])
+        coder.encode_run(enc, [model], [2])
     with pytest.raises(ValueError, match="already finished"):
-        model.encode_run(enc, [])
+        coder.encode_run(enc, [model], [])
 
 
 def test_runs_past_max_total_rejected():
     with pytest.raises(ValueError, match="past"):
-        coder.AdaptiveModel(4).encode_run(coder.RangeEncoder(),
-                                          range(coder.MAX_TOTAL - 2))
+        coder.encode_run(coder.RangeEncoder(), [coder.AdaptiveModel(4)],
+                         range(coder.MAX_TOTAL - 2))
+    # the whole run length counts against every model of the cycle
     with pytest.raises(ValueError, match="past"):
-        coder.AdaptiveModel(4).decode_run(coder.RangeDecoder(b""),
-                                          coder.MAX_TOTAL - 2)
+        coder.decode_run(coder.RangeDecoder(b""),
+                         [coder.AdaptiveModel(2), coder.AdaptiveModel(4)],
+                         coder.MAX_TOTAL - 2)
     with pytest.raises(ValueError, match=">= 0"):
-        coder.AdaptiveModel(4).decode_run(coder.RangeDecoder(b""), -1)
+        coder.decode_run(coder.RangeDecoder(b""), [coder.AdaptiveModel(4)], -1)
+    with pytest.raises(ValueError, match="at least one model"):
+        coder.encode_run(coder.RangeEncoder(), [], [])
 
 
 def test_decode_run_on_corrupt_stream_raises():
@@ -308,6 +396,6 @@ def test_decode_run_on_corrupt_stream_raises():
         dec.decode_update(0, 2, 3)
         return dec
     with pytest.raises(ValueError, match="outside alphabet total"):
-        coder.AdaptiveModel(4).decode_run(steered(), 3)
+        coder.decode_run(steered(), [coder.AdaptiveModel(4)], 3)
     with pytest.raises(ValueError, match="outside alphabet total"):
-        coder.AdaptiveModel(4).decode(steered())
+        coder.decode_run(steered(), [coder.AdaptiveModel(2)] * 3, 1)

@@ -243,6 +243,13 @@ def test_pac_sample_bound_minimal():
             assert pac_error(k, n0 - 1, alpha) > eps_prime
 
 
+def test_pac_exponent_exact_past_two_to_53():
+    # n - alpha in one float would round n to a multiple of 256 here
+    assert pac_error(5, 2**60 + 3, 2.0**60) == pac_error(5, 3, 0.0)
+    assert (pac_sample_bound(3, 2.0**60, 1e-3) - 2**60
+            == pac_sample_bound(3, 0.0, 1e-3))
+
+
 @pytest.mark.parametrize("alpha", [-1.0, -0.5, math.nan, math.inf])
 def test_pac_sample_bound_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError, match="alpha"):

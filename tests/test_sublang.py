@@ -1,6 +1,8 @@
 """Kind quotient, evidence summaries, and sentence algebra."""
 
 import io
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -150,3 +152,36 @@ def test_scaled_to_proportions():
     summary = EvidenceSummary(n=10, c=2, counts=(8, 2), big_k=2)
     scaled = summary.scaled_to(1000)
     assert scaled.counts == (800, 200)
+
+
+def _largest_remainder(counts, n_eff):
+    """Hamilton apportionment in exact rationals, every kind kept at one
+    or more."""
+    n = sum(counts)
+    quotas = [Fraction(n_eff * x, n) for x in counts]
+    floors = [max(1, math.floor(q)) for q in quotas]
+    order = sorted(range(len(counts)),
+                   key=lambda j: (-(quotas[j] - math.floor(quotas[j])), j))
+    for j in order[:n_eff - sum(floors)]:
+        floors[j] += 1
+    return tuple(floors)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1,
+                max_size=8),
+       st.integers(min_value=0, max_value=40))
+@settings(max_examples=200)
+def test_scaled_to_is_exact_largest_remainder(counts, digits):
+    n_eff = max(len(counts), 10**digits + digits)
+    summary = EvidenceSummary(n=sum(counts), c=len(counts),
+                              counts=tuple(counts), big_k=len(counts))
+    want = _largest_remainder(counts, n_eff)
+    if sum(want) == n_eff:  # no kind was lifted to one past the volume
+        assert summary.scaled_to(n_eff).counts == want
+
+
+def test_scaled_to_huge_volume():
+    summary = EvidenceSummary(n=7, c=3, counts=(3, 3, 1), big_k=3)
+    assert summary.scaled_to(10**22 + 1).counts == (
+        4285714285714285714286, 4285714285714285714286, 1428571428571428571429)
+    assert sum(summary.scaled_to(10**300).counts) == 10**300
