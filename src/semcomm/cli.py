@@ -123,9 +123,8 @@ def _analyze_one(ev: EvidenceSet, fmt: str, slack: int, params: InductiveParams,
         except ValueError as exc:  # fewer observations than kinds
             raise click.ClickException(f"{label}: {exc}") from exc
     model = InductiveModel(sl, params, summary)
-    part = MessagePartition.from_model(model)
     sig = UniverseSignature(len(ev.predicates), len(ev.entities))
-    ce = cont_entropy(part, sig)
+    ce = cont_entropy(model, sig)
     record = {
         "source_id": ev.source_id,
         "format": fmt,
@@ -139,7 +138,7 @@ def _analyze_one(ev: EvidenceSet, fmt: str, slack: int, params: InductiveParams,
             "observations": observations,
         },
         "universe": sig.as_json(),
-        "inf_entropy_bits": inf_entropy(part.probs),
+        "inf_entropy_bits": inf_entropy(model),
         "cont_entropy": ce.as_json(),
     }
     if scaled:
@@ -185,9 +184,12 @@ def analyze(ctx, paths, slack, lam, alpha, out):
             ev, fmt = load_evidence(st.evidence_path, st.observations)
             jobs.append((st.evidence_path, ev, fmt, st.observations, st.story_id))
     else:
-        for p in paths:
+        stems = [Path(p).stem for p in paths]  # row labels, report names
+        for p, stem in zip(paths, stems):
+            if stems.count(stem) > 1:
+                raise click.UsageError(f"two evidence files are named {stem!r}")
             ev, fmt = load_evidence(p)
-            jobs.append((p, ev, fmt, ev.observations, Path(p).stem))
+            jobs.append((p, ev, fmt, ev.observations, stem))
 
     rows = []
     normalized = []

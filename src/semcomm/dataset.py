@@ -99,6 +99,9 @@ def load_manifest(directory: str | Path) -> list[Story]:
         if not isinstance(entry, dict):
             raise ValueError(f"{manifest_path}: entry {i + 1} is not an object")
         story_id = str(entry.get("id", f"story{i + 1}"))
+        # the id names the story's report and container files
+        if any(st.story_id == story_id for st in stories):
+            raise ValueError(f"{manifest_path}: story id {story_id!r} is repeated")
         if not all(isinstance(entry.get(key), str) for key in ("text", "evidence")):
             raise ValueError(f"manifest entry {story_id} names no text or evidence file")
         text_path = directory / entry["text"]

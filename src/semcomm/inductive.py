@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DomainMismatchError, InconsistentEvidenceError
+from .errors import CapacityError, DomainMismatchError, InconsistentEvidenceError
 from .sublang import Constituent, EvidenceSummary, Sentence, SubLanguage
 from .xreal import ExtremeReal, lse
 
@@ -194,7 +194,14 @@ class _WidthTable:
                 f"no hypothesis is compatible with the evidence (c={c}, "
                 f"K={big_k}); the posterior normalizer is zero")
         # class mass stays in log space: size can exceed any float
-        self.ln_z = lse(ln_each + math.log(size) for _, size, ln_each in rows)
+        ln_masses = [ln_each + math.log(size) for _, size, ln_each in rows]
+        self.ln_z = lse(ln_masses)
+        # every posterior carries the rounding of ln z, |ln z| * 2^-52:
+        # 5e-9 on story1 at 10^8 observations, all of it from about 10^20
+        total = math.fsum(math.exp(v - self.ln_z) for v in ln_masses)
+        if abs(total - 1.0) > 1e-6:
+            raise CapacityError(f"{n} observations are past the float precision "
+                                f"of the posterior: it sums to {total:.3g}")
         self.classes = tuple(WidthClass(w, size, ln_each,
                                         math.exp(ln_each - self.ln_z))
                              for w, size, ln_each in rows)
@@ -249,6 +256,10 @@ class InductiveModel:
     @property
     def ln_normalizer(self) -> float:
         return self._table.ln_z
+
+    @property
+    def width_classes(self) -> tuple[WidthClass, ...]:
+        return self._table.classes
 
     # -- single hypotheses ------------------------------------------------
 

@@ -1,12 +1,12 @@
 """Content and surprise measures over posterior-weighted message spaces.
 
 The two base measures price a message by what it rules out (cont = 1 - p)
-and by how unexpected it is (inf = 1/p).  The entropy built on cont is
-volume-scaled by 2^(predicates x entities), a factor that is never
-materialized in the linear domain; quantities carrying it live in
-ExtremeReal.  Complements such as 1 - p are always accumulated directly
-over the excluded hypotheses, never as a subtraction from one, so they
-survive p within 10^-15000 of certainty.
+and by how unexpected it is (inf = 1/p).  The source entropies sum one
+term per width class of the 2^K - 1 hypotheses.  The one built on cont is
+volume-scaled by 2^(predicates x entities), a factor never materialized
+in the linear domain; quantities carrying it live in ExtremeReal.  A
+complement 1 - p is log1p(-p) below one half and is summed directly over
+the excluded hypotheses above it, so it survives p within 10^-15000 of 1.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .sublang import Sentence
 from .xreal import ExtremeReal, xsum
 
 _NORM_TOL = 1e-9
+_LN_HALF = -math.log(2.0)
 
 
 def cont(p: float) -> float:
@@ -39,14 +40,13 @@ def inf_measure(p: float) -> float:
     return 1.0 / p
 
 
-def inf_entropy(alphabet_probs: Sequence[float]) -> float:
-    """Expected log surprise sum p_i * log2(1/p_i) in bits."""
-    probs = list(alphabet_probs)
-    if any(p < 0 for p in probs):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(math.fsum(probs) - 1.0) > _NORM_TOL:
-        raise ValueError("probabilities must sum to one")
-    return math.fsum(p * math.log2(1.0 / p) for p in probs if p > 0.0)
+def inf_entropy(model: InductiveModel) -> float:
+    """Expected log surprise sum p_i * log2(1/p_i) over the hypotheses."""
+    # a class size can pass the float range; its log cannot
+    terms = [(math.log(cl.size), model.ln_probability({cl.width: 1}))
+             for cl in model.width_classes]
+    return math.fsum(math.exp(ln_s + ln_p) * -ln_p
+                     for ln_s, ln_p in terms) / math.log(2.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,17 +74,14 @@ class UniverseSignature:
 class MessagePartition:
     """Disjoint, exhaustive messages with their confirmation weights.
 
-    ``ln_probs`` and ``ln_complements`` carry the natural-log weight and the
-    directly summed log of (1 - weight) per member; partition builders that
-    know the posterior in log space supply them so entropy terms keep their
-    meaning when weights sit within 10^-15000 of 0 or 1.  A column left out
-    is computed from the weights.
+    The sender's side of a lossy channel.  ``ln_probs`` carries the
+    natural-log weight per member, supplied by builders that know the
+    posterior in log space; left out, it is computed from the weights.
     """
 
     members: tuple[Sentence, ...]
     probs: tuple[float, ...]
     ln_probs: tuple[float, ...] | None = None
-    ln_complements: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.members and len(self.members) != len(self.probs):
@@ -93,9 +90,8 @@ class MessagePartition:
             raise ValueError("weights must lie in [0, 1]")
         if abs(math.fsum(self.probs) - 1.0) > _NORM_TOL:
             raise ValueError("weights must sum to one")
-        for ln in (self.ln_probs, self.ln_complements):
-            if ln is not None and len(ln) != len(self.probs):
-                raise ValueError("log columns must align with the weights")
+        if self.ln_probs is not None and len(self.ln_probs) != len(self.probs):
+            raise ValueError("log weights must align with the weights")
         covered: set = set()
         for member in self.members:
             if not covered.isdisjoint(member.constituents):
@@ -104,44 +100,31 @@ class MessagePartition:
         if self.ln_probs is None:
             object.__setattr__(self, "ln_probs", tuple(
                 -math.inf if x == 0.0 else math.log(x) for x in self.probs))
-        if self.ln_complements is None:
-            object.__setattr__(self, "ln_complements", tuple(
-                -math.inf if x == 1.0 else math.log1p(-x) for x in self.probs))
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    @classmethod
-    def from_probs(cls, probs: Sequence[float]) -> "MessagePartition":
-        """Synthetic partition given by weights alone (no sentences)."""
-        return cls((), tuple(float(x) for x in probs))
 
     @classmethod
     def from_model(cls, model: InductiveModel) -> "MessagePartition":
         """The hypothesis partition of the model's sub-language.
 
         Incompatible hypotheses keep weight zero; compatible ones get the
-        posterior of their width class, with complements summed over the
-        remaining hypotheses in log space.
+        posterior of their width class.
         """
         sl = model.sublang
         need = set(range(model.summary.c))
-        by_width: dict[int, tuple[float, float, float]] = {}
+        by_width: dict[int, tuple[float, float]] = {}
         members = []
         columns = []
         for constituent in sl.all_constituents():
             members.append(sl.sentence([constituent]))
             if not need <= constituent.kinds:
-                columns.append((0.0, -math.inf, 0.0))
+                columns.append((0.0, -math.inf))
                 continue
             w = constituent.width
             if w not in by_width:
                 ln_p = model.ln_probability({w: 1})
-                ln_c = model.ln_probability(model.complement_width_counts({w: 1}))
-                by_width[w] = (math.exp(ln_p), ln_p, ln_c)
+                by_width[w] = (math.exp(ln_p), ln_p)
             columns.append(by_width[w])
-        probs, lns, lcs = zip(*columns)
-        return cls(tuple(members), probs, lns, lcs)
+        probs, lns = zip(*columns)
+        return cls(tuple(members), probs, lns)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,20 +135,16 @@ class ContEntropy:
     normalized: ExtremeReal
     members: int
 
-    @property
-    def normalized_float(self) -> float:
-        return self.normalized.to_float()
-
     def as_json(self) -> dict:
         return {
             "raw": self.raw.as_json(),
             "normalized": self.normalized.as_json(),
-            "normalized_float": self.normalized_float,
+            "normalized_float": self.normalized.to_float(),
             "members": self.members,
         }
 
 
-def cont_entropy(partition: MessagePartition,
+def cont_entropy(model: InductiveModel,
                  sig: UniverseSignature) -> ContEntropy:
     """Expected content sum p_i * (1 - p_i), raw copy scaled by 2^(p x e).
 
@@ -173,18 +152,24 @@ def cont_entropy(partition: MessagePartition,
     returned as ExtremeReal because real sources push the sum far below the
     smallest positive float.
     """
-    terms = [ExtremeReal.from_ln(ln_p + ln_c)
-             for ln_p, ln_c in zip(partition.ln_probs, partition.ln_complements)
-             if ln_p != -math.inf and ln_c != -math.inf]
-    normalized = xsum(terms) if terms else ExtremeReal.zero()
+    terms = []
+    for cl in model.width_classes:
+        ln_p = model.ln_probability({cl.width: 1})
+        if ln_p < _LN_HALF:
+            ln_c = math.log1p(-math.exp(ln_p))
+        else:  # two hypotheses at most, since p <= 1 / size
+            ln_c = model.ln_probability(
+                model.complement_width_counts({cl.width: 1}))
+        if ln_c != -math.inf:
+            terms.append(ExtremeReal.from_ln(math.log(cl.size) + ln_p + ln_c))
+    normalized = xsum(terms)
     raw = normalized * ExtremeReal.from_log2(float(sig.volume_exponent))
-    return ContEntropy(raw=raw, normalized=normalized, members=len(partition))
+    return ContEntropy(raw=raw, normalized=normalized,
+                       members=2 ** model.big_k - 1)
 
 
-def scale_entropies(normalized_values: Sequence) -> dict:
+def scale_entropies(values: Sequence[ExtremeReal]) -> dict:
     """Each value divided by the column minimum and maximum, in log space."""
-    values = [v if isinstance(v, ExtremeReal) else ExtremeReal.from_float(v)
-              for v in normalized_values]
     if not values:
         raise ValueError("need at least one value to scale")
     if any(v.is_zero or v.sign < 0 for v in values):
@@ -277,7 +262,7 @@ def _expected_pair_content(joint: JointMessageDistribution,
             contrib = content(s, r, joint.model)
             if not contrib.is_zero:
                 terms.append(ExtremeReal.from_float(p) * contrib)
-    total = xsum(terms) if terms else ExtremeReal.zero()
+    total = xsum(terms)
     return total * ExtremeReal.from_log2(float(sig.volume_exponent))
 
 

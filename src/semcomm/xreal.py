@@ -109,12 +109,10 @@ class ExtremeReal:
     def to_float(self) -> float:
         if self.sign == 0:
             return 0.0
-        ln = self.ln_mag
-        if ln > 709.0:
+        try:
+            return self.sign * math.exp(self.ln_mag)
+        except OverflowError:
             return math.inf * self.sign
-        if ln < -745.0:
-            return 0.0 * self.sign
-        return self.sign * math.exp(ln)
 
     def as_json(self) -> dict:
         return {"sign": self.sign, "log10_mag": None if self.sign == 0 else self.log10_mag}

@@ -201,13 +201,13 @@ def test_content_measure_chain_identity():
         model = random_model(random.Random(seed))
         part = MessagePartition.from_model(model)
         sig = UniverseSignature(3, 5)
-        m = len(part)
+        m = len(part.members)
         joint = [[part.probs[i] if i == j else 0.0 for j in range(m)]
                  for i in range(m)]
         jd = JointMessageDistribution.from_matrix(part.members, part.members,
                                                   joint, model)
         mi = mutual_cont_information(jd, sig)
-        ce = cont_entropy(part, sig)
+        ce = cont_entropy(model, sig)
         if ce.raw.is_zero:
             assert mi.is_zero
         else:

@@ -9,7 +9,9 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from semcomm import sublang
 from semcomm.cli import main
+from semcomm.measures import MessagePartition
 
 from conftest import DATA_DIR
 
@@ -401,6 +403,9 @@ def test_bad_evidence_file_is_one_error_line(runner, tmp_path, command,
     {"stories": ["x"]},
     {"items": []},
     {"stories": [{"id": "a", "evidence": "a.fol"}]},
+    # a repeated id would overwrite the first story's output files
+    {"stories": [{"id": "a", "text": "a.txt", "evidence": "a.fol"},
+                 {"id": "a", "text": "b.txt", "evidence": "b.fol"}]},
 ])
 def test_malformed_manifest_is_usage_error(runner, tiny_corpus, command,
                                            manifest):
@@ -489,3 +494,56 @@ def test_out_directory_is_usage_error(runner, evidence_file, tmp_path,
     res = runner.invoke(main, [command, target, "--out", str(outdir)])
     assert "Error:" in _one_error_line(res, code=2)
     assert list(outdir.iterdir()) == []
+
+
+def _one_story_manifest(root, observations):
+    root.mkdir()
+    manifest = {"stories": [{
+        "id": "s", "text": str(DATA_DIR / "story1.txt"),
+        "evidence": str(DATA_DIR / "story1.fol"),
+        "observations": observations}]}
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return root
+
+
+@pytest.mark.parametrize("exponent", [8, 9])
+def test_huge_evidence_volume_reports(runner, tmp_path, exponent):
+    corpus = _one_story_manifest(tmp_path / "corpus", 10 ** exponent)
+    res = runner.invoke(main, ["analyze", str(corpus)])
+    assert res.exit_code == 0, res.output
+    assert "most informative:  s" in res.output
+
+
+@pytest.mark.parametrize("exponent", [20, 300])
+def test_volume_past_float_precision_is_one_error_line(runner, tmp_path,
+                                                       exponent):
+    # the posterior's width classes no longer sum to one
+    corpus = _one_story_manifest(tmp_path / "corpus", 10 ** exponent)
+    line = _one_error_line(runner.invoke(main, ["analyze", str(corpus)]))
+    assert f"{10 ** exponent} observations" in line
+
+
+def test_repeated_file_stem_is_usage_error(runner, evidence_file, tmp_path):
+    other = tmp_path / "other"
+    other.mkdir()
+    twin = other / evidence_file.name
+    twin.write_text("Runs(Wren)\n!Stalls(Wren)\nIdles(Coot)\n")
+    out = tmp_path / "reports"
+    res = runner.invoke(main, ["analyze", str(evidence_file), str(twin),
+                               "--out", str(out)])
+    assert "'harbor'" in _one_error_line(res, code=2)
+    assert not out.exists()
+
+
+def test_analyze_enumerates_no_hypotheses(runner, monkeypatch, tmp_path):
+    # the entropies sum over width classes; only lossy lists hypotheses
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze enumerated the hypotheses")
+
+    monkeypatch.setattr(sublang, "enumerate_constituents", refuse)
+    monkeypatch.setattr(sublang.SubLanguage, "upset", refuse)
+    monkeypatch.setattr(MessagePartition, "from_model", refuse)
+    res = runner.invoke(main, ["analyze", str(DATA_DIR),
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "summary.csv").is_file()

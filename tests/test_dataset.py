@@ -170,13 +170,19 @@ def test_story_paths_are_paths():
 
 
 # malformed shapes: a bare string entry, no "stories" list, an entry that
-# names no text file, and a count that is no number
+# names no text file, a count that is no number, and an id used twice
+# (also when one is the default id of its position)
 @pytest.mark.parametrize("manifest, names", [
     ({"stories": ["x"]}, "entry 1"),
     ({"items": []}, '"stories"'),
     ([{"id": "a", "evidence": "a.fol"}], "entry a"),
     ([{"id": "a", "text": "a.txt", "evidence": "a.fol",
        "observations": [40]}], "entry a"),
+    ([{"id": "a", "text": "a.txt", "evidence": "a.fol"}] * 2,
+     "'a' is repeated"),
+    ([{"text": "a.txt", "evidence": "a.fol"},
+      {"id": "story1", "text": "a.txt", "evidence": "a.fol"}],
+     "'story1' is repeated"),
 ])
 def test_manifest_malformed_is_value_error(tmp_path, manifest, names):
     root = _write_corpus(tmp_path / "d", manifest,

@@ -21,6 +21,7 @@ from semcomm.inductive import (InductiveModel, InductiveParams, _WidthTable,
                                constituent_posterior, constituent_prior,
                                pac_error, pac_sample_bound,
                                predictive_probability)
+from semcomm.measures import UniverseSignature, cont_entropy, inf_entropy
 from semcomm.sublang import (Constituent, EvidenceSummary, SubLanguageConfig,
                              build_sublanguage)
 from semcomm.xreal import xsum
@@ -310,9 +311,14 @@ def test_large_k_class_mass_stays_finite():
     assert sl.big_k == 1100
     model = InductiveModel(sl)
     by_width = [math.exp(model.ln_probability({cl.width: cl.size}))
-                for cl in model._table.classes]
+                for cl in model.width_classes]
     assert len(by_width) == 1099
     assert math.fsum(by_width) == pytest.approx(1.0, abs=1e-12)
+    # and so do the entropies over the 2^1100 - 1 hypotheses
+    ce = cont_entropy(model, UniverseSignature(2, 3))
+    assert not ce.normalized.is_zero and ce.normalized.ln_mag < 1e-12
+    assert math.isfinite(ce.raw.ln_mag)
+    assert 0.0 < inf_entropy(model) < 1100.0
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())

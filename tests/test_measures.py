@@ -1,13 +1,17 @@
 """Content and surprise measures: identities, bounds, brute-force oracles."""
 
+import io
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semcomm.inductive import InductiveParams
+from semcomm.dataset import load_evidence, load_manifest
+from semcomm.fol import parse_evidence
+from semcomm.inductive import CONSTANT, InductiveModel, InductiveParams
 from semcomm.measures import (JointMessageDistribution,
                               MessagePartition, UniverseSignature, cond_cont,
                               cond_cont_entropy, cont, cont_entropy,
@@ -15,9 +19,11 @@ from semcomm.measures import (JointMessageDistribution,
                               is_inductively_independent, is_l_exclusive,
                               mutual_cont_information, scale_entropies,
                               transcont)
-from semcomm.xreal import ExtremeReal
+from semcomm.sublang import (EvidenceSummary, SubLanguageConfig,
+                             build_sublanguage)
+from semcomm.xreal import ExtremeReal, xsum
 
-from conftest import random_model
+from conftest import DATA_DIR, random_model
 
 
 def _random_sentence(rnd, model):
@@ -35,11 +41,18 @@ def test_point_measures():
         inf_measure(-0.1)
 
 
+def _prior_model(big_k):
+    # empty evidence under alpha = 0: every hypothesis weighs 1 / (2^K - 1)
+    ev = parse_evidence(io.StringIO("Runs(Wren)\n"))
+    sl = build_sublanguage(ev, SubLanguageConfig(slack=big_k - 1))
+    return InductiveModel(sl, InductiveParams(),
+                          EvidenceSummary(0, 0, (), sl.big_k))
+
+
 def test_inf_entropy_uniform():
-    assert inf_entropy([0.25] * 4) == pytest.approx(2.0, abs=1e-15)
-    assert inf_entropy([1.0]) == 0.0
-    with pytest.raises(ValueError):
-        inf_entropy([0.5, 0.6])
+    for big_k in (1, 2, 5, 12, 60, 1100):
+        assert inf_entropy(_prior_model(big_k)) == pytest.approx(
+            math.log2(2 ** big_k - 1), rel=1e-13)
 
 
 def test_chain_identity_exact(rng):
@@ -132,22 +145,24 @@ def test_partition_validation():
 def test_cont_entropy_bounds(rng):
     for _ in range(10):
         model = random_model(rng)
-        part = MessagePartition.from_model(model)
         sig = UniverseSignature(3, 4)
-        ce = cont_entropy(part, sig)
+        ce = cont_entropy(model, sig)
         norm = ce.normalized.to_float()
-        members = len(part)
-        assert 0.0 <= norm <= 1.0 - 1.0 / members + 1e-12
+        assert ce.members == 2 ** model.big_k - 1
+        assert 0.0 <= norm <= 1.0 - 1.0 / ce.members + 1e-12
         # raw is the normalized value scaled by the state-space volume
         want_ln = ce.normalized.ln_mag + sig.volume_exponent * math.log(2.0)
         if not ce.normalized.is_zero:
             assert ce.raw.ln_mag == pytest.approx(want_ln, abs=1e-9)
 
 
-def test_cont_entropy_degenerate_zero():
-    part = MessagePartition.from_probs([1.0, 0.0, 0.0])
-    ce = cont_entropy(part, UniverseSignature(2, 2))
-    assert ce.normalized.is_zero and ce.raw.is_zero
+def test_cont_entropy_degenerate_zero(rng):
+    # without slack only the exact-evidence hypothesis is compatible
+    for _ in range(5):
+        model = random_model(rng, slack=0)
+        ce = cont_entropy(model, UniverseSignature(2, 2))
+        assert ce.normalized.is_zero and ce.raw.is_zero
+        assert inf_entropy(model) == 0.0
 
 
 @pytest.mark.parametrize("probs", [
@@ -157,24 +172,72 @@ def test_cont_entropy_degenerate_zero():
     (1e-300, 0.3, 0.7),
     (0.1,) * 10,
 ])
-def test_cont_entropy_direct_partition_matches_from_probs(probs):
-    # a partition built directly derives its log columns from the weights,
-    # exactly as from_probs does
-    sig = UniverseSignature(3, 5)
+def test_partition_derives_ln_probs_from_weights(probs):
     direct = MessagePartition((), probs)
     assert direct.ln_probs == tuple(
         -math.inf if p == 0.0 else math.log(p) for p in probs)
-    assert direct.ln_complements == tuple(
-        -math.inf if p == 1.0 else math.log1p(-p) for p in probs)
-    assert (cont_entropy(direct, sig)
-            == cont_entropy(MessagePartition.from_probs(probs), sig))
 
 
 def test_cont_entropy_uniform_peak():
-    m = 8
-    part = MessagePartition.from_probs([1.0 / m] * m)
-    ce = cont_entropy(part, UniverseSignature(0, 0))
-    assert ce.normalized.to_float() == pytest.approx(1.0 - 1.0 / m, rel=1e-12)
+    for big_k in (2, 3, 12, 60, 1100):
+        members = 2 ** big_k - 1
+        ce = cont_entropy(_prior_model(big_k), UniverseSignature(0, 0))
+        assert ce.normalized.to_float() == pytest.approx(
+            (members - 1) / members, rel=1e-12)
+
+
+def _enumerated_entropies(model):
+    # The oracle: one term per hypothesis of the enumerated partition, with
+    # each complement summed directly over all the other hypotheses.
+    ln_ps = [ln for ln in MessagePartition.from_model(model).ln_probs
+             if ln != -math.inf]
+    before = [-math.inf]  # mass of the hypotheses ahead of each one
+    for ln in ln_ps[:-1]:
+        before.append(float(np.logaddexp(before[-1], ln)))
+    after = [-math.inf]  # and of those behind it
+    for ln in reversed(ln_ps[1:]):
+        after.append(float(np.logaddexp(after[-1], ln)))
+    after.reverse()
+    cont_terms = [ExtremeReal.from_ln(ln + float(np.logaddexp(b, a)))
+                  for ln, b, a in zip(ln_ps, before, after)]
+    normalized = xsum(cont_terms)
+    bits = math.fsum(-math.exp(ln) * ln for ln in ln_ps) / math.log(2.0)
+    return normalized, bits
+
+
+def _assert_matches_oracle(model, sig):
+    ce = cont_entropy(model, sig)
+    want, bits = _enumerated_entropies(model)
+    assert ce.members == 2 ** model.big_k - 1
+    if want.is_zero:
+        assert ce.normalized.is_zero
+    else:
+        # ln differences are relative differences of the values
+        assert abs(ce.normalized.ln_mag - want.ln_mag) <= 1e-10
+    assert inf_entropy(model) == pytest.approx(bits, rel=1e-10, abs=1e-300)
+
+
+_PARAMS = [InductiveParams(alpha=alpha) for alpha in (0.0, 0.5)] + [
+    InductiveParams(lambda_policy=CONSTANT, lambda_value=lam, alpha=alpha)
+    for lam in (2.0, math.inf) for alpha in (0.0, 0.5)]
+
+
+def test_width_route_matches_enumeration(rng):
+    for _ in range(20):
+        model = random_model(rng, params=rng.choice(_PARAMS))
+        _assert_matches_oracle(model, UniverseSignature(3, 4))
+
+
+@pytest.mark.parametrize("slack", [1, 2, 3])
+def test_width_route_matches_enumeration_on_stories(slack):
+    # the volumes the manifest declares, as analyze uses them
+    for story in load_manifest(DATA_DIR):
+        ev, _ = load_evidence(story.evidence_path, story.observations)
+        sl = build_sublanguage(ev, SubLanguageConfig(slack=slack))
+        summary = sl.summary.scaled_to(story.observations)
+        sig = UniverseSignature(len(ev.predicates), len(ev.entities))
+        for params in _PARAMS:
+            _assert_matches_oracle(InductiveModel(sl, params, summary), sig)
 
 
 def test_diagonal_joint_recovers_cont_entropy(rng):
@@ -183,13 +246,13 @@ def test_diagonal_joint_recovers_cont_entropy(rng):
         model = random_model(rng)
         part = MessagePartition.from_model(model)
         sig = UniverseSignature(2, 3)
-        n = len(part)
+        n = len(part.members)
         joint = [[part.probs[i] if i == j else 0.0 for j in range(n)]
                  for i in range(n)]
         jd = JointMessageDistribution.from_matrix(part.members, part.members,
                                                  joint, model)
         mi = mutual_cont_information(jd, sig)
-        ce = cont_entropy(part, sig)
+        ce = cont_entropy(model, sig)
         if ce.raw.is_zero:
             assert mi.is_zero
         else:
@@ -201,7 +264,7 @@ def test_joint_chain_entropy(rng):
     model = random_model(rng, slack=1)
     part = MessagePartition.from_model(model)
     sig = UniverseSignature(2, 2)
-    n = len(part)
+    n = len(part.members)
     rnd = random.Random(9)
     weights = [[rnd.random() * part.probs[i] for _ in range(n)]
                for i in range(n)]

@@ -15,7 +15,7 @@ finite = st.floats(min_value=-3.4e4, max_value=3.4e4,
 
 
 def test_float_round_trip():
-    for x in (1.0, -2.5, 1e-300, 7.25e250, -3.0e-7):
+    for x in (1.0, -2.5, 1e-300, 7.25e250, -3.0e-7, 1e308, -1.7e308, 5e-324):
         assert ExtremeReal.from_float(x).to_float() == pytest.approx(x, rel=1e-12)
     assert ExtremeReal.from_float(0.0).is_zero
     assert ExtremeReal.zero().to_float() == 0.0
