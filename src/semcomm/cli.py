@@ -240,11 +240,11 @@ def analyze(ctx, paths, slack, lam, alpha, out):
 
 def _compress_one(ev: EvidenceSet, text: bytes | None) -> tuple[bytes, dict]:
     blob, report = lossless_encode_report(ev)
-    decoded = lossless_decode(blob)
-    if decoded.normalized_text() != ev.normalized_text():
+    normalized = ev.normalized_text()
+    if lossless_decode(blob).normalized_text() != normalized:
         raise click.ClickException(
             "round-trip audit failed: decoded statements differ from input")
-    fol = ev.normalized_text().encode()
+    fol = normalized.encode()
     if text is None:
         baseline_bytes, baseline_source = fol, "normalized-evidence"
     else:

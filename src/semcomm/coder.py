@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from ._coder_py import (BACKEND, MAX_TOTAL, AdaptiveModel, RangeDecoder,
-                        RangeEncoder, decode_block_adaptive, decode_run,
-                        encode_block_adaptive, encode_run, ideal_bits)
+                        RangeEncoder, coded_bits, decode_block_adaptive,
+                        decode_run, encode_block_adaptive, encode_run,
+                        ideal_bits)
 
 __all__ = ["MAX_TOTAL", "AdaptiveModel", "RangeDecoder", "RangeEncoder",
-           "decode_block_adaptive", "decode_run", "encode_block_adaptive",
-           "encode_run", "ideal_bits", "get_backend_name"]
+           "coded_bits", "decode_block_adaptive", "decode_run",
+           "encode_block_adaptive", "encode_run", "ideal_bits",
+           "get_backend_name"]
 
 
 def get_backend_name() -> str:

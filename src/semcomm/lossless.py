@@ -11,9 +11,11 @@ kernel pair, ``coder.encode_run``/``decode_run``, codes every section as
 runs over a cycle of models: a name is a one-symbol length run, then a
 byte run; the tuple fields are one run over the four field models (decoded
 in chunks of rows); the statement stream, through
-``encode_block_adaptive``, is a run under one model, and so is the
-baseline, a character-level coding of the raw bytes.  The ideal section
-lengths in the report come from ``coder.ideal_bits``, per model column.
+``encode_block_adaptive``, is a run under one model.  The byte-level
+baseline is the length of such a run over the raw bytes, which
+``coder.coded_bits`` measures from the coder's interval alone, writing no
+bits.  The ideal section lengths in the report come from
+``coder.ideal_bits``, per model column.
 
 Container layout (all integers unsigned LEB128 varints):
 
@@ -35,6 +37,7 @@ from .coder import (
     AdaptiveModel,
     RangeDecoder,
     RangeEncoder,
+    coded_bits,
     decode_block_adaptive,
     decode_run,
     encode_block_adaptive,
@@ -278,12 +281,9 @@ def _decode_tuples(dec: RangeDecoder, vocab: Vocabulary, pred_names: list,
 
 
 def shannon_baseline(text: bytes) -> int:
-    """Measured bits of the order-0 adaptive byte-level coding of the text."""
-    if not text:
-        return 0
-    enc = RangeEncoder()
-    encode_block_adaptive(text, 256, enc)
-    return len(enc.finish()) * 8
+    """Bits of the order-0 adaptive byte-level coding of the text, as
+    ``coder.coded_bits`` measures them without writing the stream."""
+    return coded_bits(text, 256) if text else 0
 
 
 def gzip_bits(text: bytes) -> int:

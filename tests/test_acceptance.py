@@ -283,6 +283,19 @@ def test_dataset_compression_windows(tmp_path):
         assert shannon / semantic >= 0.8 * 8.35, row
 
 
+# the exact byte-level baseline of each story, 8 * len(finish()) of a
+# written coding of its narrative; a drift of even one byte shows here
+_SHANNON_BITS_EXACT = (11840, 12768, 13112, 12616, 9016, 12016, 12320)
+
+
+def test_dataset_shannon_bits_exact(tmp_path):
+    out = tmp_path / "packed"
+    res = CliRunner().invoke(main, ["compress", str(DATA_DIR), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    lines = (out / "compression.csv").read_text().strip().splitlines()
+    assert tuple(int(line.split(",")[2]) for line in lines[1:]) == _SHANNON_BITS_EXACT
+
+
 # --- 7. codec round trips ----------------------------------------------
 
 
