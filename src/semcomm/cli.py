@@ -399,9 +399,13 @@ def lossy(evidence, slack, lam, alpha, betas, dstar, out):
                           beta_grid=grid)
     except ValueError as exc:  # a negative or non-finite beta or floor
         raise click.UsageError(str(exc))
+    if dstar is not None and out is not None:
+        raise click.UsageError("--out names the sweep's CSV, and --dstar "
+                               "reports one point without a sweep")
 
     ev, _ = load_evidence(evidence)
     sl = build_sublanguage(ev, SubLanguageConfig(slack=slack))
+    log.debug("sub-language: K=%d, c=%d", sl.big_k, sl.summary.c)
     model = InductiveModel(sl, params)
     source = MessagePartition.from_model(model)
     receiver = receiver_prior(sl, params)

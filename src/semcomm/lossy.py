@@ -32,7 +32,9 @@ moving any argmin, so the optimizer never materializes it.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,8 @@ from .errors import InfeasibleTargetError
 from .inductive import InductiveModel
 from .measures import MessagePartition, cont_sentence
 from .sublang import EvidenceSummary, Sentence
+
+log = logging.getLogger("semcomm.lossy")
 
 _LN2 = math.log(2.0)
 _MONOTONE_SLACK = 1e-9
@@ -103,10 +107,26 @@ def payoff_matrix(source: MessagePartition, alphabet: list[Sentence],
         raise ValueError("reconstruction alphabet must be non-empty")
     if not source.members:
         raise ValueError("source partition carries no message sentences")
-    gains = [cont_sentence(recon, model) for recon in alphabet]
-    return np.array([[gain if msg.constituents <= recon.constituents else 0.0
-                      for recon, gain in zip(alphabet, gains)]
-                     for msg in source.members])
+    gains = np.array([cont_sentence(recon, model) for recon in alphabet])
+    # members are disjoint, so each constituent has at most one owner, and
+    # a reconstruction entails a member once it holds all of the member's
+    # constituents; a member with none is entailed by every reconstruction
+    owner = {con: i for i, msg in enumerate(source.members)
+             for con in msg.constituents}
+    size = [len(msg.constituents) for msg in source.members]
+    always = [i for i, n in enumerate(size) if n == 0]
+    rows: list[int] = []
+    per_recon = []
+    for recon in alphabet:
+        held = Counter(map(owner.get, recon.constituents))
+        held.pop(None, None)
+        entailed = [i for i, n in held.items() if n == size[i]] + always
+        rows += entailed
+        per_recon.append(len(entailed))
+    cols = np.repeat(np.arange(len(alphabet)), per_recon)
+    out = np.zeros((len(source.members), len(alphabet)))
+    out[rows, cols] = gains[cols]
+    return out
 
 
 def _mutual_bits(ln_p: np.ndarray, ln_cond: np.ndarray,
@@ -122,27 +142,38 @@ def _mutual_bits(ln_p: np.ndarray, ln_cond: np.ndarray,
     return rate, float((w * payoff).sum()), ln_q
 
 
-def _ba_point(ln_p: np.ndarray, payoff: np.ndarray, beta: float,
-              max_iters: int, tol: float) -> RDPoint:
-    # the lumped channel: weighted rows against the classes of equal
-    # columns, each class starting with the uniform mass of its members
+def _lump(ln_p: np.ndarray, payoff: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lumped channel that every multiplier of a sweep solves on.
+
+    Returns the weighted rows' log weights, one payoff column per class
+    of columns equal on those rows, and each class's log share of the
+    reconstructions, which is its mass under the uniform start.
+    """
     keep = ln_p > -np.inf
     columns, mult = np.unique(payoff[keep].T, axis=0, return_counts=True)
-    ln_pk = ln_p[keep]
-    lumped = columns.T
-    tilt = beta * _LN2 * lumped
-    ln_cond = np.broadcast_to(np.log(mult) - math.log(payoff.shape[1]),
-                              lumped.shape)
+    log.debug("lumped channel: %d weighted rows, %d reconstructions, "
+              "%d lumped columns", int(keep.sum()), payoff.shape[1], len(mult))
+    return ln_p[keep], columns.T, np.log(mult) - math.log(payoff.shape[1])
+
+
+def _ba_point(channel: tuple[np.ndarray, np.ndarray, np.ndarray], beta: float,
+              max_iters: int, tol: float) -> RDPoint:
+    ln_p, payoff, ln_start = channel
+    tilt = beta * _LN2 * payoff
     # each pass tilts the output marginal its predecessor measured the
     # rate on, so the marginal is reduced once per pass
-    ln_q = np.logaddexp.reduce(ln_pk[:, None] + ln_cond, axis=0)
+    ln_q = np.logaddexp.reduce(ln_p[:, None] + ln_start, axis=0)
     prev_rate = math.inf
     prev_obj = math.inf
     converged = False
     for iterations in range(1, max_iters + 1):
         ln_cond = ln_q[None, :] + tilt
-        ln_cond = ln_cond - np.logaddexp.reduce(ln_cond, axis=1)[:, None]
-        rate, mean_payoff, ln_q = _mutual_bits(ln_pk, ln_cond, lumped)
+        # the row normalizer folds each row in column order, as a reduce
+        # along axis 1 does, but down the rows of a contiguous transpose
+        ln_cond = ln_cond - np.logaddexp.reduce(
+            np.ascontiguousarray(ln_cond.T), axis=0)[:, None]
+        rate, mean_payoff, ln_q = _mutual_bits(ln_p, ln_cond, payoff)
         obj = rate - beta * mean_payoff
         if obj > prev_obj + _MONOTONE_SLACK:
             raise RuntimeError(f"objective increased from {prev_obj!r} to "
@@ -152,6 +183,11 @@ def _ba_point(ln_p: np.ndarray, payoff: np.ndarray, beta: float,
             converged = True
             break
         prev_rate = rate
+    log.debug("beta=%g: %d iterations, converged=%s, objective=%r",
+              beta, iterations, converged, obj)
+    if not converged:
+        log.warning("beta=%g stopped after %d passes without converging",
+                    beta, iterations)
     return RDPoint(rate, mean_payoff, beta, iterations, converged, obj)
 
 
@@ -180,7 +216,8 @@ def lossy_optimize(source: MessagePartition, reconstruction_alphabet: list[Sente
     cap_point = _argmax_point(np.array(source.probs), payoff)
     if cfg.d_star > cap_point.cont_info:
         raise InfeasibleTargetError(cfg.d_star, cap_point.cont_info)
-    candidates = [_ba_point(ln_p, payoff, beta, _MAX_ITERS, _TOL)
+    channel = _lump(ln_p, payoff)
+    candidates = [_ba_point(channel, beta, _MAX_ITERS, _TOL)
                   for beta in cfg.beta_grid]
     candidates.append(cap_point)
     feasible = [pt for pt in candidates if pt.cont_info >= cfg.d_star]
@@ -197,7 +234,8 @@ def rd_sweep(source: MessagePartition, alphabet: list[Sentence],
     """
     ln_p = np.array(source.ln_probs)
     payoff = payoff_matrix(source, alphabet, model)
-    points = [_ba_point(ln_p, payoff, beta, _MAX_ITERS, _TOL)
+    channel = _lump(ln_p, payoff)
+    points = [_ba_point(channel, beta, _MAX_ITERS, _TOL)
               for beta in cfg.beta_grid]
     points.sort(key=lambda pt: (pt.rate_bits, -pt.cont_info, pt.beta))
     frontier: list[RDPoint] = []

@@ -114,7 +114,7 @@ class MessagePartition:
         members = []
         columns = []
         for constituent in sl.all_constituents():
-            members.append(sl.sentence([constituent]))
+            members.append(Sentence(sl.token, frozenset((constituent,))))
             if not need <= constituent.kinds:
                 columns.append((0.0, -math.inf))
                 continue

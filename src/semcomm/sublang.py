@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .errors import CapacityError, DomainMismatchError, InconsistentEvidenceError
@@ -141,17 +142,24 @@ class SubLanguage:
     def upset(self, required_kinds: Iterable[int]) -> Sentence:
         """All constituents claiming at least the given kinds inhabited."""
         req = frozenset(required_kinds)
-        rest = [k for k in range(self.big_k) if k not in req]
-        members = []
-        for r in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, r):
-                kinds = req | frozenset(extra)
-                if kinds:
-                    members.append(Constituent(kinds))
-        return self.sentence(members)
+        if not all(0 <= k < self.big_k for k in req):
+            raise DomainMismatchError(f"kinds {sorted(req)} outside this sub-language")
+        # the cell masks holding req: req plus each subset of the other cells
+        masks = [sum(1 << k for k in req)]
+        for k in range(self.big_k):
+            if k not in req:
+                masks += [m | 1 << k for m in masks]
+        by_mask = self._constituents[1]
+        return Sentence(self.token, frozenset(by_mask[m] for m in masks if m))
 
     def all_constituents(self) -> list[Constituent]:
         return enumerate_constituents(self)
+
+    @cached_property
+    def _constituents(self) -> tuple[list[Constituent], list[Constituent | None]]:
+        # built on first use and shared by every caller: the constituents
+        # in enumeration order, and the same objects indexed by cell mask
+        return _constituent_table(self.big_k)
 
     def negate(self, s: Sentence) -> Sentence:
         if s.sublang_token != self.token:
@@ -212,13 +220,25 @@ def build_sublanguage(ev: EvidenceSet, config: SubLanguageConfig | None = None) 
 
 
 def enumerate_constituents(sl: SubLanguage) -> list[Constituent]:
-    """Every constituent, ordered by (width, lexicographic cell tuple)."""
-    if sl.big_k > _MAX_ENUM_K:
+    """Every constituent, ordered by (width, lexicographic cell tuple).
+
+    The objects are the sub-language's own, shared with ``upset``.
+    """
+    return list(sl._constituents[0])
+
+
+def _constituent_table(big_k: int) -> tuple[list[Constituent], list[Constituent | None]]:
+    if big_k > _MAX_ENUM_K:
         raise CapacityError(
-            f"K={sl.big_k} exceeds the enumeration cap {_MAX_ENUM_K}"
+            f"K={big_k} exceeds the enumeration cap {_MAX_ENUM_K}"
         )
-    out = []
-    for width in range(1, sl.big_k + 1):
-        for kinds in itertools.combinations(range(sl.big_k), width):
-            out.append(Constituent(frozenset(kinds)))
-    return out
+    ordered = []
+    by_mask: list[Constituent | None] = [None] * (1 << big_k)
+    bits = [1 << k for k in range(big_k)]
+    for width in range(1, big_k + 1):
+        for kinds, mask in zip(itertools.combinations(range(big_k), width),
+                               itertools.combinations(bits, width)):
+            con = Constituent(frozenset(kinds))
+            ordered.append(con)
+            by_mask[sum(mask)] = con
+    return ordered, by_mask

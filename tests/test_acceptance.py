@@ -23,8 +23,8 @@ from semcomm.fol import parse_evidence
 from semcomm.inductive import (InductiveModel, InductiveParams,
                                constituent_posterior, constituent_prior,
                                pac_error, pac_sample_bound)
-from semcomm.lossy import (LossyConfig, _ba_point, candidate_reconstructions,
-                           rd_sweep, receiver_prior)
+from semcomm.lossy import (LossyConfig, _ba_point, _lump,
+                           candidate_reconstructions, rd_sweep, receiver_prior)
 from semcomm.measures import (JointMessageDistribution, MessagePartition,
                               UniverseSignature, cond_cont, cont_entropy,
                               cont_sentence, mutual_cont_information,
@@ -341,7 +341,7 @@ def test_lossy_matches_grid_and_frontier():
     rate, mean = _channel_stats_2x2(p, payoff, a, b)
     for beta in (0.0, 0.5, 1.0, 2.0, 4.0):
         best = float((rate - beta * mean).min())
-        point = _ba_point(np.log(p), payoff, beta, 3000, 1e-13)
+        point = _ba_point(_lump(np.log(p), payoff), beta, 3000, 1e-13)
         got = point.rate_bits - beta * point.cont_info
         assert abs(got - best) <= 1e-3, beta
 
@@ -359,7 +359,7 @@ def test_lossy_matches_grid_and_frontier():
     for beta in (0.0, 1.0, 2.0, 3.0):
         inner = q @ np.exp2(beta * payoff3).T
         best = float((-(p3[None, :] * np.log2(inner)).sum(axis=1)).min())
-        point = _ba_point(np.log(p3), payoff3, beta, 4000, 1e-13)
+        point = _ba_point(_lump(np.log(p3), payoff3), beta, 4000, 1e-13)
         got = point.rate_bits - beta * point.cont_info
         assert abs(got - best) <= 1e-3, beta
 

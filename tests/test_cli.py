@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from semcomm import lossy as lossy_module
 from semcomm import sublang
 from semcomm.cli import main
 from semcomm.measures import MessagePartition
@@ -305,6 +307,44 @@ def test_lossy_infeasible_target(runner, evidence_file):
     assert "infeasible" in res.output
 
 
+def test_lossy_target_with_out_is_usage_error(runner, evidence_file, tmp_path):
+    # the target mode writes no CSV, so an --out beside it would be ignored
+    out = tmp_path / "curve.csv"
+    res = runner.invoke(main, ["lossy", str(evidence_file), "--slack", "1",
+                               "--dstar", "0.05", "--out", str(out)])
+    assert "--dstar" in _one_error_line(res, code=2)
+    assert not out.exists()
+
+
+def test_lossy_debug_log_explains_the_run(runner, evidence_file, tmp_path,
+                                          caplog, monkeypatch):
+    caplog.set_level(logging.DEBUG, logger="semcomm")
+    args = ["lossy", str(evidence_file), "--slack", "1", "--betas", "0,4",
+            "--out", str(tmp_path / "curve.csv")]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    messages = [r.getMessage() for r in caplog.records]
+    assert "sub-language: K=4, c=3" in messages
+    assert ("lumped channel: 2 weighted rows, 16 reconstructions, "
+            "8 lumped columns") in messages
+    points = [m for m in messages if m.startswith("beta=")]
+    assert len(points) == 2
+    assert points[0].startswith("beta=0: ")
+    assert points[1].startswith("beta=4: ")
+    assert all("converged=True, objective=" in m for m in points)
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+    # a point that runs out of passes is reported, not silent
+    caplog.clear()
+    monkeypatch.setattr(lossy_module, "_MAX_ITERS", 1)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    warned = [r.getMessage() for r in caplog.records
+              if r.levelno == logging.WARNING]
+    assert warned == [f"beta={b} stopped after 1 passes without converging"
+                      for b in (0, 4)]
+
+
 # SHA-256 of the lossy CSV of each bundled story at --slack 1, 2, 3; stories
 # 1, 3, 4 and 6 share one frontier per slack, as do 2 and 5
 _FRONTIER_A = ("65bcb6493510eebc60b2e343bf5122ca030db6c80b6172ccbae4997fb1dfd9f4",
@@ -541,6 +581,7 @@ def test_analyze_enumerates_no_hypotheses(runner, monkeypatch, tmp_path):
         raise AssertionError("analyze enumerated the hypotheses")
 
     monkeypatch.setattr(sublang, "enumerate_constituents", refuse)
+    monkeypatch.setattr(sublang, "_constituent_table", refuse)
     monkeypatch.setattr(sublang.SubLanguage, "upset", refuse)
     monkeypatch.setattr(MessagePartition, "from_model", refuse)
     res = runner.invoke(main, ["analyze", str(DATA_DIR),

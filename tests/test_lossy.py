@@ -14,11 +14,11 @@ from semcomm.errors import InfeasibleTargetError
 from semcomm.fol import parse_evidence
 from semcomm.inductive import InductiveModel, InductiveParams, constituent_prior
 from semcomm.lossy import (LossyConfig, RDPoint, _argmax_point, _ba_point,
-                           candidate_reconstructions, content_cap,
+                           _lump, candidate_reconstructions, content_cap,
                            lossy_optimize, payoff_matrix, rd_sweep,
                            receiver_prior, relative_informativeness)
 from semcomm.measures import MessagePartition, cont_sentence
-from semcomm.sublang import SubLanguageConfig, build_sublanguage
+from semcomm.sublang import Constituent, SubLanguageConfig, build_sublanguage
 
 from conftest import DATA_DIR, random_evidence_text, random_model
 
@@ -53,7 +53,7 @@ def _grid_min_3(probs, payoff, beta, steps=30):
 def test_solver_matches_grid_two_by_two(beta):
     probs = np.array([0.35, 0.65])
     payoff = np.array([[1.0, 0.2], [0.1, 0.8]])
-    point = _ba_point(_ln_probs(probs), payoff, beta, 2000, 1e-12)
+    point = _ba_point(_lump(_ln_probs(probs), payoff), beta, 2000, 1e-12)
     got = point.rate_bits - beta * point.cont_info
     want = _grid_min_2(probs, payoff, beta)
     assert abs(got - want) <= 1e-3
@@ -64,7 +64,7 @@ def test_solver_matches_grid_three_by_three(beta):
     rnd = np.random.default_rng(17)
     probs = np.array([0.5, 0.3, 0.2])
     payoff = rnd.uniform(0.0, 1.0, size=(3, 3))
-    point = _ba_point(_ln_probs(probs), payoff, beta, 4000, 1e-13)
+    point = _ba_point(_lump(_ln_probs(probs), payoff), beta, 4000, 1e-13)
     got = point.rate_bits - beta * point.cont_info
     want = _grid_min_3(probs, payoff, beta)
     assert abs(got - want) <= 1e-3
@@ -73,7 +73,7 @@ def test_solver_matches_grid_three_by_three(beta):
 def test_zero_beta_spends_no_rate():
     probs = np.array([0.25, 0.25, 0.5])
     payoff = np.random.default_rng(2).uniform(size=(3, 4))
-    point = _ba_point(_ln_probs(probs), payoff, 0.0, 500, 1e-12)
+    point = _ba_point(_lump(_ln_probs(probs), payoff), 0.0, 500, 1e-12)
     assert point.rate_bits <= 1e-9
 
 
@@ -86,7 +86,7 @@ def test_rising_objective_is_an_error(monkeypatch):
     probs = np.array([0.4, 0.6])
     payoff = np.array([[0.9, 0.3], [0.2, 0.7]])
     with pytest.raises(RuntimeError, match="objective increased"):
-        _ba_point(_ln_probs(probs), payoff, 1.0, 50, 1e-12)
+        _ba_point(_lump(_ln_probs(probs), payoff), 1.0, 50, 1e-12)
 
 
 def _dense_mutual_bits(ln_p, ln_cond, payoff):
@@ -120,7 +120,7 @@ def _dense_ba(ln_p, payoff, beta, max_iters, tol):
 
 
 def _assert_matches_dense(ln_p, payoff, beta, max_iters=500, tol=1e-10):
-    point = _ba_point(ln_p, payoff, beta, max_iters, tol)
+    point = _ba_point(_lump(ln_p, payoff), beta, max_iters, tol)
     rate, info, iterations, converged = _dense_ba(ln_p, payoff, beta,
                                                   max_iters, tol)
     assert (point.iterations, point.converged) == (iterations, converged)
@@ -146,7 +146,7 @@ def test_lumped_solver_matches_dense_on_random_channels(seed):
     for beta in (0.0, 0.5, 2.0, 8.0, 64.0):
         _assert_matches_dense(_ln_probs(probs), payoff, beta)
     # a pass budget too small to settle is reported, not hidden
-    assert not _ba_point(_ln_probs(probs), payoff, 64.0, 1, 1e-10).converged
+    assert not _ba_point(_lump(_ln_probs(probs), payoff), 64.0, 1, 1e-10).converged
 
 
 @pytest.mark.parametrize("story, slack", [("story1", 4), ("story3", 3),
@@ -230,6 +230,53 @@ def test_payoff_entailment_mask():
                 assert payoff[i, j] == pytest.approx(want, abs=1e-12)
             else:
                 assert payoff[i, j] == 0.0
+
+
+def _subset_payoff(source, alphabet, model):
+    """The payoff by its formula: one subset test per pair (the oracle)."""
+    return np.array([[cont_sentence(recon, model)
+                      if msg.constituents <= recon.constituents else 0.0
+                      for recon in alphabet] for msg in source.members])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_payoff_matrix_matches_subset_formula(seed):
+    rnd = random.Random(seed)
+    ev = parse_evidence(io.StringIO(random_evidence_text(rnd, max_ents=5)))
+    sl = build_sublanguage(ev, SubLanguageConfig(slack=rnd.randint(0, 2)))
+    assert sl.big_k <= 7
+    model = InductiveModel(sl)
+    source = MessagePartition.from_model(model)
+    receiver = receiver_prior(sl)
+    alphabet = candidate_reconstructions(model)
+    assert np.array_equal(payoff_matrix(source, alphabet, receiver),
+                          _subset_payoff(source, alphabet, receiver))
+
+
+def test_payoff_matrix_on_hand_built_partitions():
+    # members holding no, one or several constituents, and reconstructions
+    # built from equal but distinct constituent objects
+    sl = build_sublanguage(parse_evidence(DATA_DIR / "story7.fol"),
+                           SubLanguageConfig(slack=1))
+    cons = sl.all_constituents()
+    assert len(cons) >= 15
+    receiver = receiver_prior(sl)
+    rnd = random.Random(5)
+    alphabet = [sl.sentence([]), sl.tautology()]
+    alphabet += [sl.upset(rnd.sample(range(sl.big_k), rnd.randint(0, 2)))
+                 for _ in range(6)]
+    alphabet += [sl.sentence(Constituent(frozenset(c.kinds))
+                             for c in rnd.sample(cons, rnd.randint(1, 12)))
+                 for _ in range(30)]
+    shuffled = rnd.sample(cons, len(cons))
+    layouts = [[[], shuffled[:1], shuffled[1:4], shuffled[4:]],
+               [shuffled[:3], [], shuffled[3:4], [], shuffled[4:9]],
+               [[c] for c in shuffled]]
+    for layout in layouts:
+        members = tuple(sl.sentence(group) for group in layout)
+        source = MessagePartition(members, (1.0 / len(members),) * len(members))
+        assert np.array_equal(payoff_matrix(source, alphabet, receiver),
+                              _subset_payoff(source, alphabet, receiver))
 
 
 @pytest.mark.parametrize("params", [

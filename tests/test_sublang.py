@@ -1,6 +1,7 @@
 """Kind quotient, evidence summaries, and sentence algebra."""
 
 import io
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from semcomm.errors import (CapacityError, DomainMismatchError,
                             InconsistentEvidenceError)
 from semcomm.fol import parse_evidence
+from semcomm.inductive import InductiveModel
+from semcomm.measures import MessagePartition
 from semcomm.sublang import (Constituent, EvidenceSummary, SubLanguageConfig,
                              build_sublanguage, check_consistent,
                              enumerate_constituents, entity_patterns)
@@ -85,6 +88,33 @@ def test_minimal_constituent_and_upset():
     ups = sl.upset(mc.kinds)
     assert all(mc.kinds <= c.kinds for c in ups.constituents)
     assert len(ups.constituents) == 2  # {0,1} and {0,1,2}
+
+
+@pytest.mark.parametrize("slack", [0, 1, 3])
+def test_upset_matches_brute_force(slack):
+    sl = _sl("Chases(Rex, Tom)\n!Barks(Sid)\n", slack=slack)
+    cons = sl.all_constituents()
+    shared = {id(c) for c in cons}
+    for r in range(sl.big_k + 1):
+        for req in itertools.combinations(range(sl.big_k), r):
+            ups = sl.upset(req)
+            want = {c for c in cons if set(req) <= c.kinds}
+            assert ups.constituents == want
+            assert ups.sublang_token == sl.token
+            # the members are the sub-language's own objects
+            assert {id(c) for c in ups.constituents} <= shared
+    assert [id(c) for c in enumerate_constituents(sl)] == [id(c) for c in cons]
+    source = MessagePartition.from_model(InductiveModel(sl))
+    assert [id(c) for m in source.members for c in m.constituents] == \
+        [id(c) for c in cons]
+
+
+@pytest.mark.parametrize("kinds", [[-1], [0, -1], [3], [1, 3]])
+def test_upset_outside_domain_rejected(kinds):
+    sl = _sl("Barks(Rex)\n!Barks(Tom)\n", slack=1)
+    assert sl.big_k == 3
+    with pytest.raises(DomainMismatchError):
+        sl.upset(kinds)
 
 
 def test_sentence_algebra():
