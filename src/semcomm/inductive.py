@@ -70,6 +70,9 @@ class InductiveParams:
 
 
 _STIRLING_MIN = 32.0
+# lambda/K, the least share of a cell any width gives, must reach this: a
+# subnormal below 2^-1044 keeps under 30 bits, and its log errs past 1e-9
+_MIN_SHARE = math.ldexp(1.0, -1044)
 
 
 def _ln_rising(a: float, x: float) -> float:
@@ -85,8 +88,11 @@ def _ln_rising(a: float, x: float) -> float:
     # float), so take their difference from Stirling's series, whose
     # omitted terms are below 1e-16 from x = 32 on.
     y = x + a
-    return ((x - 0.5) * math.log1p(a / x) + a * math.log(y) - a
-            + _stirling_tail(y) - _stirling_tail(x))
+    out = ((x - 0.5) * math.log1p(a / x) + a * math.log(y) - a
+           + _stirling_tail(y) - _stirling_tail(x))
+    if out == math.inf:
+        raise OverflowError("rising factorial past the float range")
+    return out
 
 
 def _stirling_tail(z: float) -> float:
@@ -103,7 +109,14 @@ def _ln_prior_factor(width: int, big_k: int, params: InductiveParams) -> float:
     if params.dogmatic:
         return params.alpha * math.log(width / big_k)
     lam = params.lambda_of(big_k)
-    return _ln_rising(params.alpha, width * lam / big_k)
+    if lam / big_k < _MIN_SHARE:
+        raise CapacityError(f"lambda={lam!r} is too small to price: lambda/K "
+                            "is below the float precision")
+    try:
+        return _ln_rising(params.alpha, width * lam / big_k)
+    except OverflowError:
+        raise CapacityError(f"alpha={params.alpha!r} is past the float range "
+                            "of the prior") from None
 
 
 def constituent_prior(width: int, big_k: int,
@@ -127,10 +140,14 @@ def _ln_likelihood_width(width: int, n: int, counts: Sequence[int],
         return -n * math.log(width)
     # one rising factorial for the total count, one per cell
     lam = params.lambda_of(width)
-    acc = -_ln_rising(n, lam)
     per_cell = lam / width
-    for n_j in counts:
-        acc += _ln_rising(n_j, per_cell)
+    try:
+        acc = -_ln_rising(n, lam)
+        for n_j in counts:
+            acc += _ln_rising(n_j, per_cell)
+    except OverflowError:
+        raise CapacityError(f"{n} observations are past the float range of "
+                            "the likelihood") from None
     return acc
 
 
@@ -200,8 +217,11 @@ class _WidthTable:
         # 5e-9 on story1 at 10^8 observations, all of it from about 10^20
         total = math.fsum(math.exp(v - self.ln_z) for v in ln_masses)
         if abs(total - 1.0) > 1e-6:
-            raise CapacityError(f"{n} observations are past the float precision "
-                                f"of the posterior: it sums to {total:.3g}")
+            # the log masses grow as alpha ln alpha and n ln n: blame the larger
+            what = (f"alpha={params.alpha!r} is" if params.alpha > n
+                    else f"{n} observations are")
+            raise CapacityError(f"{what} past the float precision of the "
+                                f"posterior: it sums to {total:.3g}")
         self.classes = tuple(WidthClass(w, size, ln_each,
                                         math.exp(ln_each - self.ln_z))
                              for w, size, ln_each in rows)
@@ -592,9 +612,10 @@ def check_convergence(kinds: Iterable[int], big_k: int,
     # posterior): ln (K-c)!, the per-cell lgamma sum of the proportional
     # policy, and lgamma(lam) - lgamma(n + lam) and n ln lam of the constant
     # one.  There a count m -> m + 1 adds ln(m + lam/w), which is
-    # ln lam - ln w + ln(1 + m w / lam); the shared ln lam is left out, which
-    # keeps the sums accurate for a large lam and makes lam = inf the dogmatic
-    # -n ln w.
+    # ln lam - ln w + ln((lam + m w) / s) + ln(s / lam) for s = max(lam, 1);
+    # the shared ln lam and ln(s / lam) are left out, which keeps the sums
+    # accurate for a large lam, finite for a tiny one, and makes lam = inf the
+    # dogmatic -n ln w.
     ln_fact = [math.lgamma(i + 1) for i in range(big_k + 1)]
     proportional = params.lambda_policy == PROPORTIONAL
     fixed = [0.0] + [_ln_prior_factor(w, big_k, params) - ln_fact[big_k - w]
@@ -602,7 +623,9 @@ def check_convergence(kinds: Iterable[int], big_k: int,
                      for w in range(1, big_k + 1)]
     if not proportional:
         ln_width = [0.0] + [math.log(w) for w in range(1, big_k + 1)]
-        inv_cell = [0.0] + [w / params.lambda_value for w in range(1, big_k + 1)]
+        scale = max(params.lambda_value, 1.0)
+        shift = min(params.lambda_value, 1.0) - 1.0  # lam / s - 1
+        inv_cell = [0.0] + [w / scale for w in range(1, big_k + 1)]
         cell_sums = [0.0] * (big_k + 1)
 
     counts: dict[int, int] = {}
@@ -622,7 +645,7 @@ def check_convergence(kinds: Iterable[int], big_k: int,
         else:
             if m and not params.dogmatic:
                 for w in widths:
-                    cell_sums[w] += math.log1p(m * inv_cell[w])
+                    cell_sums[w] += math.log1p(shift + m * inv_cell[w])
             terms = [b + cell_sums[w] - t * ln_width[w]
                      for b, w in zip(base, widths)]
         top = max(terms)  # lse(terms) inlined for speed; no term is -inf

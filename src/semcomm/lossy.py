@@ -50,7 +50,6 @@ _LN2 = math.log(2.0)
 _MONOTONE_SLACK = 1e-9
 _MAX_ITERS = 500  # BA passes per multiplier
 _TOL = 1e-10      # rate change (bits) that counts as converged
-DEFAULT_CANDIDATE_CAP = 1 << 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,47 +246,20 @@ def rd_sweep(source: MessagePartition, alphabet: list[Sentence],
     return frontier
 
 
-def candidate_reconstructions(model, cap: int = DEFAULT_CANDIDATE_CAP) -> list[Sentence]:
+def candidate_reconstructions(model) -> list[Sentence]:
     """Reconstruction sentences: every way of weakening a source message.
 
     Dropping conjuncts from a maximally specific description leaves the
     claim that some subset of kinds is exemplified, whose sentence is the
-    upward closure of that subset.  All kind subsets are offered, from the
-    full-detail claims down to the empty one (the tautology, the free
-    zero-content reconstruction).  When the subsets outnumber the cap, a
-    greedy pass keeps the ones adding the most posterior-weighted
-    transmitted content, priced like every payoff by the receiver prior.
+    upward closure of that subset.  All 2^K kind subsets are offered, from
+    the claim that every kind is inhabited down to the empty one (the
+    tautology, the free zero-content reconstruction).  The sub-language's
+    constituent table bounds K: past its limit the first sentence raises
+    CapacityError.
     """
-    if cap < 1:
-        raise ValueError("candidate cap must be positive")
     sl = model.sublang
-    big_k = model.big_k
-    sentences = []
-    for size in range(big_k, -1, -1):
-        for kinds in itertools.combinations(range(big_k), size):
-            sentences.append(sl.upset(kinds))
-        if len(sentences) > 8 * cap:
-            break
-    if len(sentences) <= cap:
-        return sentences
-
-    source = MessagePartition.from_model(model)
-    p = np.array(source.probs)
-    payoff = payoff_matrix(source, sentences,
-                           receiver_prior(sl, model.params))
-    chosen: list[int] = []
-    covered = np.zeros(len(source.members))
-    remaining = set(range(len(sentences)))
-    while len(chosen) < cap and remaining:
-        gains = {j: float((p * np.maximum(covered, payoff[:, j])).sum())
-                 for j in remaining}
-        j_best = max(sorted(remaining), key=lambda j: gains[j])
-        if chosen and gains[j_best] <= float((p * covered).sum()):
-            break
-        chosen.append(j_best)
-        remaining.discard(j_best)
-        covered = np.maximum(covered, payoff[:, j_best])
-    return [sentences[j] for j in chosen]
+    return [sl.upset(kinds) for size in range(model.big_k, -1, -1)
+            for kinds in itertools.combinations(range(model.big_k), size)]
 
 
 def content_cap(source: MessagePartition, alphabet: list[Sentence],

@@ -27,7 +27,9 @@ from .fol import Entity, EvidenceSet
 PatternKey = tuple
 
 _token_counter = itertools.count(1)
-_MAX_ENUM_K = 20  # enumeration cap: 2^20 - 1 hypotheses
+# the one enumeration limit, 2^12 - 1 hypotheses: lossy pairs each with all
+# 2^K reconstructions, and past K = 12 its solve outgrows time and precision
+_MAX_ENUM_K = 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,9 +231,8 @@ def enumerate_constituents(sl: SubLanguage) -> list[Constituent]:
 
 def _constituent_table(big_k: int) -> tuple[list[Constituent], list[Constituent | None]]:
     if big_k > _MAX_ENUM_K:
-        raise CapacityError(
-            f"K={big_k} exceeds the enumeration cap {_MAX_ENUM_K}"
-        )
+        raise CapacityError(f"K={big_k} exceeds the enumeration limit "
+                            f"K={_MAX_ENUM_K}")
     ordered = []
     by_mask: list[Constituent | None] = [None] * (1 << big_k)
     bits = [1 << k for k in range(big_k)]

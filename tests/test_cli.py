@@ -373,6 +373,21 @@ def test_lossy_csv_golden(runner, tmp_path, story, slack):
     assert digest == _LOSSY_CSV_SHA256[story][slack - 1]
 
 
+def test_lossy_past_enumeration_limit_is_one_error_line(runner, monkeypatch,
+                                                        tmp_path):
+    # the constituent table refuses K = 13 before any payoff is priced
+    def refuse(*args, **kwargs):
+        raise AssertionError("lossy priced a payoff past the limit")
+
+    monkeypatch.setattr(lossy_module, "payoff_matrix", refuse)
+    res = runner.invoke(main, ["lossy", str(DATA_DIR / "story1.fol"),
+                               "--slack", "9", "--out",
+                               str(tmp_path / "rd.csv")])
+    line = _one_error_line(res)
+    assert "K=13" in line and "K=12" in line
+    assert not (tmp_path / "rd.csv").exists()
+
+
 def test_lossy_bad_betas(runner, evidence_file):
     res = runner.invoke(main, ["lossy", str(evidence_file),
                                "--betas", "0,fast"])
@@ -554,13 +569,46 @@ def test_huge_evidence_volume_reports(runner, tmp_path, exponent):
     assert "most informative:  s" in res.output
 
 
-@pytest.mark.parametrize("exponent", [20, 300])
+@pytest.mark.parametrize("exponent", [20, 300, 306, 320])
 def test_volume_past_float_precision_is_one_error_line(runner, tmp_path,
                                                        exponent):
-    # the posterior's width classes no longer sum to one
+    # up to 10^300 the posterior's width classes no longer sum to one;
+    # past it the likelihood leaves the float range, and 10^320 is an int
+    # no float holds
     corpus = _one_story_manifest(tmp_path / "corpus", 10 ** exponent)
     line = _one_error_line(runner.invoke(main, ["analyze", str(corpus)]))
     assert f"{10 ** exponent} observations" in line
+
+
+@pytest.mark.parametrize("command, alpha", [
+    ("analyze", "1e308"), ("converge", "1e308"), ("lossy", "1e308"),
+    ("analyze", "1e200"), ("lossy", "1e200")])
+def test_alpha_past_float_range_is_one_error_line(runner, tmp_path, command,
+                                                  alpha):
+    # 1e308 overflows the prior; at 1e200 the prior swamps the posterior's
+    # precision, and the error must not blame the ten observations
+    res = runner.invoke(main, [command, str(DATA_DIR / "story1.fol"),
+                               "--alpha", alpha, "--out",
+                               str(tmp_path / "out")])
+    line = _one_error_line(res)
+    assert f"alpha={float(alpha)!r}" in line
+    assert "observations" not in line
+
+
+@pytest.mark.parametrize("command", ["analyze", "converge"])
+def test_lambda_too_small_to_price_is_one_error_line(runner, command):
+    res = runner.invoke(main, [command, str(DATA_DIR / "story1.fol"),
+                               "--lam", "const:5e-324"])
+    assert "lambda=5e-324" in _one_error_line(res)
+
+
+@pytest.mark.parametrize("lam", ["1e-300", "1e-308"])
+def test_converge_tiny_lambda_matches_width_table(runner, lam):
+    # w / lam overflows a float at 1e-308; the width table reads 0.709421
+    res = runner.invoke(main, ["converge", str(DATA_DIR / "story1.fol"),
+                               "--lam", f"const:{lam}"])
+    assert res.exit_code == 0, res.output
+    assert "final posterior 0.709421;" in res.output
 
 
 def test_repeated_file_stem_is_usage_error(runner, evidence_file, tmp_path):

@@ -382,7 +382,12 @@ def _oracle_convergence(kinds, big_k, params, threshold):
     InductiveParams(lambda_policy="constant", lambda_value=1e6, alpha=0.5),
     InductiveParams(lambda_policy="constant", lambda_value=1e300),
     InductiveParams(lambda_policy="constant", lambda_value=math.inf),
-], ids=["w", "w-alpha", "const2", "const1e6", "const1e300", "dogmatic"])
+    InductiveParams(lambda_policy="constant", lambda_value=0.5, alpha=0.5),
+    # w / lam overflows here; each repeat's term must stay finite
+    InductiveParams(lambda_policy="constant", lambda_value=1e-300),
+    InductiveParams(lambda_policy="constant", lambda_value=1e-308),
+], ids=["w", "w-alpha", "const2", "const1e6", "const1e300", "dogmatic",
+        "const0.5", "const1e-300", "const1e-308"])
 def test_convergence_trace_matches_per_prefix_tables(params):
     rnd = random.Random(17)
     for case in range(40):
