@@ -11,7 +11,6 @@ it carries mass in natural-log space so that posteriors within 10^-15000 of
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import sys
 from dataclasses import dataclass
@@ -184,6 +183,13 @@ class WidthClass:
     posterior_each: float
 
 
+def _precision_error(total: float, n: int, alpha: float) -> CapacityError:
+    # the log masses grow as alpha ln alpha and n ln n: blame the larger
+    what = f"alpha={alpha!r} is" if alpha > n else f"{n} observations are"
+    return CapacityError(f"{what} past the float precision of the "
+                         f"posterior: it sums to {total:.3g}")
+
+
 class _WidthTable:
     """The one place that sums hypothesis mass, in log space.
 
@@ -217,11 +223,7 @@ class _WidthTable:
         # 5e-9 on story1 at 10^8 observations, all of it from about 10^20
         total = math.fsum(math.exp(v - self.ln_z) for v in ln_masses)
         if abs(total - 1.0) > 1e-6:
-            # the log masses grow as alpha ln alpha and n ln n: blame the larger
-            what = (f"alpha={params.alpha!r} is" if params.alpha > n
-                    else f"{n} observations are")
-            raise CapacityError(f"{what} past the float precision of the "
-                                f"posterior: it sums to {total:.3g}")
+            raise _precision_error(total, n, params.alpha)
         self.classes = tuple(WidthClass(w, size, ln_each,
                                         math.exp(ln_each - self.ln_z))
                              for w, size, ln_each in rows)
@@ -377,9 +379,12 @@ def predictive_probability(model: InductiveModel, kind: int) -> float:
 
 _TAIL = 2.0 ** -60  # a c-sum stops once its tail is below this share of it
 # pac_error sums every c in full up to this many cells.  Timed on the pac
-# command's table (epsilon 1e-3, 2-core Xeon), the pruned route is 2-11%
-# slower at K = 13-14, within 7% either way at 15, and 4-9% faster at 16,
-# 2x at 28 and 5x at 80.
+# command's table (epsilon 1e-3, alternating in-process runs, 2-core Xeon),
+# the bisection is 1.9-2.5x slower at K = 3-5, 1.2-1.3x slower at 8-9, even
+# at 10-11, 17-23% faster at 12-14, 1.5-2x faster at 15-16 and 12x at 80.
+# The limit stays at 15 all the same: the small K most runs use stay on
+# the cheaper route, and this route sums every term where the bisection's
+# sums stop at the 2^-60 tail, so moving it would change output bits.
 _DIRECT_MAX_K = 15
 
 
@@ -390,12 +395,10 @@ def _ln_tables(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
             (0.0,) + tuple(math.log(i) for i in range(1, k + 1)))
 
 
-def _pac_scan(m: int, c: int, expo: float,
-              ln_floor: float = -math.inf) -> tuple[int, float] | None:
+def _pac_scan(m: int, c: int, expo: float) -> tuple[int, float]:
     # Walks the terms T_i = C(m, i) * (c / (c+i))^expo of one c-sum, scaled
     # by the largest so far, and returns how many to keep and the log of
-    # their sum, or None once the whole sum is certified below
-    # exp(ln_floor).  From term i + 1 on, the term ratio is at most
+    # their sum.  From term i + 1 on, the term ratio is at most
     # R = (m-i-1)/(i+2) * ((c+m-1)/(c+m))^expo, so once R < 1 the tail is at
     # most T_{i+1} / (1 - R); the sum stops when that is below 2^-60 of the
     # part summed, far under half an ulp of the result.
@@ -420,8 +423,6 @@ def _pac_scan(m: int, c: int, expo: float,
             tail = nxt / (1.0 - ratio)
             if tail < part * _TAIL:
                 return i, ln_ref + math.log(part)
-            if ln_ref + math.log(part + tail) < ln_floor:
-                return None
     return m, ln_ref + math.log(part + nxt)
 
 
@@ -442,21 +443,6 @@ def _pac_sum(m: int, c: int, expo: float, terms: int) -> float:
     return math.exp(ln_odds) if ln_odds < _LN_FLOAT_MAX else math.inf
 
 
-def _ln_pac_ceiling(m: int, c: int, expo: float) -> float:
-    # ln(1 + j/c) is concave in j, so on 1..m it lies above its chord and
-    # (c / (c+j))^expo <= r q^(j-1) with r = (c / (c+1))^expo and q the
-    # chord's rate; against the binomials that sums to r ((1+q)^m - 1) / q
-    ln_r = -expo * math.log1p(1 / c)
-    if m == 1:
-        return ln_r
-    ln_q = -expo * (math.log1p(m / c) - math.log1p(1 / c)) / (m - 1)
-    x = m * math.log1p(math.exp(ln_q))
-    if x > 1.0:
-        return ln_r + x + math.log(-math.expm1(-x)) - ln_q
-    # (1+q)^m - 1 <= m q (1+q)^(m-1), which stays finite when q underflows
-    return ln_r + math.log(m) + (m - 1) * math.log1p(math.exp(ln_q))
-
-
 def pac_error(k: int, n: float, alpha: float = 0.0,
               c: int | None = None) -> float:
     """Upper bound on the posterior odds against the exact-evidence hypothesis.
@@ -466,10 +452,9 @@ def pac_error(k: int, n: float, alpha: float = 0.0,
     worst case over c = 0..k-1 is returned.  Requires a finite alpha >= 0
     and n > alpha.
 
-    A sum stops once its tail is certified below 2^-60 of it.  Past 15
-    cells the worst case is a best-first search over blocks of c by
-    closed-form ceilings, which skips every c that cannot beat the largest
-    sum found, so only a few sums are walked to the end.
+    A sum stops once its tail is certified below 2^-60 of it.  The sums
+    are unimodal in c, so past 15 cells the worst case is a bisection on
+    their slope; up to 15 every sum is taken in full.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -489,49 +474,52 @@ def pac_error(k: int, n: float, alpha: float = 0.0,
         terms, _ = _pac_scan(k - c, c, expo)
         return _pac_sum(k - c, c, expo, terms)
     # c = 0 contributes nothing.  Up to _DIRECT_MAX_K every sum is taken
-    # in full, which is cheaper than pruning.  Beyond it, a bisection on
-    # the slope of the sums finds a large one (the best when they are
-    # unimodal in c) to start the floor.  Then a best-first search over
-    # blocks lo..hi of c: within a block every term is at most
-    # C(k-lo, i) * (hi / (hi+i))^expo, so the ceiling of that sum bounds
-    # the block.  A block or a running sum below the largest sum found,
-    # less a margin for the rounding of the logs, is left out.
+    # in full (see there why).
     if k <= _DIRECT_MAX_K:
         return max((_pac_sum(k - cc, cc, expo, k - cc) for cc in range(1, k)),
                    default=0.0)
-    lf, ln_int = _ln_tables(k)
-    margin = 1e-12 * (1.0 + lf[k] + expo * ln_int[k])
-    kept = {}
-
-    def ln_sum_at(cc: int) -> float:
-        if cc not in kept:
-            kept[cc] = _pac_scan(k - cc, cc, expo)
-        return kept[cc][1]
-
+    # Beyond it, S(c) = sum_{i=1..k-c} C(k-c, i) (c/(c+i))^x, x = expo > 0,
+    # is unimodal in c, so a bisection on its slope finds the largest.
+    # Proof:
+    # 1. A ratio of two Laplace transforms.  Put
+    #    (1 + i/c)^-x = Gamma(x)^-1 int_0^inf t^(x-1) e^(-t(1 + i/c)) dt
+    #    into S(c) + 1, sum over i by the binomial theorem, then substitute
+    #    t = cs and u = ln(1 + e^s).  That gives S(c) + 1 = F(c), where
+    #    F(c) = L[g](c) / L[h](c) is defined for every real c > 0, L is the
+    #    Laplace transform, h(u) = u^(x-1), and
+    #    g(u) = ln(e^u - 1)^(x-1) (e^u/(e^u - 1))^(k+1) for u > ln 2, and
+    #    g(u) = 0 below ln 2.
+    # 2. r = g/h rises at most once, then falls, on (ln 2, inf).  With
+    #    v = e^u - 1 > 1, d ln r/du = (x-1) A(v) - (k+1)/v, where
+    #    A(v) = (1+v)/(v ln v) - 1/ln(1+v) > 0, and v A(v) strictly
+    #    decreases: with a = ln v < b = ln(1+v), its derivative is
+    #    (1/a - 1/b)(1 - 1/a - 1/b) - 1/(v a^2) - 1/((1+v) b^2), which is
+    #    negative because 0 < 1/a - 1/b < 1/(v a b) < 1/(v a^2), as
+    #    b - a = ln(1 + 1/v) < 1/v.  So r rises then falls when x > 1, and
+    #    only falls when x <= 1.
+    # 3. Every superlevel set of F is an interval.  For each lambda > 0,
+    #    g - lambda h is -lambda h < 0 below ln 2 and h (r - lambda) above,
+    #    so it has the sign pattern -,+,- or a part of it.  The
+    #    kernel e^(-cu) is totally positive in (c, -u), so by the
+    #    variation-diminishing property (Karlin, Total Positivity, 1968)
+    #    F(c) - lambda changes sign in c at most as often as g - lambda h,
+    #    in the same order; -,+,- reads the same both ways.
+    # F is analytic and not constant (F(k) = 1, and F -> 0 as c -> inf), so
+    # it strictly rises, then strictly falls, either part possibly empty.
+    # So S does on c = 1..k-1, and comparing two neighbours tells on which
+    # side of them the largest is.  The bisection compares the sums' logs,
+    # and neighbours of the peak can tie within their rounding, so the
+    # exact sums of c* - 1..c* + 1 decide.
+    scan = functools.cache(lambda cc: _pac_scan(k - cc, cc, expo))
     lo, hi = 1, k - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if ln_sum_at(mid) < ln_sum_at(mid + 1):
+        if scan(mid)[1] < scan(mid + 1)[1]:
             lo = mid + 1
         else:
             hi = mid
-    ln_floor = ln_sum_at(lo) - margin
-    heap = [(-_ln_pac_ceiling(k - 1, k - 1, expo), 1, k - 1)]
-    while heap:
-        neg_ceiling, lo, hi = heapq.heappop(heap)
-        if -neg_ceiling < ln_floor:
-            break
-        if lo < hi:
-            mid = (lo + hi) // 2
-            for a, b in ((lo, mid), (mid + 1, hi)):
-                heapq.heappush(heap, (-_ln_pac_ceiling(k - a, b, expo), a, b))
-        elif lo not in kept:
-            scanned = _pac_scan(k - lo, lo, expo, ln_floor)
-            if scanned is not None:
-                kept[lo] = scanned
-                ln_floor = max(ln_floor, scanned[1] - margin)
-    return max(_pac_sum(k - cc, cc, expo, terms)
-               for cc, (terms, ln_sum) in kept.items() if ln_sum >= ln_floor)
+    return max(_pac_sum(k - cc, cc, expo, scan(cc)[0])
+               for cc in range(max(lo - 1, 1), min(lo + 1, k - 1) + 1))
 
 
 def pac_sample_bound(k: int, alpha: float, epsilon: float) -> int:
@@ -649,7 +637,14 @@ def check_convergence(kinds: Iterable[int], big_k: int,
             terms = [b + cell_sums[w] - t * ln_width[w]
                      for b, w in zip(base, widths)]
         top = max(terms)  # lse(terms) inlined for speed; no term is -inf
-        ln_z = top + math.log(math.fsum([math.exp(v - top) for v in terms]))
+        total = math.fsum([math.exp(v - top) for v in terms])
+        ln_z = top + math.log(total)
+        # _WidthTable's sum check in O(1): the posteriors exp(v - ln_z) sum
+        # to total * exp(top - ln_z), which strays from 1 once ln z is so
+        # large that its rounding swallows ln total
+        total *= math.exp(top - ln_z)
+        if abs(total - 1.0) > 1e-6:
+            raise _precision_error(total, t, params.alpha)
         points.append(ConvergencePoint(t, c, math.exp(terms[0] - ln_z)))
 
     reached_at = next((p.n for p in points if p.posterior >= threshold), None)

@@ -109,6 +109,21 @@ def test_pac_csv(runner, tmp_path):
     assert len(lines) == 1 + 14  # n = 1 .. n0 + 4
 
 
+# SHA-256 of the `pac K --out` CSVs: K = 60 and 300 take the bisection over c
+_PAC_CSV_SHA256 = {
+    60: "5d8914d3562a7bf09ea1c91971a51b07dfbe3780033407a256b0b2e07b11810f",
+    300: "6e3b784f40ee202ab5633616a898c529830927e5564229b1cbe8fcc3af8cd3dd",
+}
+
+
+@pytest.mark.parametrize("k", sorted(_PAC_CSV_SHA256))
+def test_pac_csv_golden(runner, tmp_path, k):
+    out = tmp_path / "bounds.csv"
+    res = runner.invoke(main, ["pac", str(k), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PAC_CSV_SHA256[k]
+
+
 # --- converge ----------------------------------------------------------
 
 
@@ -582,7 +597,7 @@ def test_volume_past_float_precision_is_one_error_line(runner, tmp_path,
 
 @pytest.mark.parametrize("command, alpha", [
     ("analyze", "1e308"), ("converge", "1e308"), ("lossy", "1e308"),
-    ("analyze", "1e200"), ("lossy", "1e200")])
+    ("analyze", "1e200"), ("converge", "1e200"), ("lossy", "1e200")])
 def test_alpha_past_float_range_is_one_error_line(runner, tmp_path, command,
                                                   alpha):
     # 1e308 overflows the prior; at 1e200 the prior swamps the posterior's

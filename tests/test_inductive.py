@@ -426,7 +426,7 @@ def test_large_constant_lambda_tends_to_the_dogmatic_limit():
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 def test_pac_error_matches_bignum_sum(alpha):
-    for k in (1, 2, 3, 5, 8, 13, 16, 17, 21, 34, 60):  # both sides of _DIRECT_MAX_K
+    for k in (1, 2, 3, 5, 8, 13, 16, 17, 21, 34, 60, 100, 200):  # both sides of _DIRECT_MAX_K
         for n in (1, 2, 5, 20, 100, 1000):
             want = _oracle_pac_error(k, n, alpha)
             assert pac_error(k, n, alpha) == pytest.approx(want, rel=1e-12)
@@ -434,6 +434,38 @@ def test_pac_error_matches_bignum_sum(alpha):
                 want = _oracle_pac_error(k, n, alpha, c)
                 got = pac_error(k, n, alpha, c=c)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _ln_pac_sums(k, x):
+    """ln of every c-sum for c = 1..k-1, from log-binomials and one fsum each."""
+    lf = [math.lgamma(i + 1) for i in range(k + 1)]
+    out = []
+    for c in range(1, k):
+        m = k - c
+        ln_c = math.log(c)
+        terms = [lf[m] - lf[i] - lf[m - i] + x * (ln_c - math.log(c + i))
+                 for i in range(1, m + 1)]
+        top = max(terms)
+        out.append(top + math.log(math.fsum([math.exp(t - top) for t in terms])))
+    return out
+
+
+_UNIMODAL_NS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987,
+                1597, 4181)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_pac_sums_unimodal_in_c(alpha):
+    # pac_error's bisection over c rests on the c-sums rising, then falling;
+    # its comment proves that, and this checks it on the floats, with two
+    # n per K that together walk the whole n grid
+    for k in range(2, 201):
+        for n in (_UNIMODAL_NS[k % 17], _UNIMODAL_NS[(5 * k + 3) % 17]):
+            ln_sums = _ln_pac_sums(k, n - alpha)
+            peak = ln_sums.index(max(ln_sums))
+            rise, fall = ln_sums[:peak + 1], ln_sums[peak:]
+            assert all(a <= b for a, b in zip(rise, rise[1:])), (k, n)
+            assert all(a >= b for a, b in zip(fall, fall[1:])), (k, n)
 
 
 @pytest.mark.parametrize("epsilon", [1e-2, 1e-3])
