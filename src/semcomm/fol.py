@@ -91,13 +91,13 @@ class Vocabulary:
 # where the first missing part belongs; the last group it matched names
 # what the statement needed next.  A comma with no name after it stops the
 # match before the closing parenthesis.
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _STATEMENT = re.compile(rf"""
     [ \t]* (?P<neg>!)? [ \t]*
-    (?: (?P<pred>{_NAME}) [ \t]*
+    (?: (?P<pred>{NAME.pattern}) [ \t]*
       (?: (?P<open>\() [ \t]*
-        (?: (?P<subj>{_NAME}) [ \t]*
-          (?: , [ \t]* (?: (?P<obj>{_NAME}) [ \t]* | (?P<no_obj>) ) )?
+        (?: (?P<subj>{NAME.pattern}) [ \t]*
+          (?: , [ \t]* (?: (?P<obj>{NAME.pattern}) [ \t]* | (?P<no_obj>) ) )?
           (?(no_obj) | (?: (?P<close>\)) [ \t]* )? )
         )?
       )?

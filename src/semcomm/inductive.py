@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -152,9 +153,9 @@ def _ln_likelihood_width(width: int, n: int, counts: Sequence[int],
 
 def _holds_evidence(constituent: Constituent, summary: EvidenceSummary) -> bool:
     # exemplified kinds occupy cells 0..c-1 by construction
-    if any(not 0 <= k < summary.big_k for k in constituent.kinds):
+    if any(not 0 <= k < summary.big_k for k in constituent):
         raise DomainMismatchError("hypothesis mentions cells outside the language")
-    return set(range(summary.c)) <= constituent.kinds
+    return set(range(summary.c)) <= constituent
 
 
 def constituent_likelihood(constituent: Constituent, summary: EvidenceSummary,
@@ -167,7 +168,7 @@ def constituent_likelihood(constituent: Constituent, summary: EvidenceSummary,
     params = params or InductiveParams()
     if not _holds_evidence(constituent, summary):
         return ExtremeReal.zero()
-    ln = _ln_likelihood_width(constituent.width, summary.n, summary.counts, params)
+    ln = _ln_likelihood_width(len(constituent), summary.n, summary.counts, params)
     if ln is None:
         return ExtremeReal.zero()
     return ExtremeReal.from_ln(ln)
@@ -288,7 +289,7 @@ class InductiveModel:
     def constituent_posterior(self, constituent: Constituent) -> ExtremeReal:
         if not _holds_evidence(constituent, self.summary):
             return ExtremeReal.zero()
-        return self._table.unit(constituent.width)
+        return self._table.unit(len(constituent))
 
     # -- sentences --------------------------------------------------------
 
@@ -300,11 +301,7 @@ class InductiveModel:
         """How many compatible member hypotheses the sentence holds, by width."""
         self._own(sentence)
         need = set(range(self.summary.c))
-        counts: dict[int, int] = {}
-        for member in sentence.constituents:
-            if need <= member.kinds:
-                counts[member.width] = counts.get(member.width, 0) + 1
-        return counts
+        return Counter(len(m) for m in sentence.constituents if need <= m)
 
     def complement_width_counts(self, counts: dict[int, int]) -> dict[int, int]:
         """Member counts of the negation, given member counts of a sentence."""
@@ -349,7 +346,7 @@ def constituent_posterior(constituent: Constituent, summary: EvidenceSummary,
     params = params or InductiveParams()
     holds = _holds_evidence(constituent, summary)
     table = _WidthTable(summary.n, summary.c, summary.counts, summary.big_k, params)
-    return table.unit(constituent.width) if holds else ExtremeReal.zero()
+    return table.unit(len(constituent)) if holds else ExtremeReal.zero()
 
 
 # -- predictive probabilities ---------------------------------------------

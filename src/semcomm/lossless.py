@@ -45,7 +45,7 @@ from .coder import (
     ideal_bits,
 )
 from .errors import CapacityError, DecodeError
-from .fol import AtomicStatement, EvidenceSet, Vocabulary
+from .fol import NAME, AtomicStatement, EvidenceSet, Vocabulary
 
 _MAGIC = b"SEMC"
 _VERSION = 1
@@ -245,11 +245,12 @@ def _decode_block(coded: bytes, n_pred: int, n_ent: int, n_distinct: int,
 
         def read_name() -> str:
             size = decode_run(dec, (len_model,), 1)[0]
-            raw = bytes(decode_run(dec, (char_model,), size))
-            try:
-                return raw.decode("ascii")
-            except UnicodeDecodeError as exc:
-                raise DecodeError(f"undecodable name bytes {raw!r}") from exc
+            # latin-1 maps each byte to one character, and the name
+            # syntax admits only ASCII, so the match rejects other bytes
+            name = bytes(decode_run(dec, (char_model,), size)).decode("latin-1")
+            if not NAME.fullmatch(name):
+                raise DecodeError(f"decoded name {name!r} breaks the name syntax")
+            return name
 
         pred_names = [read_name() for _ in range(n_pred)]
         ent_names = [read_name() for _ in range(n_ent)]

@@ -11,8 +11,9 @@ objective, which is checked on every pass.
 
 The passes run on the lumped channel, which gives the same iterates as
 the full one.  Source rows of zero weight add nothing to the marginal,
-the rate or the payoff, so they are dropped; on the hypothesis partition
-only hypotheses holding every observed kind keep weight.  Over the rows
+the rate or the payoff, so they are dropped; the hypothesis partition
+has none, since it holds only hypotheses with every observed kind, but a
+hand-built partition may.  Over the rows
 that are left, reconstructions whose payoff columns are equal start
 equal under the uniform start and stay equal under both half-steps, so
 each class of m_J equal columns is carried as one column holding their
@@ -147,7 +148,9 @@ def _lump(ln_p: np.ndarray, payoff: np.ndarray
 
     Returns the weighted rows' log weights, one payoff column per class
     of columns equal on those rows, and each class's log share of the
-    reconstructions, which is its mass under the uniform start.
+    reconstructions, which is its mass under the uniform start.  Rows of
+    zero weight are dropped: ``MessagePartition.from_model`` makes none,
+    but a hand-built partition may hold them.
     """
     keep = ln_p > -np.inf
     columns, mult = np.unique(payoff[keep].T, axis=0, return_counts=True)

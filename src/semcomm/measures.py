@@ -103,10 +103,12 @@ class MessagePartition:
 
     @classmethod
     def from_model(cls, model: InductiveModel) -> "MessagePartition":
-        """The hypothesis partition of the model's sub-language.
+        """The hypotheses the evidence leaves possible, as the sender's messages.
 
-        Incompatible hypotheses keep weight zero; compatible ones get the
-        posterior of their width class.
+        Only hypotheses holding every observed kind carry posterior
+        weight, so only they are members, in enumeration order, each
+        weighted by the posterior of its width class.  With c of the K
+        kinds observed there are 2^(K-c) of them.
         """
         sl = model.sublang
         need = set(range(model.summary.c))
@@ -114,15 +116,13 @@ class MessagePartition:
         members = []
         columns = []
         for constituent in sl.all_constituents():
-            members.append(Sentence(sl.token, frozenset((constituent,))))
-            if not need <= constituent.kinds:
-                columns.append((0.0, -math.inf))
-                continue
-            w = constituent.width
-            if w not in by_width:
-                ln_p = model.ln_probability({w: 1})
-                by_width[w] = (math.exp(ln_p), ln_p)
-            columns.append(by_width[w])
+            if need <= constituent:
+                w = len(constituent)
+                if w not in by_width:
+                    ln_p = model.ln_probability({w: 1})
+                    by_width[w] = (math.exp(ln_p), ln_p)
+                members.append(Sentence(sl.token, frozenset((constituent,))))
+                columns.append(by_width[w])
         probs, lns = zip(*columns)
         return cls(tuple(members), probs, lns)
 

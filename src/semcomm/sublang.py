@@ -8,8 +8,9 @@ number of slack cells for kinds the evidence never exemplified.  Within
 it the evidence is complete by construction, so the generalization
 machinery applies without padding unobserved facts.
 
-A constituent picks the non-empty set of cells claimed to be inhabited;
-a sentence is a set of constituents (its disjunctive support).
+A constituent picks the non-empty set of cells claimed to be inhabited,
+and is that frozenset of cell ids; a sentence is a set of constituents
+(its disjunctive support).
 """
 
 from __future__ import annotations
@@ -32,15 +33,8 @@ _token_counter = itertools.count(1)
 _MAX_ENUM_K = 12
 
 
-@dataclass(frozen=True, slots=True)
-class Constituent:
-    """A claim about which kinds are inhabited: a non-empty cell set."""
-
-    kinds: frozenset[int]
-
-    @property
-    def width(self) -> int:
-        return len(self.kinds)
+# a claim about which kinds are inhabited: a non-empty set of cell ids
+Constituent = frozenset
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,8 +124,8 @@ class SubLanguage:
     def sentence(self, constituents: Iterable[Constituent]) -> Sentence:
         cs = frozenset(constituents)
         for c in cs:
-            if not c.kinds or not all(0 <= k < self.big_k for k in c.kinds):
-                raise DomainMismatchError(f"constituent {sorted(c.kinds)} outside this sub-language")
+            if not c or not all(0 <= k < self.big_k for k in c):
+                raise DomainMismatchError(f"constituent {sorted(c)} outside this sub-language")
         return Sentence(self.token, cs)
 
     def tautology(self) -> Sentence:
@@ -139,7 +133,7 @@ class SubLanguage:
 
     def minimal_constituent(self) -> Constituent:
         """The narrowest constituent compatible with the evidence."""
-        return Constituent(frozenset(range(self.summary.c)))
+        return Constituent(range(self.summary.c))
 
     def upset(self, required_kinds: Iterable[int]) -> Sentence:
         """All constituents claiming at least the given kinds inhabited."""
@@ -239,7 +233,7 @@ def _constituent_table(big_k: int) -> tuple[list[Constituent], list[Constituent 
     for width in range(1, big_k + 1):
         for kinds, mask in zip(itertools.combinations(range(big_k), width),
                                itertools.combinations(bits, width)):
-            con = Constituent(frozenset(kinds))
+            con = Constituent(kinds)
             ordered.append(con)
             by_mask[sum(mask)] = con
     return ordered, by_mask

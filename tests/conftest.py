@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from semcomm.fol import parse_evidence
+from semcomm.fol import AtomicStatement, EvidenceSet, Vocabulary, parse_evidence
 from semcomm.inductive import InductiveModel, InductiveParams
+from semcomm.lossless import lossless_encode
 from semcomm.sublang import SubLanguageConfig, build_sublanguage
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "stories"
@@ -39,6 +40,13 @@ def random_evidence_text(rng: random.Random, max_preds: int = 5,
         positive = polarity.setdefault(key, rng.random() < 0.7)
         lines.append(("" if positive else "!") + f"{p}({args})")
     return "\n".join(lines) + "\n"
+
+
+def one_statement_container(pred: str, ent: str) -> bytes:
+    """A container written from hand-built evidence, names unchecked."""
+    vocab = Vocabulary()
+    st = AtomicStatement(vocab.predicate(pred, 1), vocab.entity(ent), None)
+    return lossless_encode(EvidenceSet((st,), vocab))
 
 
 def random_model(rng: random.Random, slack: int | None = None,

@@ -63,7 +63,7 @@ def _bayes_posteriors(summary, params):
         for kinds in combinations(range(summary.big_k), width):
             con = Constituent(frozenset(kinds))
             prior = constituent_prior(width, summary.big_k, params).to_float()
-            weights[con] = prior * _walk_likelihood(con.kinds, summary.counts,
+            weights[con] = prior * _walk_likelihood(con, summary.counts,
                                                     params)
     total = math.fsum(weights.values())
     return {con: v / total for con, v in weights.items()}

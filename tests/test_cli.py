@@ -15,7 +15,7 @@ from semcomm import sublang
 from semcomm.cli import main
 from semcomm.measures import MessagePartition
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, one_statement_container
 
 SMALL_FOL = """\
 Sails(Gull)
@@ -288,6 +288,14 @@ def test_decompress_corrupt_container(runner, evidence_file, tmp_path):
     res = runner.invoke(main, ["decompress", str(container)])
     assert res.exit_code == 1
     assert "checksum" in res.output
+
+
+def test_decompress_bad_name_is_one_error_line(runner, tmp_path):
+    container = tmp_path / "names.semc"
+    container.write_bytes(one_statement_container("P", "a b"))
+    res = runner.invoke(main, ["decompress", str(container)])
+    assert "name syntax" in _one_error_line(res)
+    assert not container.with_suffix(".fol").exists()
 
 
 # --- lossy -------------------------------------------------------------

@@ -65,8 +65,8 @@ def _oracle_posteriors(summary, params):
     """Brute-force Bayes over every hypothesis of the language."""
     weights = {}
     for con in _all_constituents(summary.big_k):
-        prior = constituent_prior(con.width, summary.big_k, params).to_float()
-        like = _oracle_likelihood(con.kinds, summary.counts, params)
+        prior = constituent_prior(len(con), summary.big_k, params).to_float()
+        like = _oracle_likelihood(con, summary.counts, params)
         weights[con] = prior * like
     total = math.fsum(weights.values())
     return {con: w / total for con, w in weights.items()}
@@ -103,8 +103,8 @@ def test_likelihood_matches_sequential_product():
     for _ in range(60):
         summary = _random_summary(rnd)
         for con in _all_constituents(summary.big_k):
-            want = _oracle_likelihood(con.kinds, summary.counts, params)
-            if not set(range(summary.c)) <= con.kinds:
+            want = _oracle_likelihood(con, summary.counts, params)
+            if not set(range(summary.c)) <= con:
                 continue  # library rejects incompatible hypotheses up front
             got = constituent_likelihood(con, summary, params).to_float()
             assert got == pytest.approx(want, rel=1e-9)
@@ -121,7 +121,7 @@ def test_prior_uniform_at_alpha_zero():
 def test_prior_normalizes():
     for params in (InductiveParams(), InductiveParams(alpha=2.0)):
         for big_k in (2, 3, 5):
-            total = xsum(constituent_prior(c.width, big_k, params)
+            total = xsum(constituent_prior(len(c), big_k, params)
                          for c in _all_constituents(big_k))
             assert total.to_float() == pytest.approx(1.0, rel=1e-12)
 
@@ -138,7 +138,7 @@ def test_posterior_normalizes():
 def test_incompatible_posterior_is_exact_zero():
     summary = EvidenceSummary(n=4, c=2, counts=(2, 2), big_k=4)
     for con in _all_constituents(4):
-        if not {0, 1} <= con.kinds:
+        if not {0, 1} <= con:
             assert constituent_posterior(con, summary).is_zero
 
 
@@ -150,7 +150,7 @@ def test_model_summary_must_match_or_be_empty(rng):
     empty = InductiveModel(sl, model.params, EvidenceSummary(0, 0, (), big_k))
     for con in sl.all_constituents():
         assert empty.constituent_posterior(con).to_float() == pytest.approx(
-            constituent_prior(con.width, big_k, model.params).to_float(),
+            constituent_prior(len(con), big_k, model.params).to_float(),
             rel=1e-12)
     with pytest.raises(DomainMismatchError):
         InductiveModel(sl, summary=EvidenceSummary(0, 0, (), big_k + 1))
@@ -211,7 +211,7 @@ def test_predictive_matches_brute_force(params):
         checked += 1
         post = _oracle_posteriors(s, params)
         for kind in range(s.big_k):
-            want = math.fsum(p * _oracle_next(con.kinds, s.counts, kind, params)
+            want = math.fsum(p * _oracle_next(con, s.counts, kind, params)
                              for con, p in post.items())
             got = predictive_probability(model, kind)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-300)

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semcomm import lossless
 from semcomm.errors import DecodeError
 from semcomm.fol import parse_evidence
 from semcomm.lossless import (_write_uvarint, gzip_bits, lossless_decode,
                               lossless_encode, lossless_encode_report,
                               shannon_baseline)
 
-from conftest import DATA_DIR, random_evidence_text
+from conftest import DATA_DIR, one_statement_container, random_evidence_text
 
 
 def _parse(text):
@@ -212,6 +213,37 @@ def test_reject_impossible_header_counts(counts):
     # it sizes a model from them
     with pytest.raises(DecodeError, match="header counts"):
         lossless_decode(_container(*counts))
+
+
+@pytest.mark.parametrize("bad", ["", "a b", "9x", "("])
+@pytest.mark.parametrize("where", ["predicate", "entity"])
+def test_reject_names_the_evidence_format_cannot_hold(bad, where):
+    # decoded, these would print as lines such as "P()" or "P(a b)",
+    # which the parser rejects
+    blob = (one_statement_container(bad, "a") if where == "predicate"
+            else one_statement_container("P", bad))
+    with pytest.raises(DecodeError, match="name syntax"):
+        lossless_decode(blob)
+
+
+def test_empty_coded_block_fails_at_the_first_name(monkeypatch):
+    # 26 bytes declare 2^31 entities over an empty coded block.  Past the
+    # block's end the decoder reads zero bits, so every name decodes as
+    # "", and the first one (a length run, then an empty byte run) must
+    # end the decode
+    calls = []
+    decode_run = lossless.decode_run
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= 2, "decoded past the first name"
+        return decode_run(*args)
+
+    blob = _container(1, 2**31, 2**30, 2**30, coded=b"")
+    assert len(blob) == 26
+    monkeypatch.setattr(lossless, "decode_run", counted)
+    with pytest.raises(DecodeError, match="name syntax"):
+        lossless_decode(blob)
 
 
 def test_header_counts_at_their_bounds_decode():

@@ -210,6 +210,36 @@ def test_argmax_point_allocates_no_channel():
     assert peak < payoff.nbytes / 4
 
 
+def _random_evidence_model(seed):
+    rnd = random.Random(seed)
+    ev = parse_evidence(io.StringIO(random_evidence_text(rnd, max_ents=5)))
+    return InductiveModel(build_sublanguage(
+        ev, SubLanguageConfig(slack=rnd.randint(0, 2))))
+
+
+def _bundled_story_model(story, slack):
+    ev = parse_evidence(DATA_DIR / f"{story}.fol")
+    return InductiveModel(build_sublanguage(ev, SubLanguageConfig(slack=slack)))
+
+
+def test_payoff_matrix_holds_only_weighted_rows():
+    # story1 at K = 10 has c = 4 observed kinds: 2^6 weighted hypotheses
+    # of 1,023, so the matrix is 64 x 1,024 (0.5 MB), not 1,023 x 1,024
+    model = _bundled_story_model("story1", 6)
+    assert (model.big_k, model.summary.c) == (10, 4)
+    source = MessagePartition.from_model(model)
+    alphabet = candidate_reconstructions(model)
+    receiver = receiver_prior(model.sublang, model.params)
+    tracemalloc.start()
+    try:
+        payoff = payoff_matrix(source, alphabet, receiver)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+    assert payoff.shape == (64, 1024)
+
+
 @functools.lru_cache(maxsize=4)
 def _story_setup(seed=13, slack=1):
     rnd = random.Random(seed)
@@ -241,16 +271,52 @@ def _subset_payoff(source, alphabet, model):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_payoff_matrix_matches_subset_formula(seed):
-    rnd = random.Random(seed)
-    ev = parse_evidence(io.StringIO(random_evidence_text(rnd, max_ents=5)))
-    sl = build_sublanguage(ev, SubLanguageConfig(slack=rnd.randint(0, 2)))
-    assert sl.big_k <= 7
-    model = InductiveModel(sl)
+    model = _random_evidence_model(seed)
+    assert model.big_k <= 7
     source = MessagePartition.from_model(model)
-    receiver = receiver_prior(sl)
+    receiver = receiver_prior(model.sublang)
     alphabet = candidate_reconstructions(model)
     assert np.array_equal(payoff_matrix(source, alphabet, receiver),
                           _subset_payoff(source, alphabet, receiver))
+
+
+def _zero_padded(model, source):
+    """The sender's partition with every hypothesis the evidence rules out
+    added back at weight zero, in enumeration order (the oracle)."""
+    sl = model.sublang
+    kept = {con: (p, ln) for msg, p, ln in zip(source.members, source.probs,
+                                               source.ln_probs)
+            for con in msg.constituents}
+    cons = sl.all_constituents()
+    probs, lns = zip(*(kept.get(con, (0.0, -math.inf)) for con in cons))
+    return MessagePartition(tuple(sl.sentence([con]) for con in cons),
+                            probs, lns)
+
+
+@pytest.mark.parametrize("model", [
+    *(pytest.param(seed, id=f"seed{seed}") for seed in range(6)),
+    *(pytest.param((f"story{i}", slack), id=f"story{i}-slack{slack}")
+      for i in range(1, 8) for slack in (1, 2))])
+def test_weighted_partition_matches_zero_padded(model):
+    model = (_random_evidence_model(model) if isinstance(model, int)
+             else _bundled_story_model(*model))
+    source = MessagePartition.from_model(model)
+    padded = _zero_padded(model, source)
+    assert len(source.members) < len(padded.members)
+    receiver = receiver_prior(model.sublang, model.params)
+    alphabet = candidate_reconstructions(model)
+    full = payoff_matrix(padded, alphabet, receiver)
+    assert np.array_equal(payoff_matrix(source, alphabet, receiver),
+                          full[np.array(padded.probs) > 0.0])
+    cfg = LossyConfig()
+    assert rd_sweep(source, alphabet, cfg, receiver) == \
+        rd_sweep(padded, alphabet, cfg, receiver)
+    cap = content_cap(source, alphabet, receiver)
+    assert cap == content_cap(padded, alphabet, receiver)
+    for floor in (0.0, 0.5 * cap.cont_info, cap.cont_info):
+        cfg = LossyConfig(d_star=floor)
+        assert lossy_optimize(source, alphabet, cfg, receiver) == \
+            lossy_optimize(padded, alphabet, cfg, receiver)
 
 
 def test_payoff_matrix_on_hand_built_partitions():
@@ -265,7 +331,7 @@ def test_payoff_matrix_on_hand_built_partitions():
     alphabet = [sl.sentence([]), sl.tautology()]
     alphabet += [sl.upset(rnd.sample(range(sl.big_k), rnd.randint(0, 2)))
                  for _ in range(6)]
-    alphabet += [sl.sentence(Constituent(frozenset(c.kinds))
+    alphabet += [sl.sentence(Constituent(sorted(c))
                              for c in rnd.sample(cons, rnd.randint(1, 12)))
                  for _ in range(30)]
     shuffled = rnd.sample(cons, len(cons))
@@ -295,7 +361,7 @@ def test_receiver_route_matches_brute_force(params):
         assert sl.big_k <= 6
         receiver = receiver_prior(sl, params)
         assert isinstance(receiver, InductiveModel)
-        prior = {c: constituent_prior(c.width, sl.big_k, params).to_float()
+        prior = {c: constituent_prior(len(c), sl.big_k, params).to_float()
                  for c in sl.all_constituents()}
 
         def excluded(s):
@@ -329,7 +395,7 @@ def test_candidate_alphabet_is_upset_family():
         for c in s.constituents:
             # upward closed: adding kinds never leaves the sentence
             for d in all_cons:
-                if c.kinds <= d.kinds:
+                if c <= d:
                     assert d in s.constituents
     # the claim of just the observed kinds is offered, and priced by the
     # receiver it carries most of what story1's evidence says; under the
@@ -352,7 +418,7 @@ def test_receiver_prior_weights():
     model, _, receiver, _ = _story_setup()
     sl = model.sublang
     for c in sl.all_constituents():
-        want = constituent_prior(c.width, sl.big_k, model.params).to_float()
+        want = constituent_prior(len(c), sl.big_k, model.params).to_float()
         got = receiver.sentence_probability(sl.sentence([c]))
         assert got == pytest.approx(want, rel=1e-12)
 

@@ -126,7 +126,16 @@ def test_partition_from_model_normalizes(rng):
         model = random_model(rng)
         part = MessagePartition.from_model(model)
         assert math.fsum(part.probs) == pytest.approx(1.0, abs=1e-9)
-        assert len(part.members) == 2 ** model.big_k - 1
+        assert len(part.members) == 2 ** (model.big_k - model.summary.c)
+        # the members are the hypotheses holding every observed kind, in
+        # enumeration order; each one left out has posterior exactly zero
+        need = set(range(model.summary.c))
+        cons = model.sublang.all_constituents()
+        kept = [con for m in part.members for con in m.constituents]
+        assert kept == [con for con in cons if need <= con]
+        for con in set(cons) - set(kept):
+            assert not need <= con
+            assert model.constituent_posterior(con).is_zero
 
 
 def test_partition_validation():

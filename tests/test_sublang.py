@@ -77,16 +77,16 @@ def test_enumerate_constituents_counts():
     sl = _sl("Barks(Rex)\n!Barks(Tom)\n", slack=1)
     cons = enumerate_constituents(sl)
     assert len(cons) == 2 ** sl.big_k - 1
-    widths = [c.width for c in cons]
+    widths = [len(c) for c in cons]
     assert widths == sorted(widths)
 
 
 def test_minimal_constituent_and_upset():
     sl = _sl("Barks(Rex)\n!Barks(Tom)\n", slack=1)
     mc = sl.minimal_constituent()
-    assert mc.kinds == frozenset({0, 1})
-    ups = sl.upset(mc.kinds)
-    assert all(mc.kinds <= c.kinds for c in ups.constituents)
+    assert mc == frozenset({0, 1})
+    ups = sl.upset(mc)
+    assert all(mc <= c for c in ups.constituents)
     assert len(ups.constituents) == 2  # {0,1} and {0,1,2}
 
 
@@ -98,15 +98,16 @@ def test_upset_matches_brute_force(slack):
     for r in range(sl.big_k + 1):
         for req in itertools.combinations(range(sl.big_k), r):
             ups = sl.upset(req)
-            want = {c for c in cons if set(req) <= c.kinds}
+            want = {c for c in cons if set(req) <= c}
             assert ups.constituents == want
             assert ups.sublang_token == sl.token
             # the members are the sub-language's own objects
             assert {id(c) for c in ups.constituents} <= shared
     assert [id(c) for c in enumerate_constituents(sl)] == [id(c) for c in cons]
     source = MessagePartition.from_model(InductiveModel(sl))
+    held = [c for c in cons if set(range(sl.summary.c)) <= c]
     assert [id(c) for m in source.members for c in m.constituents] == \
-        [id(c) for c in cons]
+        [id(c) for c in held]
 
 
 @pytest.mark.parametrize("kinds", [[-1], [0, -1], [3], [1, 3]])
