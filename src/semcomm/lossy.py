@@ -9,17 +9,34 @@ induced one; with the marginal fixed, the best channel tilts each row
 by 2^(beta*payoff) and renormalizes.  Both half-steps lower the
 objective, which is checked on every pass.
 
-The passes run on the lumped channel, which gives the same iterates as
-the full one.  Source rows of zero weight add nothing to the marginal,
-the rate or the payoff, so they are dropped; the hypothesis partition
-has none, since it holds only hypotheses with every observed kind, but a
-hand-built partition may.  Over the rows
-that are left, reconstructions whose payoff columns are equal start
-equal under the uniform start and stay equal under both half-steps, so
-each class of m_J equal columns is carried as one column holding their
-summed mass, starting at m_J/A for A reconstructions.  Within a class
-every column has the same ratio of channel weight to marginal, so the
-mutual information of the class-summed channel is the true rate.
+The passes run on the exact symmetry quotient of the channel.  Source
+rows of zero weight add nothing to the marginal, the rate or the payoff,
+so they are dropped; the hypothesis partition has none, since it holds
+only hypotheses with every observed kind, but a hand-built partition may.
+The rows that are left and the reconstructions are then split into the
+coarsest equitable partition of the weighted payoff matrix (Gatermann &
+Parrilo 2004 on symmetry reduction).  Rows start split by exact weight
+and columns in one class; two columns stay together only if every row
+class holds the same multiset of payoffs in both, and two rows only if
+they have the same weight and every column class holds the same multiset
+of payoffs in both.  The split repeats until nothing splits.  For the
+hypothesis partition, with c observed kinds and m slack cells, the
+classes are the orbits of Sym(c) x Sym(m): the m+1 hypothesis sizes, and
+the (c+1)(m+1) ways a reconstruction meets the observed and slack cells.
+
+Why it is exact: the passes start from the uniform marginal, and by
+induction on the passes the marginal stays constant on each column class
+and the row normalizer on each row class.  So what a row class k sends a
+column class l depends on beta through one number per block,
+E_kl = sum_v n_klv 2^(beta v), where n_klv counts the class's columns
+holding payoff v in any row of k.  A pass runs unchanged on the matrix
+of blocks, with three inputs fixed per multiplier: the tilt
+ln E_kl - ln|C_l|, the payoff D_kl that is the block's tilted mean, and
+a rate offset beta ln2 D_kl - tilt_kl added to each block's log ratio of
+channel to marginal.  E is taken relative to each block's largest
+payoff, so a block holding one payoff value gets exactly that value's
+tilt and a zero offset, and a channel whose rows all differ in weight is
+solved on its classes of equal columns with the plain pass's arithmetic.
 
 A reconstruction only transmits content when the source message entails
 it: weakening a true description keeps it true, while a reconstruction
@@ -37,6 +54,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,40 +147,176 @@ def payoff_matrix(source: MessagePartition, alphabet: list[Sentence],
     return out
 
 
-def _mutual_bits(ln_p: np.ndarray, ln_cond: np.ndarray,
-                 payoff: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Mutual information (bits), mean payoff and log output marginal."""
+def _mutual_bits(ln_p: np.ndarray, ln_cond: np.ndarray, payoff: np.ndarray,
+                 offset: np.ndarray | None = None
+                 ) -> tuple[float, float, np.ndarray]:
+    """Mutual information (bits), mean payoff and log output marginal.
+
+    ``offset`` is added to each block's log ratio of channel to marginal
+    where a quotient block holds more than one payoff value.
+    """
     ln_joint = ln_p[:, None] + ln_cond
     ln_q = np.logaddexp.reduce(ln_joint, axis=0)
     w = np.exp(ln_joint)
-    with np.errstate(invalid="ignore"):
-        gain = ln_cond - ln_q[None, :]
-        terms = np.where(w > 0.0, w * gain, 0.0)
-    rate = max(float(terms.sum()) / _LN2, 0.0)
+    # the log ratio only where mass flows: elsewhere both logs may be -inf
+    gain = np.subtract(ln_cond, ln_q, out=np.zeros_like(w), where=w > 0.0)
+    if offset is not None:
+        gain += offset
+    rate = max(float((w * gain).sum()) / _LN2, 0.0)
     return rate, float((w * payoff).sum()), ln_q
 
 
-def _lump(ln_p: np.ndarray, payoff: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lumped channel that every multiplier of a sweep solves on.
+class _Quotient(NamedTuple):
+    """The channel a sweep solves on: row classes by column classes.
 
-    Returns the weighted rows' log weights, one payoff column per class
-    of columns equal on those rows, and each class's log share of the
-    reconstructions, which is its mass under the uniform start.  Rows of
-    zero weight are dropped: ``MessagePartition.from_model`` makes none,
-    but a hand-built partition may hold them.
+    ``top`` is each block's largest payoff.  Where some block holds more
+    than one payoff value, ``entries`` lists every block's values as
+    three arrays: the block's index in ``top.ravel()``, the value less
+    the block's top, and how many of the column class's reconstructions
+    hold it in a row of the row class.  Otherwise ``entries`` is None.
+    """
+
+    ln_p: np.ndarray       # log weight of each row class
+    ln_start: np.ndarray   # log share of the reconstructions in each column
+    top: np.ndarray
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+
+def _distinct_columns(weighted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns in lexicographic order, and how many share each.
+
+    Columns are told apart by their bytes, one at a time, which takes a
+    fraction of the time and memory of sorting them field by field.
+    """
+    labels = _classes(weighted.T)
+    atoms = weighted[:, np.unique(labels, return_index=True)[1]]
+    order = np.lexsort(atoms[::-1])
+    return atoms[:, order], np.bincount(labels)[order]
+
+
+def _classes(lines: np.ndarray) -> np.ndarray:
+    """Label equal lines of a 2-D array alike, in order of first occurrence."""
+    seen: dict[bytes, int] = {}
+    return np.array([seen.setdefault(line.tobytes(), len(seen))
+                     for line in lines])
+
+
+def _profiles(ids: np.ndarray, cols: np.ndarray, mult: np.ndarray,
+              n_values: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's multiset of (column class, payoff id) pairs.
+
+    Returns the pairs' codes ``class * n_values + id`` in order within
+    each row, how many reconstructions hold each, and each row's bounds
+    in those two arrays.
+    """
+    # a code and its column's multiplicity packed in one integer, so one
+    # sort per row puts equal codes side by side
+    stride = int(mult.sum()) + 1
+    packed = (cols * n_values + ids) * stride + mult
+    packed.sort(axis=1)
+    width = packed.shape[1]
+    code, held = np.divmod(packed.ravel(), stride)
+    new = np.ones(code.shape, dtype=bool)
+    new[1:] = code[1:] != code[:-1]
+    new[::width] = True  # each row starts a run
+    starts = np.flatnonzero(new)
+    bounds = np.searchsorted(starts, np.arange(0, packed.size + 1, width))
+    return code[starts], np.add.reduceat(held, starts), bounds
+
+
+def _equitable(rows: np.ndarray, ids: np.ndarray, mult: np.ndarray,
+               n_values: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column labels of the coarsest equitable partition.
+
+    ``rows`` labels the rows by weight; ``ids`` numbers the payoffs of the
+    distinct columns, and ``mult`` counts the reconstructions that share
+    each.  Equal columns never split, so the refinement starts from them.
+    """
+    cols = np.zeros(ids.shape[1], dtype=np.intp)
+    while True:
+        # sorted ids keyed by row class list each row class's multiset
+        keyed = np.sort(ids + (rows * n_values)[:, None], axis=0)
+        cols = _classes(np.vstack([cols, keyed]).T)
+        code, count, bounds = _profiles(ids, cols, mult, n_values)
+        seen: dict[tuple, int] = {}
+        split = np.array([
+            seen.setdefault((row, code[a:b].tobytes(), count[a:b].tobytes()),
+                            len(seen))
+            for row, a, b in zip(rows.tolist(), bounds[:-1], bounds[1:])])
+        if split.max() == rows.max():
+            return rows, cols
+        rows = split
+
+
+def _lump(ln_p: np.ndarray, payoff: np.ndarray) -> _Quotient:
+    """The quotient channel that every multiplier of a sweep solves on.
+
+    Rows of zero weight are dropped: ``MessagePartition.from_model`` makes
+    none, but a hand-built partition may hold them.  The rest, and the
+    reconstructions, are split into the coarsest equitable partition of
+    the weighted payoff matrix (see the module docstring).
     """
     keep = ln_p > -np.inf
-    columns, mult = np.unique(payoff[keep].T, axis=0, return_counts=True)
-    log.debug("lumped channel: %d weighted rows, %d reconstructions, "
-              "%d lumped columns", int(keep.sum()), payoff.shape[1], len(mult))
-    return ln_p[keep], columns.T, np.log(mult) - math.log(payoff.shape[1])
+    ln_w = ln_p[keep]
+    atoms, mult = _distinct_columns(payoff if keep.all() else payoff[keep])
+    rows = _classes(ln_w[:, None])
+    if rows.max() == len(rows) - 1:
+        # no two rows weigh the same, so nothing merges: each distinct
+        # column is a class, and each block holds one payoff
+        ln_mass, size, top, entries = ln_w, mult, atoms, None
+    else:
+        ln_mass, size, top, entries = _merge(ln_w, rows, atoms, mult)
+    log.debug("quotient channel: %d weighted rows in %d classes, "
+              "%d reconstructions in %d classes, %d nonzero blocks",
+              len(ln_w), len(ln_mass), payoff.shape[1], len(size),
+              int(np.count_nonzero(top)))
+    # column-major: a pass's sums fold in memory order, and this order
+    # keeps a channel with no rows to merge on the plain pass's iterates
+    return _Quotient(ln_mass, np.log(size) - math.log(payoff.shape[1]),
+                     np.asfortranarray(top), entries)
 
 
-def _ba_point(channel: tuple[np.ndarray, np.ndarray, np.ndarray], beta: float,
-              max_iters: int, tol: float) -> RDPoint:
-    ln_p, payoff, ln_start = channel
-    tilt = beta * _LN2 * payoff
+def _merge(ln_w: np.ndarray, rows: np.ndarray, atoms: np.ndarray,
+           mult: np.ndarray) -> tuple:
+    """Row classes' log weights, column classes' sizes, and the blocks'
+    top payoffs and entries (see ``_Quotient``)."""
+    values, ids = np.unique(atoms, return_inverse=True)
+    ids = ids.reshape(atoms.shape)
+    rows, cols = _equitable(rows, ids, mult, len(values))
+    first = np.unique(rows, return_index=True)[1]
+    n_k, n_l = len(first), int(cols.max()) + 1
+    # the first row of each class stands for it; its codes list the
+    # blocks in order, each from its smallest payoff up to its top
+    code, count, bounds = _profiles(ids[first], cols, mult, len(values))
+    block, value = np.divmod(code, len(values))
+    block += np.repeat(np.arange(n_k) * n_l, np.diff(bounds))
+    value = values[value]
+    top = value[np.append(np.flatnonzero(np.diff(block)), len(block) - 1)]
+    entries = (None if len(block) == len(top)
+               else (block, value - top[block], count))
+    return (ln_w[first] + np.log(np.bincount(rows)),
+            np.bincount(cols, weights=mult), top.reshape(n_k, n_l), entries)
+
+
+def _ba_point(channel: _Quotient, beta: float, max_iters: int,
+              tol: float) -> RDPoint:
+    ln_p, ln_start, top, entries = channel
+    scale = beta * _LN2
+    tilt = scale * top
+    payoff, offset = top, None
+    if entries is not None:
+        # E relative to the top payoff: one-valued blocks get a zero
+        # spread and lean, so their tilt, payoff and offset stay exact
+        block, shift, count = entries
+        tilted = count * np.exp(scale * shift)
+        total = np.bincount(block, weights=tilted).reshape(top.shape)
+        spread = np.log(total) - np.log(
+            np.bincount(block, weights=count).reshape(top.shape))
+        lean = np.bincount(block, weights=tilted * shift).reshape(
+            top.shape) / total
+        tilt = tilt + spread
+        payoff = top + lean
+        offset = scale * lean - spread
     # each pass tilts the output marginal its predecessor measured the
     # rate on, so the marginal is reduced once per pass
     ln_q = np.logaddexp.reduce(ln_p[:, None] + ln_start, axis=0)
@@ -175,7 +329,9 @@ def _ba_point(channel: tuple[np.ndarray, np.ndarray, np.ndarray], beta: float,
         # along axis 1 does, but down the rows of a contiguous transpose
         ln_cond = ln_cond - np.logaddexp.reduce(
             np.ascontiguousarray(ln_cond.T), axis=0)[:, None]
-        rate, mean_payoff, ln_q = _mutual_bits(ln_p, ln_cond, payoff)
+        rate, mean_payoff, ln_q = (
+            _mutual_bits(ln_p, ln_cond, payoff) if offset is None
+            else _mutual_bits(ln_p, ln_cond, payoff, offset))
         obj = rate - beta * mean_payoff
         if obj > prev_obj + _MONOTONE_SLACK:
             raise RuntimeError(f"objective increased from {prev_obj!r} to "

@@ -348,8 +348,8 @@ def test_lossy_debug_log_explains_the_run(runner, evidence_file, tmp_path,
     assert res.exit_code == 0, res.output
     messages = [r.getMessage() for r in caplog.records]
     assert "sub-language: K=4, c=3" in messages
-    assert ("lumped channel: 2 weighted rows, 16 reconstructions, "
-            "8 lumped columns") in messages
+    assert ("quotient channel: 2 weighted rows in 2 classes, "
+            "16 reconstructions in 8 classes, 10 nonzero blocks") in messages
     points = [m for m in messages if m.startswith("beta=")]
     assert len(points) == 2
     assert points[0].startswith("beta=0: ")
