@@ -26,17 +26,18 @@ the (c+1)(m+1) ways a reconstruction meets the observed and slack cells.
 
 Why it is exact: the passes start from the uniform marginal, and by
 induction on the passes the marginal stays constant on each column class
-and the row normalizer on each row class.  So what a row class k sends a
-column class l depends on beta through one number per block,
-E_kl = sum_v n_klv 2^(beta v), where n_klv counts the class's columns
-holding payoff v in any row of k.  A pass runs unchanged on the matrix
-of blocks, with three inputs fixed per multiplier: the tilt
-ln E_kl - ln|C_l|, the payoff D_kl that is the block's tilted mean, and
-a rate offset beta ln2 D_kl - tilt_kl added to each block's log ratio of
-channel to marginal.  E is taken relative to each block's largest
-payoff, so a block holding one payoff value gets exactly that value's
-tilt and a zero offset, and a channel whose rows all differ in weight is
-solved on its classes of equal columns with the plain pass's arithmetic.
+and the row normalizer on each row class.  Each row of a class then
+sends the same masses as the class's first row, up to a permutation
+within each column class, so the passes run on the first row of each
+row class, weighted by the class's total, over the distinct columns;
+the marginal a column class receives is split among its columns by
+their shares of its reconstructions.  The first rows keep every column
+rather than one per column class: at large beta a row's normalizer sums
+terms near beta ln2 times the payoff, and any other grouping of those
+terms rounds each row's mass differently, by about 1e-13, which beta
+carries into the objective.  A channel whose rows all differ in weight
+is solved on its classes of equal columns with the plain pass's
+arithmetic.
 
 A reconstruction only transmits content when the source message entails
 it: weakening a true description keeps it true, while a reconstruction
@@ -148,102 +149,78 @@ def payoff_matrix(source: MessagePartition, alphabet: list[Sentence],
 
 
 def _mutual_bits(ln_p: np.ndarray, ln_cond: np.ndarray, payoff: np.ndarray,
-                 offset: np.ndarray | None = None
+                 classes: tuple | None = None
                  ) -> tuple[float, float, np.ndarray]:
     """Mutual information (bits), mean payoff and log output marginal.
 
-    ``offset`` is added to each block's log ratio of channel to marginal
-    where a quotient block holds more than one payoff value.
+    ``classes`` holds the start of each column class, its number of
+    columns and each column's log share of it; the marginal a class
+    receives is then split among its columns by those shares.
     """
     ln_joint = ln_p[:, None] + ln_cond
     ln_q = np.logaddexp.reduce(ln_joint, axis=0)
+    if classes is not None:
+        starts, lens, ln_share = classes
+        ln_q = np.repeat(np.logaddexp.reduceat(ln_q, starts), lens) + ln_share
     w = np.exp(ln_joint)
-    # the log ratio only where mass flows: elsewhere both logs may be -inf
-    gain = np.subtract(ln_cond, ln_q, out=np.zeros_like(w), where=w > 0.0)
-    if offset is not None:
-        gain += offset
-    rate = max(float((w * gain).sum()) / _LN2, 0.0)
+    # every log here is finite, since rows of zero weight are dropped
+    rate = max(float((w * (ln_cond - ln_q)).sum()) / _LN2, 0.0)
     return rate, float((w * payoff).sum()), ln_q
 
 
 class _Quotient(NamedTuple):
-    """The channel a sweep solves on: row classes by column classes.
+    """The channel a sweep solves on: one row per row class, one column
+    per distinct column, the columns of each column class side by side."""
 
-    ``top`` is each block's largest payoff.  Where some block holds more
-    than one payoff value, ``entries`` lists every block's values as
-    three arrays: the block's index in ``top.ravel()``, the value less
-    the block's top, and how many of the column class's reconstructions
-    hold it in a row of the row class.  Otherwise ``entries`` is None.
-    """
+    ln_p: np.ndarray      # log weight of each row class
+    ln_start: np.ndarray  # log share of the reconstructions in each column
+    payoff: np.ndarray    # the first row of each row class
+    lens: np.ndarray      # columns in each column class
+    ln_share: np.ndarray  # log share of each column in its class
 
-    ln_p: np.ndarray       # log weight of each row class
-    ln_start: np.ndarray   # log share of the reconstructions in each column
-    top: np.ndarray
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+def _classes(lines) -> list[int]:
+    """Label equal lines alike, in order of first occurrence."""
+    seen: dict[bytes, int] = {}
+    return [seen.setdefault(line.tobytes(), len(seen)) for line in lines]
 
 
 def _distinct_columns(weighted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct columns in lexicographic order, and how many share each.
 
-    Columns are told apart by their bytes, one at a time, which takes a
-    fraction of the time and memory of sorting them field by field.
+    Columns are told apart and ordered by their big-endian bytes, which
+    order nonnegative floats as their values do, in a fraction of the
+    time and memory of sorting them field by field.  Any order is exact;
+    this one keeps the iterates of a channel with no rows to merge.
     """
-    labels = _classes(weighted.T)
-    atoms = weighted[:, np.unique(labels, return_index=True)[1]]
-    order = np.lexsort(atoms[::-1])
-    return atoms[:, order], np.bincount(labels)[order]
+    count = Counter(col.tobytes()
+                    for col in np.ascontiguousarray(weighted.T, dtype=">f8"))
+    keys = sorted(count)
+    atoms = np.frombuffer(b"".join(keys), dtype=">f8").reshape(len(keys), -1)
+    return atoms.T.astype(float), np.array([count[key] for key in keys])
 
 
-def _classes(lines: np.ndarray) -> np.ndarray:
-    """Label equal lines of a 2-D array alike, in order of first occurrence."""
-    seen: dict[bytes, int] = {}
-    return np.array([seen.setdefault(line.tobytes(), len(seen))
-                     for line in lines])
-
-
-def _profiles(ids: np.ndarray, cols: np.ndarray, mult: np.ndarray,
-              n_values: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's multiset of (column class, payoff id) pairs.
-
-    Returns the pairs' codes ``class * n_values + id`` in order within
-    each row, how many reconstructions hold each, and each row's bounds
-    in those two arrays.
-    """
-    # a code and its column's multiplicity packed in one integer, so one
-    # sort per row puts equal codes side by side
-    stride = int(mult.sum()) + 1
-    packed = (cols * n_values + ids) * stride + mult
-    packed.sort(axis=1)
-    width = packed.shape[1]
-    code, held = np.divmod(packed.ravel(), stride)
-    new = np.ones(code.shape, dtype=bool)
-    new[1:] = code[1:] != code[:-1]
-    new[::width] = True  # each row starts a run
-    starts = np.flatnonzero(new)
-    bounds = np.searchsorted(starts, np.arange(0, packed.size + 1, width))
-    return code[starts], np.add.reduceat(held, starts), bounds
-
-
-def _equitable(rows: np.ndarray, ids: np.ndarray, mult: np.ndarray,
-               n_values: int) -> tuple[np.ndarray, np.ndarray]:
+def _equitable(rows: list[int], ids: np.ndarray, mult: np.ndarray,
+               n_values: int) -> tuple[list[int], list[int]]:
     """Row and column labels of the coarsest equitable partition.
 
     ``rows`` labels the rows by weight; ``ids`` numbers the payoffs of the
     distinct columns, and ``mult`` counts the reconstructions that share
-    each.  Equal columns never split, so the refinement starts from them.
+    each.  A column's key counts its payoffs in each row class, and a
+    row's counts its reconstructions' payoffs in each column class.
     """
-    cols = np.zeros(ids.shape[1], dtype=np.intp)
+    n, m = ids.shape
+    held = np.broadcast_to(mult, ids.shape).ravel()
     while True:
-        # sorted ids keyed by row class list each row class's multiset
-        keyed = np.sort(ids + (rows * n_values)[:, None], axis=0)
-        cols = _classes(np.vstack([cols, keyed]).T)
-        code, count, bounds = _profiles(ids, cols, mult, n_values)
-        seen: dict[tuple, int] = {}
-        split = np.array([
-            seen.setdefault((row, code[a:b].tobytes(), count[a:b].tobytes()),
-                            len(seen))
-            for row, a, b in zip(rows.tolist(), bounds[:-1], bounds[1:])])
-        if split.max() == rows.max():
+        k = max(rows) + 1
+        code = (np.arange(m) * k + np.array(rows)[:, None]) * n_values + ids
+        cols = _classes(np.bincount(code.ravel(), minlength=m * k * n_values)
+                        .reshape(m, -1))
+        k = max(cols) + 1
+        code = (np.arange(n)[:, None] * k + cols) * n_values + ids
+        counts = np.bincount(code.ravel(), held, minlength=n * k * n_values)
+        split = _classes(np.column_stack([rows, counts.reshape(n, -1)]))
+        if max(split) == max(rows):
             return rows, cols
         rows = split
 
@@ -254,69 +231,43 @@ def _lump(ln_p: np.ndarray, payoff: np.ndarray) -> _Quotient:
     Rows of zero weight are dropped: ``MessagePartition.from_model`` makes
     none, but a hand-built partition may hold them.  The rest, and the
     reconstructions, are split into the coarsest equitable partition of
-    the weighted payoff matrix (see the module docstring).
+    the weighted payoff matrix, and the first row of each row class is
+    kept (see the module docstring).
     """
     keep = ln_p > -np.inf
     ln_w = ln_p[keep]
     atoms, mult = _distinct_columns(payoff if keep.all() else payoff[keep])
-    rows = _classes(ln_w[:, None])
-    if rows.max() == len(rows) - 1:
-        # no two rows weigh the same, so nothing merges: each distinct
-        # column is a class, and each block holds one payoff
-        ln_mass, size, top, entries = ln_w, mult, atoms, None
-    else:
-        ln_mass, size, top, entries = _merge(ln_w, rows, atoms, mult)
-    log.debug("quotient channel: %d weighted rows in %d classes, "
-              "%d reconstructions in %d classes, %d nonzero blocks",
-              len(ln_w), len(ln_mass), payoff.shape[1], len(size),
-              int(np.count_nonzero(top)))
+    values: dict[float, int] = {}
+    ids = np.array([[values.setdefault(v, len(values)) for v in row.tolist()]
+                    for row in atoms])
+    rows, cols = _equitable(_classes(ln_w[:, None]), ids, mult, len(values))
+    reps = [rows.index(k) for k in range(max(rows) + 1)]
+    ln_size = np.log(np.bincount(cols, weights=mult))
+    order = sorted(range(len(cols)), key=cols.__getitem__)
+    cols, mult = np.array(cols)[order], mult[order]
+    lens = np.bincount(cols)
     # column-major: a pass's sums fold in memory order, and this order
     # keeps a channel with no rows to merge on the plain pass's iterates
-    return _Quotient(ln_mass, np.log(size) - math.log(payoff.shape[1]),
-                     np.asfortranarray(top), entries)
-
-
-def _merge(ln_w: np.ndarray, rows: np.ndarray, atoms: np.ndarray,
-           mult: np.ndarray) -> tuple:
-    """Row classes' log weights, column classes' sizes, and the blocks'
-    top payoffs and entries (see ``_Quotient``)."""
-    values, ids = np.unique(atoms, return_inverse=True)
-    ids = ids.reshape(atoms.shape)
-    rows, cols = _equitable(rows, ids, mult, len(values))
-    first = np.unique(rows, return_index=True)[1]
-    n_k, n_l = len(first), int(cols.max()) + 1
-    # the first row of each class stands for it; its codes list the
-    # blocks in order, each from its smallest payoff up to its top
-    code, count, bounds = _profiles(ids[first], cols, mult, len(values))
-    block, value = np.divmod(code, len(values))
-    block += np.repeat(np.arange(n_k) * n_l, np.diff(bounds))
-    value = values[value]
-    top = value[np.append(np.flatnonzero(np.diff(block)), len(block) - 1)]
-    entries = (None if len(block) == len(top)
-               else (block, value - top[block], count))
-    return (ln_w[first] + np.log(np.bincount(rows)),
-            np.bincount(cols, weights=mult), top.reshape(n_k, n_l), entries)
+    first_rows = np.asfortranarray(atoms[reps][:, order])
+    log.debug("quotient channel: %d weighted rows in %d classes, "
+              "%d reconstructions in %d classes, %d nonzero blocks",
+              len(ln_w), len(reps), payoff.shape[1], len(lens),
+              np.count_nonzero(np.maximum.reduceat(
+                  first_rows, np.cumsum(lens) - lens, axis=1)))
+    ln_mult = np.log(mult)
+    return _Quotient(ln_w[reps] + np.log(np.bincount(rows)),
+                     ln_mult - math.log(payoff.shape[1]), first_rows, lens,
+                     ln_mult - ln_size[cols])
 
 
 def _ba_point(channel: _Quotient, beta: float, max_iters: int,
               tol: float) -> RDPoint:
-    ln_p, ln_start, top, entries = channel
-    scale = beta * _LN2
-    tilt = scale * top
-    payoff, offset = top, None
-    if entries is not None:
-        # E relative to the top payoff: one-valued blocks get a zero
-        # spread and lean, so their tilt, payoff and offset stay exact
-        block, shift, count = entries
-        tilted = count * np.exp(scale * shift)
-        total = np.bincount(block, weights=tilted).reshape(top.shape)
-        spread = np.log(total) - np.log(
-            np.bincount(block, weights=count).reshape(top.shape))
-        lean = np.bincount(block, weights=tilted * shift).reshape(
-            top.shape) / total
-        tilt = tilt + spread
-        payoff = top + lean
-        offset = scale * lean - spread
+    ln_p, ln_start, payoff, lens, ln_share = channel
+    # where every column class holds one column the split changes
+    # nothing, so it is left out
+    classes = (() if len(lens) == len(ln_start)
+               else ((np.cumsum(lens) - lens, lens, ln_share),))
+    tilt = beta * _LN2 * payoff
     # each pass tilts the output marginal its predecessor measured the
     # rate on, so the marginal is reduced once per pass
     ln_q = np.logaddexp.reduce(ln_p[:, None] + ln_start, axis=0)
@@ -329,9 +280,7 @@ def _ba_point(channel: _Quotient, beta: float, max_iters: int,
         # along axis 1 does, but down the rows of a contiguous transpose
         ln_cond = ln_cond - np.logaddexp.reduce(
             np.ascontiguousarray(ln_cond.T), axis=0)[:, None]
-        rate, mean_payoff, ln_q = (
-            _mutual_bits(ln_p, ln_cond, payoff) if offset is None
-            else _mutual_bits(ln_p, ln_cond, payoff, offset))
+        rate, mean_payoff, ln_q = _mutual_bits(ln_p, ln_cond, payoff, *classes)
         obj = rate - beta * mean_payoff
         if obj > prev_obj + _MONOTONE_SLACK:
             raise RuntimeError(f"objective increased from {prev_obj!r} to "

@@ -127,11 +127,7 @@ def _assert_matches_dense(ln_p, payoff, beta, max_iters=500, tol=1e-10):
     assert (point.iterations, point.converged) == (iterations, converged)
     assert abs(point.rate_bits - rate) <= 1e-12
     assert abs(point.cont_info - info) <= 1e-12
-    # the objective is rate - beta * info, so it is held to the bound those
-    # two imply; the oracle's own objective moves by up to 4e-11 at
-    # beta = 2048 when the payoff columns are merely put in another order
-    assert point.objective == pytest.approx(rate - beta * info,
-                                            abs=1e-12 * (1.0 + beta))
+    assert point.objective == pytest.approx(rate - beta * info, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -190,8 +186,8 @@ def _symmetric_channel(rnd):
     """A random channel invariant under a group of simultaneous row and
     column permutations.  One generator swaps rows 0 and 1 together with
     columns 0 and 1; the others cycle random rows and columns past those.
-    The payoff is positive at (0, 0) and zero at (0, 1), so the block of
-    rows 0-1 and columns 0-1 holds two payoff values."""
+    The payoff is positive at (0, 0) and zero at (0, 1), so columns 0
+    and 1 share a class but differ on row 0."""
     n, m = int(rnd.integers(2, 8)), int(rnd.integers(2, 11))
     gens = [(np.r_[1, 0, 2:n], np.r_[1, 0, 2:m])]
     for _ in range(int(rnd.integers(1, 3))):
@@ -218,7 +214,7 @@ def _symmetric_channel(rnd):
 def test_quotient_solver_matches_dense_on_symmetric_channels(seed):
     probs, payoff = _symmetric_channel(np.random.default_rng(seed))
     channel = _lump(_ln_probs(probs), payoff)
-    assert channel.entries is not None  # some block mixes payoff values
+    assert len(channel.lens) < len(channel.ln_start)  # columns merge
     for beta in (0.0, 0.5, 2.0, 8.0, 64.0):
         _assert_matches_dense(_ln_probs(probs), payoff, beta)
 
@@ -231,8 +227,7 @@ def test_quotient_is_coarser_than_equal_columns():
                        [0.0, 1.0, 0.2],
                        [0.5, 0.5, 0.9]])
     channel = _lump(_ln_probs(probs), payoff)
-    assert (len(channel.ln_p), len(channel.ln_start)) == (2, 2)
-    assert channel.entries is not None
+    assert (len(channel.ln_p), len(channel.lens)) == (2, 2)
     for beta in (0.0, 1.0, 4.0, 32.0):
         _assert_matches_dense(_ln_probs(probs), payoff, beta)
 
@@ -249,7 +244,7 @@ def test_quotient_classes_are_the_orbits(story):
                                receiver_prior(model.sublang, model.params))
         channel = _lump(_ln_probs(source.probs), payoff)
         c, m = model.summary.c, model.big_k - model.summary.c
-        assert (len(channel.ln_p), len(channel.ln_start)) == (
+        assert (len(channel.ln_p), len(channel.lens)) == (
             m + 1, (c + 1) * (m + 1))
 
 
