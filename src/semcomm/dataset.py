@@ -71,6 +71,8 @@ def load_evidence(path: str | Path, observations: int | None = None) -> tuple[Ev
         except json.JSONDecodeError as exc:
             raise StatementParseError(f"{path}: not JSON ({exc.msg})",
                                       exc.lineno, exc.colno) from exc
+        except RecursionError as exc:
+            raise StatementParseError(f"{path}: JSON nested too deeply") from exc
         if isinstance(payload, dict):
             payload = payload.get("triples", payload.get("statements"))
         if not isinstance(payload, list):
@@ -90,7 +92,10 @@ def load_manifest(directory: str | Path) -> list[Story]:
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise FileNotFoundError(f"no manifest.json in {directory}")
-    payload = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except RecursionError as exc:
+        raise ValueError(f"{manifest_path}: JSON nested too deeply") from exc
     entries = payload.get("stories") if isinstance(payload, dict) else payload
     if not isinstance(entries, list):
         raise ValueError(f'{manifest_path} holds no "stories" list')
@@ -99,7 +104,11 @@ def load_manifest(directory: str | Path) -> list[Story]:
         if not isinstance(entry, dict):
             raise ValueError(f"{manifest_path}: entry {i + 1} is not an object")
         story_id = str(entry.get("id", f"story{i + 1}"))
-        # the id names the story's report and container files
+        # the id names the story's report and container files, so it must
+        # name a file inside the output directory
+        if story_id in ("", ".", "..") or any(ch in story_id for ch in "/\\\0"):
+            raise ValueError(f"{manifest_path}: story id {story_id!r} "
+                             "is not a plain file name")
         if any(st.story_id == story_id for st in stories):
             raise ValueError(f"{manifest_path}: story id {story_id!r} is repeated")
         if not all(isinstance(entry.get(key), str) for key in ("text", "evidence")):

@@ -35,9 +35,7 @@ their shares of its reconstructions.  The first rows keep every column
 rather than one per column class: at large beta a row's normalizer sums
 terms near beta ln2 times the payoff, and any other grouping of those
 terms rounds each row's mass differently, by about 1e-13, which beta
-carries into the objective.  A channel whose rows all differ in weight
-is solved on its classes of equal columns with the plain pass's
-arithmetic.
+carries into the objective.
 
 A reconstruction only transmits content when the source message entails
 it: weakening a true description keeps it true, while a reconstruction
@@ -149,19 +147,18 @@ def payoff_matrix(source: MessagePartition, alphabet: list[Sentence],
 
 
 def _mutual_bits(ln_p: np.ndarray, ln_cond: np.ndarray, payoff: np.ndarray,
-                 classes: tuple | None = None
+                 starts: np.ndarray, lens: np.ndarray, ln_share: np.ndarray
                  ) -> tuple[float, float, np.ndarray]:
     """Mutual information (bits), mean payoff and log output marginal.
 
-    ``classes`` holds the start of each column class, its number of
-    columns and each column's log share of it; the marginal a class
-    receives is then split among its columns by those shares.
+    The marginal a column class receives, its ``lens`` columns from
+    ``starts`` on, is split among them by their log shares ``ln_share``.
+    A class of one column keeps its own marginal bit for bit: its sum is
+    that one term, and its share is exactly 0.0.
     """
     ln_joint = ln_p[:, None] + ln_cond
     ln_q = np.logaddexp.reduce(ln_joint, axis=0)
-    if classes is not None:
-        starts, lens, ln_share = classes
-        ln_q = np.repeat(np.logaddexp.reduceat(ln_q, starts), lens) + ln_share
+    ln_q = np.repeat(np.logaddexp.reduceat(ln_q, starts), lens) + ln_share
     w = np.exp(ln_joint)
     # every log here is finite, since rows of zero weight are dropped
     rate = max(float((w * (ln_cond - ln_q)).sum()) / _LN2, 0.0)
@@ -175,6 +172,7 @@ class _Quotient(NamedTuple):
     ln_p: np.ndarray      # log weight of each row class
     ln_start: np.ndarray  # log share of the reconstructions in each column
     payoff: np.ndarray    # the first row of each row class
+    starts: np.ndarray    # first column of each column class
     lens: np.ndarray      # columns in each column class
     ln_share: np.ndarray  # log share of each column in its class
 
@@ -246,27 +244,23 @@ def _lump(ln_p: np.ndarray, payoff: np.ndarray) -> _Quotient:
     order = sorted(range(len(cols)), key=cols.__getitem__)
     cols, mult = np.array(cols)[order], mult[order]
     lens = np.bincount(cols)
+    starts = np.cumsum(lens) - lens
     # column-major: a pass's sums fold in memory order, and this order
-    # keeps a channel with no rows to merge on the plain pass's iterates
+    # keeps a channel with no rows to merge on the full channel's iterates
     first_rows = np.asfortranarray(atoms[reps][:, order])
     log.debug("quotient channel: %d weighted rows in %d classes, "
               "%d reconstructions in %d classes, %d nonzero blocks",
               len(ln_w), len(reps), payoff.shape[1], len(lens),
-              np.count_nonzero(np.maximum.reduceat(
-                  first_rows, np.cumsum(lens) - lens, axis=1)))
+              np.count_nonzero(np.maximum.reduceat(first_rows, starts, axis=1)))
     ln_mult = np.log(mult)
     return _Quotient(ln_w[reps] + np.log(np.bincount(rows)),
-                     ln_mult - math.log(payoff.shape[1]), first_rows, lens,
-                     ln_mult - ln_size[cols])
+                     ln_mult - math.log(payoff.shape[1]), first_rows, starts,
+                     lens, ln_mult - ln_size[cols])
 
 
 def _ba_point(channel: _Quotient, beta: float, max_iters: int,
               tol: float) -> RDPoint:
-    ln_p, ln_start, payoff, lens, ln_share = channel
-    # where every column class holds one column the split changes
-    # nothing, so it is left out
-    classes = (() if len(lens) == len(ln_start)
-               else ((np.cumsum(lens) - lens, lens, ln_share),))
+    ln_p, ln_start, payoff, *split = channel
     tilt = beta * _LN2 * payoff
     # each pass tilts the output marginal its predecessor measured the
     # rate on, so the marginal is reduced once per pass
@@ -280,7 +274,7 @@ def _ba_point(channel: _Quotient, beta: float, max_iters: int,
         # along axis 1 does, but down the rows of a contiguous transpose
         ln_cond = ln_cond - np.logaddexp.reduce(
             np.ascontiguousarray(ln_cond.T), axis=0)[:, None]
-        rate, mean_payoff, ln_q = _mutual_bits(ln_p, ln_cond, payoff, *classes)
+        rate, mean_payoff, ln_q = _mutual_bits(ln_p, ln_cond, payoff, *split)
         obj = rate - beta * mean_payoff
         if obj > prev_obj + _MONOTONE_SLACK:
             raise RuntimeError(f"objective increased from {prev_obj!r} to "
@@ -307,6 +301,14 @@ def _argmax_point(p: np.ndarray, payoff: np.ndarray) -> RDPoint:
     return RDPoint(rate, float((p * payoff.max(axis=1)).sum()), math.inf)
 
 
+def _solve_grid(source: MessagePartition, payoff: np.ndarray,
+                cfg: LossyConfig) -> list[RDPoint]:
+    """One solved point per multiplier of the grid, all on one quotient."""
+    channel = _lump(np.array(source.ln_probs), payoff)
+    return [_ba_point(channel, beta, _MAX_ITERS, _TOL)
+            for beta in cfg.beta_grid]
+
+
 def lossy_optimize(source: MessagePartition, reconstruction_alphabet: list[Sentence],
                    cfg: LossyConfig, model) -> RDPoint:
     """Cheapest channel whose transmitted content reaches cfg.d_star.
@@ -318,16 +320,12 @@ def lossy_optimize(source: MessagePartition, reconstruction_alphabet: list[Sente
     the deterministic channel transmits raises InfeasibleTargetError
     naming that maximum.
     """
-    ln_p = np.array(source.ln_probs)
     payoff = payoff_matrix(source, reconstruction_alphabet, model)
     cap_point = _argmax_point(np.array(source.probs), payoff)
     if cfg.d_star > cap_point.cont_info:
         raise InfeasibleTargetError(cfg.d_star, cap_point.cont_info)
-    channel = _lump(ln_p, payoff)
-    candidates = [_ba_point(channel, beta, _MAX_ITERS, _TOL)
-                  for beta in cfg.beta_grid]
-    candidates.append(cap_point)
-    feasible = [pt for pt in candidates if pt.cont_info >= cfg.d_star]
+    feasible = [pt for pt in _solve_grid(source, payoff, cfg) + [cap_point]
+                if pt.cont_info >= cfg.d_star]
     return min(feasible, key=lambda pt: (pt.rate_bits, pt.beta))
 
 
@@ -339,11 +337,7 @@ def rd_sweep(source: MessagePartition, alphabet: list[Sentence],
     rate for less transmitted content than another, and exact duplicates
     collapse to the smallest multiplier that produced them.
     """
-    ln_p = np.array(source.ln_probs)
-    payoff = payoff_matrix(source, alphabet, model)
-    channel = _lump(ln_p, payoff)
-    points = [_ba_point(channel, beta, _MAX_ITERS, _TOL)
-              for beta in cfg.beta_grid]
+    points = _solve_grid(source, payoff_matrix(source, alphabet, model), cfg)
     points.sort(key=lambda pt: (pt.rate_bits, -pt.cont_info, pt.beta))
     frontier: list[RDPoint] = []
     best = -math.inf

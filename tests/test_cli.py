@@ -368,32 +368,38 @@ def test_lossy_debug_log_explains_the_run(runner, evidence_file, tmp_path,
                       for b in (0, 4)]
 
 
-# SHA-256 of the lossy CSV of each bundled story at --slack 1, 2, 3; stories
-# 1, 3, 4 and 6 share one frontier per slack, as do 2 and 5
-_FRONTIER_A = ("65bcb6493510eebc60b2e343bf5122ca030db6c80b6172ccbae4997fb1dfd9f4",
+# SHA-256 of the lossy CSV of each bundled story at --slack 0, 1, 2, 3; at
+# slack 0 the sender has one message, so every story has the one-point
+# frontier of _ONE_ROW, and each column class of the channel holds one
+# column; stories 1, 3, 4 and 6 share one frontier per slack, as do 2 and 5
+_ONE_ROW = "6b13c0843d47057436c2f47d8c33f980483f0f1ab8668b672c732c360c273b0d"
+_FRONTIER_A = (_ONE_ROW,
+               "65bcb6493510eebc60b2e343bf5122ca030db6c80b6172ccbae4997fb1dfd9f4",
                "dd11ae9807b4a5872d7476135f339bf9839837b6fb57d11350993ac0502bb2bf",
                "ec9e12399a6551e7e6fe8c6c40c9b7e446ec3f9ff75b74ee69c42e9390326a28")
-_FRONTIER_B = ("b9fb9e49fa4260027676c560ffc940e05c8b04b2b81a221718ac22605e873edf",
+_FRONTIER_B = (_ONE_ROW,
+               "b9fb9e49fa4260027676c560ffc940e05c8b04b2b81a221718ac22605e873edf",
                "717a3a96654de10efe72f09a27ba1e2fa29b258944f4e9784a9042eb99dac6e4",
                "10fcd5915c43499398f1b978d08ed09f0edf09971a779708844c0860d24c860e")
 _LOSSY_CSV_SHA256 = {
     "story1": _FRONTIER_A, "story2": _FRONTIER_B, "story3": _FRONTIER_A,
     "story4": _FRONTIER_A, "story5": _FRONTIER_B, "story6": _FRONTIER_A,
-    "story7": ("6b479b653fea7bea02df2befd7a048e8ab7be46f9d1b7e233796adbf9b232de1",
+    "story7": (_ONE_ROW,
+               "6b479b653fea7bea02df2befd7a048e8ab7be46f9d1b7e233796adbf9b232de1",
                "f9a06348cedb750ef415682990220be0f5a96e6cdfa75f7e7052ec97c47e146c",
                "6d6028b18d90dd2eac753618c7f06b63326992820278c234e840720bce848e98"),
 }
 
 
 @pytest.mark.parametrize("story", sorted(_LOSSY_CSV_SHA256))
-@pytest.mark.parametrize("slack", [1, 2, 3])
+@pytest.mark.parametrize("slack", [0, 1, 2, 3])
 def test_lossy_csv_golden(runner, tmp_path, story, slack):
     out = tmp_path / "rd.csv"
     res = runner.invoke(main, ["lossy", str(DATA_DIR / f"{story}.fol"),
                                "--slack", str(slack), "--out", str(out)])
     assert res.exit_code == 0, res.output
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == _LOSSY_CSV_SHA256[story][slack - 1]
+    assert digest == _LOSSY_CSV_SHA256[story][slack]
 
 
 def test_lossy_past_enumeration_limit_is_one_error_line(runner, monkeypatch,
@@ -456,6 +462,9 @@ def test_bad_numeric_option_is_usage_error(runner, evidence_file, command,
     assert isinstance(res.exception, SystemExit)  # not a raw traceback
 
 
+_DEEP = "[" * 10 ** 5 + "]" * 10 ** 5  # past the JSON parser's recursion limit
+
+
 def _one_error_line(res, code=1):
     assert res.exit_code == code, res.output
     assert isinstance(res.exception, SystemExit)  # not a raw traceback
@@ -467,13 +476,16 @@ def _one_error_line(res, code=1):
 @pytest.mark.parametrize("command", ["analyze", "compress", "lossy",
                                      "converge"])
 @pytest.mark.parametrize("name, content", [("bad.json", b"{not json"),
-                                           ("bad.fol", b"\xffRuns(Wren)\n")])
+                                           ("bad.fol", b"\xffRuns(Wren)\n"),
+                                           pytest.param("deep.json", _DEEP.encode(),
+                                                        id="deep.json")])
 def test_bad_evidence_file_is_one_error_line(runner, tmp_path, command,
                                              name, content):
     path = tmp_path / name
     path.write_bytes(content)
     res = runner.invoke(main, [command, str(path)])
     assert name in _one_error_line(res)
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("command", ["analyze", "compress"])
@@ -484,11 +496,28 @@ def test_bad_evidence_file_is_one_error_line(runner, tmp_path, command,
     # a repeated id would overwrite the first story's output files
     {"stories": [{"id": "a", "text": "a.txt", "evidence": "a.fol"},
                  {"id": "a", "text": "b.txt", "evidence": "b.fol"}]},
+    # the id names the story's output files, so "../leak" would write
+    # beside --out and "" a hidden file
+    *({"stories": [{"id": story_id, "text": "a.txt", "evidence": "a.fol"}]}
+      for story_id in ("", ".", "..", "../leak", "a/b", "a\\b", "a\0b")),
 ])
 def test_malformed_manifest_is_usage_error(runner, tiny_corpus, command,
                                            manifest):
-    (tiny_corpus / "manifest.json").write_text(json.dumps(manifest))
-    _one_error_line(runner.invoke(main, [command, str(tiny_corpus)]), code=2)
+    _manifest_is_usage_error(runner, tiny_corpus, command, json.dumps(manifest))
+
+
+@pytest.mark.parametrize("command", ["analyze", "compress"])
+def test_deeply_nested_manifest_is_usage_error(runner, tiny_corpus, command):
+    _manifest_is_usage_error(runner, tiny_corpus, command, _DEEP)
+
+
+def _manifest_is_usage_error(runner, tiny_corpus, command, manifest):
+    (tiny_corpus / "manifest.json").write_text(manifest)
+    before = sorted(tiny_corpus.parent.rglob("*"))
+    res = runner.invoke(main, [command, str(tiny_corpus),
+                               "--out", str(tiny_corpus.parent / "out")])
+    _one_error_line(res, code=2)
+    assert sorted(tiny_corpus.parent.rglob("*")) == before
 
 
 @pytest.mark.parametrize("command, content, args", [

@@ -170,8 +170,9 @@ def test_story_paths_are_paths():
 
 
 # malformed shapes: a bare string entry, no "stories" list, an entry that
-# names no text file, a count that is no number, and an id used twice
-# (also when one is the default id of its position)
+# names no text file, a count that is no number, an id used twice (also
+# when one is the default id of its position), and an id that is no plain
+# file name, which would put the story's output files outside --out
 @pytest.mark.parametrize("manifest, names", [
     ({"stories": ["x"]}, "entry 1"),
     ({"items": []}, '"stories"'),
@@ -183,6 +184,9 @@ def test_story_paths_are_paths():
     ([{"text": "a.txt", "evidence": "a.fol"},
       {"id": "story1", "text": "a.txt", "evidence": "a.fol"}],
      "'story1' is repeated"),
+    *(([{"id": story_id, "text": "a.txt", "evidence": "a.fol"}],
+       "is not a plain file name")
+      for story_id in ("", ".", "..", "../leak", "a/b", "a\\b", "a\0b")),
 ])
 def test_manifest_malformed_is_value_error(tmp_path, manifest, names):
     root = _write_corpus(tmp_path / "d", manifest,
@@ -210,3 +214,21 @@ def test_load_evidence_not_utf8_names_its_place(tmp_path, suffix):
         load_evidence(p)
     assert (info.value.line, info.value.column) == (2, 10)
     assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+
+_DEEP = "[" * 10 ** 5 + "]" * 10 ** 5
+
+
+def test_deeply_nested_manifest_is_value_error(tmp_path):
+    (tmp_path / "manifest.json").write_text(_DEEP)
+    with pytest.raises(ValueError, match="nested too deeply") as info:
+        load_manifest(tmp_path)
+    assert isinstance(info.value.__cause__, RecursionError)
+
+
+def test_deeply_nested_json_evidence_is_parse_error(tmp_path):
+    p = tmp_path / "e.json"
+    p.write_text(_DEEP)
+    with pytest.raises(StatementParseError, match="nested too deeply") as info:
+        load_evidence(p)
+    assert isinstance(info.value.__cause__, RecursionError)

@@ -82,8 +82,8 @@ def test_rising_objective_is_an_error(monkeypatch):
     # the monotone-descent check must survive python -O
     calls = iter(range(1, 1000))
     monkeypatch.setattr(lossy, "_mutual_bits",
-                        lambda ln_p, ln_cond, payoff: (float(next(calls)), 0.0,
-                                                       ln_cond[0]))
+                        lambda ln_p, ln_cond, payoff, *split: (
+                            float(next(calls)), 0.0, ln_cond[0]))
     probs = np.array([0.4, 0.6])
     payoff = np.array([[0.9, 0.3], [0.2, 0.7]])
     with pytest.raises(RuntimeError, match="objective increased"):
