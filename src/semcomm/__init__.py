@@ -9,8 +9,7 @@ coding of statement streams.
 from .errors import (ArityConflictError, CapacityError, DecodeError,
                      DomainMismatchError, InconsistentEvidenceError,
                      InfeasibleTargetError, SemcommError, StatementParseError)
-from .fol import (AtomicStatement, EvidenceSet, Vocabulary, parse_evidence,
-                  parse_triple_list)
+from .fol import AtomicStatement, EvidenceSet, parse_evidence, parse_triple_list
 from .inductive import (InductiveModel, InductiveParams, check_convergence,
                         constituent_likelihood, constituent_posterior,
                         constituent_prior, pac_error, pac_sample_bound,
@@ -34,7 +33,7 @@ __all__ = [
     "AtomicStatement", "InfeasibleTargetError", "LosslessReport",
     "LossyConfig", "MessagePartition", "RDPoint", "SemcommError", "Sentence",
     "StatementParseError", "SubLanguage", "SubLanguageConfig",
-    "UniverseSignature", "Vocabulary", "build_sublanguage",
+    "UniverseSignature", "build_sublanguage",
     "candidate_reconstructions",
     "check_convergence", "cond_cont", "cont", "cont_entropy",
     "cont_sentence", "content_cap", "constituent_likelihood",

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import StatementParseError
+from .errors import StatementParseError, clip
 from .fol import EvidenceSet, parse_evidence, parse_triple_list, utf8_error
 
 
@@ -25,7 +25,6 @@ class Story:
     text_path: Path
     evidence_path: Path
     observations: int | None
-    index: int
 
     def read_text(self) -> bytes:
         return self.text_path.read_bytes()
@@ -45,18 +44,18 @@ def _statement_from_item(item) -> str:
         obj = item[2] if len(item) >= 3 else None
         positive = item[3] if len(item) == 4 else True
     else:
-        raise StatementParseError(f"unrecognized triple item {item!r}")
+        raise StatementParseError(f"unrecognized triple item {clip(repr(item))}")
     if not isinstance(pred, str) or not isinstance(subj, str):
-        raise StatementParseError(f"triple item {item!r} needs string names")
+        raise StatementParseError(f"triple item {clip(repr(item))} needs string names")
     # a JSON bool only: by truthiness the string "false" would read as true
     if not isinstance(positive, bool):
-        raise StatementParseError(
-            f"triple item {item!r} has a non-boolean polarity {positive!r}")
+        raise StatementParseError(f"triple item {clip(repr(item))} has a "
+                                  f"non-boolean polarity {clip(repr(positive))}")
     neg = "" if positive else "!"
     if obj is None:
         return f"{neg}{pred}({subj})"
     if not isinstance(obj, str):
-        raise StatementParseError(f"triple item {item!r} has a non-string object")
+        raise StatementParseError(f"triple item {clip(repr(item))} has a non-string object")
     return f"{neg}{pred}({subj}, {obj})"
 
 
@@ -103,27 +102,29 @@ def load_manifest(directory: str | Path) -> list[Story]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"{manifest_path}: entry {i + 1} is not an object")
-        story_id = str(entry.get("id", f"story{i + 1}"))
+        story_id = entry.get("id", f"story{i + 1}")
         # the id names the story's report and container files, so it must
-        # name a file inside the output directory
-        if story_id in ("", ".", "..") or any(ch in story_id for ch in "/\\\0"):
-            raise ValueError(f"{manifest_path}: story id {story_id!r} "
+        # be a string that names a file inside the output directory
+        if (not isinstance(story_id, str) or story_id in ("", ".", "..")
+                or any(ch in story_id for ch in "/\\\0")):
+            raise ValueError(f"{manifest_path}: story id {clip(repr(story_id))} "
                              "is not a plain file name")
         if any(st.story_id == story_id for st in stories):
-            raise ValueError(f"{manifest_path}: story id {story_id!r} is repeated")
+            raise ValueError(f"{manifest_path}: story id {clip(repr(story_id))} is repeated")
+        entry_name = f"manifest entry {clip(story_id)}"
         if not all(isinstance(entry.get(key), str) for key in ("text", "evidence")):
-            raise ValueError(f"manifest entry {story_id} names no text or evidence file")
+            raise ValueError(f"{entry_name} names no text or evidence file")
         text_path = directory / entry["text"]
         evidence_path = directory / entry["evidence"]
         for p in (text_path, evidence_path):
             if not p.is_file():
-                raise FileNotFoundError(f"manifest entry {story_id}: missing {p}")
+                raise FileNotFoundError(f"{entry_name}: missing {p}")
         obs = entry.get("observations")
         # a JSON integer; bool is an int subclass, and floats would truncate
         if obs is not None and (type(obs) is not int or obs < 1):
-            raise ValueError(f"manifest entry {story_id}: observations "
-                             f"must be a positive integer, not {obs!r}")
-        stories.append(Story(story_id, text_path, evidence_path, obs, i))
+            raise ValueError(f"{entry_name}: observations must be a positive "
+                             f"integer, not {clip(repr(obs))}")
+        stories.append(Story(story_id, text_path, evidence_path, obs))
     if not stories:
         raise ValueError(f"{manifest_path} lists no stories")
     return stories

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+_QUOTE_MAX = 80  # characters of input an error message quotes
+
+
+def clip(text: str) -> str:
+    """Input text cut to a fixed length for an error message, so that the
+    message stays one short line however long the input is."""
+    return text if len(text) <= _QUOTE_MAX else text[:_QUOTE_MAX] + "..."
+
 
 class SemcommError(Exception):
     """Base class for all package-specific errors."""
@@ -22,7 +30,8 @@ class ArityConflictError(SemcommError, ValueError):
 
     def __init__(self, name: str, seen: int, now: int):
         super().__init__(
-            f"predicate {name!r} used with arity {now} but previously declared with arity {seen}"
+            f"predicate {clip(repr(name))} used with arity {now} but previously declared "
+            f"with arity {seen}"
         )
         self.name = name
         self.seen = seen

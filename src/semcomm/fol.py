@@ -15,76 +15,36 @@ occurrence; later use with a different arity is an error.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ArityConflictError, StatementParseError
-
-
-@dataclass(frozen=True, slots=True)
-class Entity:
-    """A named individual."""
-
-    name: str
+from .errors import ArityConflictError, StatementParseError, clip
 
 
-@dataclass(frozen=True, slots=True)
-class Predicate:
-    """A named relation of fixed arity (1 or 2)."""
+class AtomicStatement(NamedTuple):
+    """One polarized atomic fact over bare names."""
 
-    name: str
-    arity: int
-
-
-@dataclass(frozen=True, slots=True)
-class AtomicStatement:
-    """One polarized atomic fact."""
-
-    predicate: Predicate
-    subject: Entity
-    obj: Entity | None
+    predicate: str
+    subject: str
+    obj: str | None
     positive: bool = True
-
-    def atom_key(self) -> tuple:
-        """Identity of the unpolarized atom (for contradiction checks)."""
-        return (self.predicate.name, self.subject.name, self.obj.name if self.obj else None)
 
     def text(self) -> str:
         """Canonical serialization; parsing it reproduces the statement."""
         neg = "" if self.positive else "!"
         if self.obj is None:
-            return f"{neg}{self.predicate.name}({self.subject.name})"
-        return f"{neg}{self.predicate.name}({self.subject.name}, {self.obj.name})"
+            return f"{neg}{self.predicate}({self.subject})"
+        return f"{neg}{self.predicate}({self.subject}, {self.obj})"
 
 
-class Vocabulary:
-    """Interning registry for predicates and entities.
-
-    Names register on first sight; a predicate reused with a different
-    arity raises ArityConflictError.
-    """
-
-    def __init__(self) -> None:
-        self._predicates: dict[str, Predicate] = {}
-        self._entities: dict[str, Entity] = {}
-
-    def predicate(self, name: str, arity: int) -> Predicate:
-        known = self._predicates.get(name)
-        if known is None:
-            known = Predicate(name, arity)
-            self._predicates[name] = known
-        elif known.arity != arity:
-            raise ArityConflictError(name, known.arity, arity)
-        return known
-
-    def entity(self, name: str) -> Entity:
-        known = self._entities.get(name)
-        if known is None:
-            known = Entity(name)
-            self._entities[name] = known
-        return known
+def check_arity(arities: dict[str, int], predicate: str, arity: int) -> None:
+    """Hold a predicate to the arity of its first use."""
+    seen = arities.setdefault(predicate, arity)
+    if seen != arity:
+        raise ArityConflictError(predicate, seen, arity)
 
 
 # Each part is optional and nested in the one before it, so the match stops
@@ -108,8 +68,12 @@ _EXPECTED_AFTER = {None: "predicate name", "neg": "predicate name", "pred": "'('
                    "subj": "')'", "obj": "')'"}
 
 
-def parse_statement(text: str, vocab: Vocabulary, line_no: int = 1) -> AtomicStatement:
-    """Parse one statement line (comments already stripped)."""
+def parse_statement(text: str, arities: dict[str, int], line_no: int = 1) -> AtomicStatement:
+    """Parse one statement line (comments already stripped).
+
+    ``arities`` maps each predicate seen so far to its arity.  Names are
+    interned, so a long stream holds each name once.
+    """
     m = _STATEMENT.match(text)
     end = m.end()
     if m.lastgroup != "close":
@@ -117,13 +81,13 @@ def parse_statement(text: str, vocab: Vocabulary, line_no: int = 1) -> AtomicSta
         raise StatementParseError(f"expected {_EXPECTED_AFTER[m.lastgroup]}, found {found}",
                                   line=line_no, column=end + 1)
     if end < len(text):
-        raise StatementParseError(f"unexpected trailing text {text[end:]!r}",
+        raise StatementParseError(f"unexpected trailing text {clip(repr(text[end:]))}",
                                   line=line_no, column=end + 1)
-    pred_name, subj_name, obj_name = m.group("pred", "subj", "obj")
-    pred = vocab.predicate(pred_name, 1 if obj_name is None else 2)
-    subj = vocab.entity(subj_name)
-    obj = vocab.entity(obj_name) if obj_name is not None else None
-    return AtomicStatement(pred, subj, obj, m["neg"] is None)
+    pred, subj, obj = m.group("pred", "subj", "obj")
+    pred = sys.intern(pred)
+    check_arity(arities, pred, 1 if obj is None else 2)
+    return AtomicStatement(pred, sys.intern(subj), None if obj is None else sys.intern(obj),
+                           m["neg"] is None)
 
 
 def _iter_lines(source) -> Iterator[str]:
@@ -152,10 +116,9 @@ def utf8_error(path: Path) -> StatementParseError:
 
 @dataclass(frozen=True)
 class EvidenceSet:
-    """An ordered stream of parsed statements plus its vocabulary."""
+    """An ordered stream of parsed statements."""
 
     statements: tuple[AtomicStatement, ...]
-    vocab: Vocabulary
     source_id: str = "evidence"
     observations: int | None = None  # optional declared evidence volume
 
@@ -166,12 +129,12 @@ class EvidenceSet:
         return tuple(dict.fromkeys(self.statements))
 
     @cached_property
-    def entities(self) -> tuple[Entity, ...]:
+    def entities(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(ent for st in self.distinct_statements
                                    for ent in (st.subject, st.obj) if ent is not None))
 
     @cached_property
-    def predicates(self) -> tuple[Predicate, ...]:
+    def predicates(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(st.predicate for st in self.distinct_statements))
 
     def normalized_text(self) -> str:
@@ -181,10 +144,10 @@ class EvidenceSet:
         return "\n".join(st.text() for st in self.statements) + "\n"
 
 
-def parse_evidence(source, vocab: Vocabulary | None = None, source_id: str | None = None,
+def parse_evidence(source, source_id: str | None = None,
                    observations: int | None = None) -> EvidenceSet:
     """Parse an evidence stream (path, open text file, or iterable of lines)."""
-    vocab = vocab or Vocabulary()
+    arities: dict[str, int] = {}
     if source_id is None:
         source_id = Path(source).stem if isinstance(source, (str, Path)) else "evidence"
     statements: list[AtomicStatement] = []
@@ -192,13 +155,13 @@ def parse_evidence(source, vocab: Vocabulary | None = None, source_id: str | Non
         body = raw.split("#", 1)[0]
         if not body.strip():
             continue
-        statements.append(parse_statement(body.rstrip("\n"), vocab, line_no))
-    return EvidenceSet(tuple(statements), vocab, source_id, observations)
+        statements.append(parse_statement(body.rstrip("\n"), arities, line_no))
+    return EvidenceSet(tuple(statements), source_id, observations)
 
 
-def parse_triple_list(triples: Iterable[str], vocab: Vocabulary | None = None,
-                      source_id: str = "evidence", observations: int | None = None) -> EvidenceSet:
+def parse_triple_list(triples: Iterable[str], source_id: str = "evidence",
+                      observations: int | None = None) -> EvidenceSet:
     """Permissive list-of-strings form: each item is one statement."""
-    vocab = vocab or Vocabulary()
-    statements = [parse_statement(t, vocab, i + 1) for i, t in enumerate(triples)]
-    return EvidenceSet(tuple(statements), vocab, source_id, observations)
+    arities: dict[str, int] = {}
+    statements = [parse_statement(t, arities, i + 1) for i, t in enumerate(triples)]
+    return EvidenceSet(tuple(statements), source_id, observations)

@@ -44,8 +44,8 @@ from .coder import (
     encode_run,
     ideal_bits,
 )
-from .errors import CapacityError, DecodeError
-from .fol import NAME, AtomicStatement, EvidenceSet, Vocabulary
+from .errors import CapacityError, DecodeError, clip
+from .fol import NAME, AtomicStatement, EvidenceSet, check_arity
 
 _MAGIC = b"SEMC"
 _VERSION = 1
@@ -109,7 +109,7 @@ class LosslessReport:
 def _name_symbols(name: str) -> bytes:
     raw = name.encode("ascii")
     if len(raw) > _MAX_NAME:
-        raise CapacityError(f"name {name!r} longer than {_MAX_NAME} bytes")
+        raise CapacityError(f"name {clip(repr(name))} longer than {_MAX_NAME} bytes")
     return raw
 
 
@@ -141,7 +141,7 @@ def lossless_encode_report(ev: EvidenceSet) -> tuple[bytes, LosslessReport]:
     if preds or ents:
         len_model = AdaptiveModel(_MAX_NAME + 1)
         char_model = AdaptiveModel(256)
-        names = [_name_symbols(x.name) for x in (*preds, *ents)]
+        names = [_name_symbols(x) for x in (*preds, *ents)]
         for raw in names:
             encode_run(enc, (len_model,), (len(raw),))
             encode_run(enc, (char_model,), raw)
@@ -255,29 +255,28 @@ def _decode_block(coded: bytes, n_pred: int, n_ent: int, n_distinct: int,
         pred_names = [read_name() for _ in range(n_pred)]
         ent_names = [read_name() for _ in range(n_ent)]
 
-    vocab = Vocabulary()
-    entities = [vocab.entity(name) for name in ent_names]
-    distinct = (_decode_tuples(dec, vocab, pred_names, entities, n_distinct)
+    distinct = (_decode_tuples(dec, pred_names, ent_names, n_distinct)
                 if n_distinct else [])
     stream = decode_block_adaptive(n_stream, n_distinct, dec) if n_stream else []
     statements = tuple(distinct[i] for i in stream)
-    return EvidenceSet(statements, vocab, source_id="decoded")
+    return EvidenceSet(statements, source_id="decoded")
 
 
-def _decode_tuples(dec: RangeDecoder, vocab: Vocabulary, pred_names: list,
-                   entities: list, n_distinct: int) -> list[AtomicStatement]:
+def _decode_tuples(dec: RangeDecoder, pred_names: list, ent_names: list,
+                   n_distinct: int) -> list[AtomicStatement]:
     """Rebuild the distinct statements written by :func:`_encode_tuples`."""
-    n_ent = len(entities)
+    n_ent = len(ent_names)
     models = tuple(AdaptiveModel(k) for k in (2, len(pred_names), n_ent, n_ent + 1))
+    arities: dict[str, int] = {}
     distinct = []
     # rows come in bounded chunks, so the transient symbol list stays
     # small beside the statements built from it
     for first in range(0, n_distinct, _ROWS):
         fields = iter(decode_run(dec, models, 4 * min(_ROWS, n_distinct - first)))
         for sign, p_i, s_i, o_i in zip(fields, fields, fields, fields):
-            obj = None if o_i == n_ent else entities[o_i]
-            pred = vocab.predicate(pred_names[p_i], 1 if obj is None else 2)
-            distinct.append(AtomicStatement(pred, entities[s_i], obj, sign == 0))
+            obj = None if o_i == n_ent else ent_names[o_i]
+            check_arity(arities, pred_names[p_i], 1 if obj is None else 2)
+            distinct.append(AtomicStatement(pred_names[p_i], ent_names[s_i], obj, sign == 0))
     return distinct
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
-from .errors import CapacityError, DomainMismatchError, InconsistentEvidenceError
-from .fol import Entity, EvidenceSet
+from .errors import CapacityError, DomainMismatchError, InconsistentEvidenceError, clip
+from .fol import EvidenceSet
 
 # participation pattern: sorted tuple of ((predicate, role, positive), count)
 PatternKey = tuple
@@ -116,8 +116,8 @@ class SubLanguage:
     summary: EvidenceSummary
     token: int = field(default_factory=lambda: next(_token_counter))
 
-    def kind_of(self, entity: Entity) -> int:
-        return self.entity_kinds[entity.name]
+    def kind_of(self, entity: str) -> int:
+        return self.entity_kinds[entity]
 
     # --- sentence construction ---------------------------------------
 
@@ -168,24 +168,19 @@ def entity_patterns(ev: EvidenceSet) -> dict[str, PatternKey]:
     # keys arrive in the order of ev.entities: first appearance, subject first
     per_entity: dict[str, Counter] = defaultdict(Counter)
     for st in ev.distinct_statements:
-        per_entity[st.subject.name][(st.predicate.name, "s", st.positive)] += 1
+        per_entity[st.subject][(st.predicate, "s", st.positive)] += 1
         if st.obj is not None:
-            per_entity[st.obj.name][(st.predicate.name, "o", st.positive)] += 1
+            per_entity[st.obj][(st.predicate, "o", st.positive)] += 1
     return {name: tuple(sorted(cnt.items())) for name, cnt in per_entity.items()}
 
 
 def check_consistent(ev: EvidenceSet) -> None:
     polarity_seen: dict[tuple, bool] = {}
     for st in ev.distinct_statements:  # a repeat never conflicts first
-        key = st.atom_key()
-        prev = polarity_seen.get(key)
-        if prev is None:
-            polarity_seen[key] = st.positive
-        elif prev != st.positive:
+        prev = polarity_seen.setdefault(st[:3], st.positive)
+        if prev != st.positive:
             raise InconsistentEvidenceError(
-                f"evidence both asserts and negates {key[0]}({key[1]}"
-                + (f", {key[2]})" if key[2] else ")")
-            )
+                f"evidence both asserts and negates {clip(st._replace(positive=True).text())}")
 
 
 def build_sublanguage(ev: EvidenceSet, config: SubLanguageConfig | None = None) -> SubLanguage:
@@ -197,13 +192,12 @@ def build_sublanguage(ev: EvidenceSet, config: SubLanguageConfig | None = None) 
     cell_map: dict[PatternKey, int] = {}
     entity_kinds: dict[str, int] = {}
     counts: list[int] = []
-    for ent in ev.entities:  # first-appearance order fixes cell ids
-        pat = patterns[ent.name]
+    for ent, pat in patterns.items():  # first-appearance order fixes cell ids
         if pat not in cell_map:
             cell_map[pat] = len(cell_map)
             counts.append(0)
         kind = cell_map[pat]
-        entity_kinds[ent.name] = kind
+        entity_kinds[ent] = kind
         counts[kind] += 1
 
     c = len(cell_map)

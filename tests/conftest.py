@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from semcomm.fol import AtomicStatement, EvidenceSet, Vocabulary, parse_evidence
+from semcomm.fol import AtomicStatement, EvidenceSet, parse_evidence
 from semcomm.inductive import InductiveModel, InductiveParams
 from semcomm.lossless import lossless_encode
 from semcomm.sublang import SubLanguageConfig, build_sublanguage
@@ -44,9 +44,7 @@ def random_evidence_text(rng: random.Random, max_preds: int = 5,
 
 def one_statement_container(pred: str, ent: str) -> bytes:
     """A container written from hand-built evidence, names unchecked."""
-    vocab = Vocabulary()
-    st = AtomicStatement(vocab.predicate(pred, 1), vocab.entity(ent), None)
-    return lossless_encode(EvidenceSet((st,), vocab))
+    return lossless_encode(EvidenceSet((AtomicStatement(pred, ent, None),)))
 
 
 def random_model(rng: random.Random, slack: int | None = None,

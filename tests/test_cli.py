@@ -488,6 +488,28 @@ def test_bad_evidence_file_is_one_error_line(runner, tmp_path, command,
     assert list(tmp_path.iterdir()) == [path]
 
 
+_LONG = "x" * 10 ** 6
+# each file makes an error message quote a megabyte of its input
+_LONG_INPUT = {
+    "trailing.fol": f"P(a) {_LONG}\n",
+    "item.json": json.dumps([["R", _LONG, 3]]),
+    "arity.fol": f"P{_LONG}(a)\nP{_LONG}(a, b)\n",
+    "name.fol": f"P{_LONG}(a)\n",  # a name too long for the container
+    "contradiction.fol": f"P({_LONG})\n!P({_LONG})\n",
+}
+
+
+@pytest.mark.parametrize("command, name", [
+    ("analyze", "trailing.fol"), ("analyze", "item.json"),
+    ("analyze", "arity.fol"), ("compress", "name.fol"),
+    ("analyze", "contradiction.fol")])
+def test_error_quoting_long_input_stays_short(runner, tmp_path, command, name):
+    path = tmp_path / name
+    path.write_text(_LONG_INPUT[name])
+    res = runner.invoke(main, [command, str(path)])
+    assert len(_one_error_line(res).encode()) < 1024
+
+
 @pytest.mark.parametrize("command", ["analyze", "compress"])
 @pytest.mark.parametrize("manifest", [
     {"stories": ["x"]},
@@ -497,9 +519,11 @@ def test_bad_evidence_file_is_one_error_line(runner, tmp_path, command,
     {"stories": [{"id": "a", "text": "a.txt", "evidence": "a.fol"},
                  {"id": "a", "text": "b.txt", "evidence": "b.fol"}]},
     # the id names the story's output files, so "../leak" would write
-    # beside --out and "" a hidden file
+    # beside --out, "" a hidden file and 7 a file named "7"; the error
+    # quotes at most a short head of a long id
     *({"stories": [{"id": story_id, "text": "a.txt", "evidence": "a.fol"}]}
-      for story_id in ("", ".", "..", "../leak", "a/b", "a\\b", "a\0b")),
+      for story_id in ("", ".", "..", "../leak", "a/b", "a\\b", "a\0b",
+                       ["a"], None, 7, f"a/{_LONG}")),
 ])
 def test_malformed_manifest_is_usage_error(runner, tiny_corpus, command,
                                            manifest):
@@ -516,7 +540,7 @@ def _manifest_is_usage_error(runner, tiny_corpus, command, manifest):
     before = sorted(tiny_corpus.parent.rglob("*"))
     res = runner.invoke(main, [command, str(tiny_corpus),
                                "--out", str(tiny_corpus.parent / "out")])
-    _one_error_line(res, code=2)
+    assert len(_one_error_line(res, code=2).encode()) < 1024
     assert sorted(tiny_corpus.parent.rglob("*")) == before
 
 

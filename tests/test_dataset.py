@@ -23,7 +23,6 @@ def test_bundled_corpus_loads():
     stories = load_manifest(DATA_DIR)
     assert [s.story_id for s in stories] == [f"story{i}" for i in range(1, 8)]
     assert all(s.observations and s.observations > 0 for s in stories)
-    assert stories[0].index == 0
     ev, fmt = load_evidence(stories[0].evidence_path,
                             stories[0].observations)
     assert fmt == "line"
@@ -172,7 +171,8 @@ def test_story_paths_are_paths():
 # malformed shapes: a bare string entry, no "stories" list, an entry that
 # names no text file, a count that is no number, an id used twice (also
 # when one is the default id of its position), and an id that is no plain
-# file name, which would put the story's output files outside --out
+# file name, which would put the story's output files outside --out, or
+# no JSON string at all
 @pytest.mark.parametrize("manifest, names", [
     ({"stories": ["x"]}, "entry 1"),
     ({"items": []}, '"stories"'),
@@ -186,7 +186,8 @@ def test_story_paths_are_paths():
      "'story1' is repeated"),
     *(([{"id": story_id, "text": "a.txt", "evidence": "a.fol"}],
        "is not a plain file name")
-      for story_id in ("", ".", "..", "../leak", "a/b", "a\\b", "a\0b")),
+      for story_id in ("", ".", "..", "../leak", "a/b", "a\\b", "a\0b",
+                       ["a"], None, 7)),
 ])
 def test_manifest_malformed_is_value_error(tmp_path, manifest, names):
     root = _write_corpus(tmp_path / "d", manifest,

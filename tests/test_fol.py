@@ -5,8 +5,8 @@ import io
 import pytest
 
 from semcomm.errors import ArityConflictError, StatementParseError
-from semcomm.fol import (EvidenceSet, Vocabulary, parse_evidence,
-                         parse_statement, parse_triple_list)
+from semcomm.fol import (EvidenceSet, parse_evidence, parse_statement,
+                         parse_triple_list)
 
 from conftest import random_evidence_text
 
@@ -17,11 +17,11 @@ def _parse(text: str) -> EvidenceSet:
 
 def test_monadic_and_dyadic():
     ev = _parse("Barks(Rex)\nChases(Rex, Tom)\n")
-    assert [p.name for p in ev.predicates] == ["Barks", "Chases"]
-    assert [e.name for e in ev.entities] == ["Rex", "Tom"]
+    assert list(ev.predicates) == ["Barks", "Chases"]
+    assert list(ev.entities) == ["Rex", "Tom"]
     s1, s2 = ev.statements
     assert s1.positive and s1.obj is None
-    assert s2.obj.name == "Tom"
+    assert s2.obj == "Tom"
 
 
 def test_negation_prefix():
@@ -42,8 +42,8 @@ def test_duplicates_kept_in_stream_once_in_distinct():
 
 def test_first_appearance_order():
     ev = _parse("Naps(Zoe)\nBarks(Abe)\nNaps(Abe)\n")
-    assert [e.name for e in ev.entities] == ["Zoe", "Abe"]
-    assert [p.name for p in ev.predicates] == ["Naps", "Barks"]
+    assert list(ev.entities) == ["Zoe", "Abe"]
+    assert list(ev.predicates) == ["Naps", "Barks"]
 
 
 def test_arity_conflict():
@@ -82,10 +82,15 @@ def test_tabs_and_spaces_everywhere():
 
 
 def test_parse_statement_direct():
-    vocab = Vocabulary()
-    st_ = parse_statement("Chases(Rex, Tom)", vocab)
-    assert st_.predicate.name == "Chases"
-    assert st_.subject.name == "Rex"
+    st_ = parse_statement("Chases(Rex, Tom)", {})
+    assert st_.predicate == "Chases"
+    assert st_.subject == "Rex"
+
+
+def test_names_are_shared():
+    # each name is one str object however often the stream repeats it
+    ev = _parse("P(a)\nQ(a)\n")
+    assert ev.statements[0].subject is ev.statements[1].subject
 
 
 def test_normalized_text_round_trip():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from semcomm import lossless
 from semcomm.errors import DecodeError
-from semcomm.fol import parse_evidence
+from semcomm.fol import AtomicStatement, EvidenceSet, parse_evidence
 from semcomm.lossless import (_write_uvarint, gzip_bits, lossless_decode,
                               lossless_encode, lossless_encode_report,
                               shannon_baseline)
@@ -224,6 +224,15 @@ def test_reject_names_the_evidence_format_cannot_hold(bad, where):
             else one_statement_container("P", bad))
     with pytest.raises(DecodeError, match="name syntax"):
         lossless_decode(blob)
+
+
+def test_predicate_with_two_arities_is_decode_error():
+    # the encoder takes hand-built statements as they come; the decoder
+    # holds each predicate to the arity of its first row
+    ev = EvidenceSet((AtomicStatement("P", "a", None),
+                      AtomicStatement("P", "a", "b")))
+    with pytest.raises(DecodeError, match="arity"):
+        lossless_decode(lossless_encode(ev))
 
 
 def test_empty_coded_block_fails_at_the_first_name(monkeypatch):

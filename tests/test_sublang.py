@@ -70,7 +70,7 @@ def test_kind_of_consistency(rng):
         for a in ev.entities:
             for b in ev.entities:
                 same = sl.kind_of(a) == sl.kind_of(b)
-                assert same == (pats[a.name] == pats[b.name])
+                assert same == (pats[a] == pats[b])
 
 
 def test_enumerate_constituents_counts():
