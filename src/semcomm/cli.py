@@ -4,7 +4,9 @@ Six subcommands: ``analyze`` (content and surprise entropies over evidence
 files or a story collection), ``compress`` / ``decompress`` (the lossless
 container), ``lossy`` (rate against transmitted content), ``pac`` (sample
 bounds for hypothesis identification), and ``converge`` (posterior trace
-along an observation stream).
+along an observation stream).  ``--lam`` sets
+``InductiveParams.lambda_value``: ``w`` leaves it None, the weight λ(w) = w,
+and ``const:<v>`` makes it the constant v (``const:inf`` is dogmatic).
 
 Everything here is deterministic.  ``--seed`` is accepted and recorded in
 reports for provenance, but no command draws random numbers.  Set the
@@ -21,16 +23,17 @@ import json
 import logging
 import math
 import os
+import sys
 from pathlib import Path
 
 import click
 
 from . import __version__
 from .dataset import load_evidence, load_manifest
-from .errors import DecodeError, SemcommError
+from .errors import CapacityError, DecodeError, SemcommError
 from .fol import EvidenceSet
-from .inductive import (CONSTANT, PROPORTIONAL, InductiveModel, InductiveParams,
-                        check_convergence, pac_error, pac_sample_bound)
+from .inductive import (InductiveModel, InductiveParams, check_convergence,
+                        pac_error, pac_sample_bound)
 from .lossless import (gzip_bits, lossless_decode, lossless_encode_report,
                        shannon_baseline)
 from .measures import (MessagePartition, UniverseSignature, cont_entropy,
@@ -40,10 +43,10 @@ from .sublang import SubLanguageConfig, build_sublanguage
 log = logging.getLogger("semcomm.cli")
 
 
-def _parse_lambda(text: str) -> tuple[str, float | None]:
-    """Smoothing-weight spec: "w" or "const:<value>" ("inf" allowed)."""
+def _parse_lambda(text: str) -> float | None:
+    """Smoothing-weight spec: "w" (None) or "const:<value>" ("inf" allowed)."""
     if text == "w":
-        return PROPORTIONAL, None
+        return None
     if text.startswith("const:"):
         raw = text[len("const:"):]
         try:
@@ -53,16 +56,15 @@ def _parse_lambda(text: str) -> tuple[str, float | None]:
         if not value > 0:
             raise click.BadParameter("constant weight must be positive",
                                      param_hint="--lam")
-        return CONSTANT, value
+        return value
     raise click.BadParameter(f"expected 'w' or 'const:<value>', got {text!r}",
                              param_hint="--lam")
 
 
 def _make_params(lam: str, alpha: float) -> InductiveParams:
-    policy, value = _parse_lambda(lam)
+    value = _parse_lambda(lam)
     try:
-        return InductiveParams(lambda_policy=policy, lambda_value=value,
-                               alpha=alpha)
+        return InductiveParams(lambda_value=value, alpha=alpha)
     except ValueError as exc:  # _parse_lambda vetted the rest, so it is alpha
         raise click.BadParameter(str(exc), param_hint="--alpha")
 
@@ -113,13 +115,21 @@ def main(ctx, seed):
 
 
 def _analyze_one(ev: EvidenceSet, fmt: str, slack: int, params: InductiveParams,
-                 observations: int | None, label: str) -> dict:
+                 label: str, writes_json: bool) -> tuple:
     sl = build_sublanguage(ev, SubLanguageConfig(slack=slack))
+    # the report holds the exact 2^K - 1 hypothesis count, which json.dumps
+    # cannot write with more digits than the interpreter's int limit (0 is
+    # none; interpreters before 3.10.7 have none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if writes_json and limit and math.floor(sl.big_k * math.log10(2)) + 1 > limit:
+        raise CapacityError(f"{label}: K={sl.big_k} makes the hypothesis count "
+                            f"longer than {limit} digits, too long for a JSON "
+                            "report; drop --out or lower --slack")
     summary = sl.summary
-    scaled = observations is not None and observations != summary.n
-    if observations is not None:
+    scaled = ev.observations is not None and ev.observations != summary.n
+    if ev.observations is not None:
         try:
-            summary = summary.scaled_to(observations)
+            summary = summary.scaled_to(ev.observations)
         except ValueError as exc:  # fewer observations than kinds
             raise click.ClickException(f"{label}: {exc}") from exc
     model = InductiveModel(sl, params, summary)
@@ -135,7 +145,7 @@ def _analyze_one(ev: EvidenceSet, fmt: str, slack: int, params: InductiveParams,
             "distinct_statements": len(ev.distinct_statements),
             "kinds_observed": sl.summary.c,
             "big_k": sl.big_k,
-            "observations": observations,
+            "observations": ev.observations,
         },
         "universe": sig.as_json(),
         "inf_entropy_bits": inf_entropy(model),
@@ -182,19 +192,19 @@ def analyze(ctx, paths, slack, lam, alpha, out):
             raise click.UsageError(str(exc))
         for st in stories:
             ev, fmt = load_evidence(st.evidence_path, st.observations)
-            jobs.append((st.evidence_path, ev, fmt, st.observations, st.story_id))
+            jobs.append((st.evidence_path, ev, fmt, st.story_id))
     else:
         stems = [Path(p).stem for p in paths]  # row labels, report names
         for p, stem in zip(paths, stems):
             if stems.count(stem) > 1:
                 raise click.UsageError(f"two evidence files are named {stem!r}")
             ev, fmt = load_evidence(p)
-            jobs.append((p, ev, fmt, ev.observations, stem))
+            jobs.append((p, ev, fmt, stem))
 
     rows = []
     normalized = []
-    for path, ev, fmt, observations, label in jobs:
-        record, value = _analyze_one(ev, fmt, slack, params, observations, label)
+    for path, ev, fmt, label in jobs:
+        record, value = _analyze_one(ev, fmt, slack, params, label, bool(out))
         if value.is_zero:  # the scaled columns divide by it
             raise click.ClickException(f"{path}: one hypothesis holds all the "
                                        "mass, so there is no content to scale; "

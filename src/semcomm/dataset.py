@@ -72,6 +72,8 @@ def load_evidence(path: str | Path, observations: int | None = None) -> tuple[Ev
                                       exc.lineno, exc.colno) from exc
         except RecursionError as exc:
             raise StatementParseError(f"{path}: JSON nested too deeply") from exc
+        except ValueError as exc:  # an integer past the interpreter's digit limit
+            raise StatementParseError(f"{path}: not JSON ({exc})") from exc
         if isinstance(payload, dict):
             payload = payload.get("triples", payload.get("statements"))
         if not isinstance(payload, list):

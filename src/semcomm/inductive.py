@@ -21,8 +21,6 @@ from .errors import CapacityError, DomainMismatchError, InconsistentEvidenceErro
 from .sublang import Constituent, EvidenceSummary, Sentence, SubLanguage
 from .xreal import ExtremeReal, lse
 
-PROPORTIONAL = "proportional"
-CONSTANT = "constant"
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -30,41 +28,33 @@ _LN_FLOAT_MAX = math.log(sys.float_info.max)
 class InductiveParams:
     """Smoothing configuration for the whole engine.
 
-    ``lambda_policy`` picks how much prior weight competes with the data:
-    "proportional" ties the weight to the width of the hypothesis being
-    priced (weight w for a w-kind hypothesis), "constant" uses the fixed
-    ``lambda_value`` everywhere.  ``math.inf`` is a legal constant value and
-    gives the dogmatic endpoint where every next-case probability collapses
-    to 1/k and observations stop mattering.
+    ``lambda_value`` is how much prior weight competes with the data: None,
+    the default, ties it to the width of the hypothesis being priced
+    (weight w for a w-kind hypothesis); a positive number is one constant
+    weight everywhere.  ``math.inf`` is a legal constant and gives the
+    dogmatic endpoint where every next-case probability collapses to 1/k
+    and observations stop mattering.
 
     ``alpha`` is the prior sample-size weight; 0 gives the uniform prior over
     the 2^K - 1 non-empty hypotheses.
     """
 
-    lambda_policy: str = PROPORTIONAL
     lambda_value: float | None = None
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.lambda_policy not in (PROPORTIONAL, CONSTANT):
-            raise ValueError(f"unknown lambda policy {self.lambda_policy!r}")
-        if self.lambda_policy == CONSTANT:
-            if self.lambda_value is None:
-                raise ValueError("constant policy requires lambda_value")
-            if not self.lambda_value > 0:  # also rejects nan
-                raise ValueError("lambda_value must be positive")
-        elif self.lambda_value is not None:
-            raise ValueError("lambda_value applies to the constant policy only")
+        if self.lambda_value is not None and not self.lambda_value > 0:  # or nan
+            raise ValueError("lambda_value must be None or positive")
         if not self.alpha >= 0 or math.isinf(self.alpha):
             raise ValueError("alpha must be finite and >= 0")
 
     @property
     def dogmatic(self) -> bool:
         """True when smoothing weight is infinite and data are ignored."""
-        return self.lambda_policy == CONSTANT and math.isinf(self.lambda_value)
+        return self.lambda_value == math.inf
 
     def lambda_of(self, width: int) -> float:
-        if self.lambda_policy == PROPORTIONAL:
+        if self.lambda_value is None:
             return float(width)
         return self.lambda_value
 
@@ -594,15 +584,15 @@ def check_convergence(kinds: Iterable[int], big_k: int,
 
     # Log mass of one width-w hypothesis plus ln C(K-c, w-c), carried across
     # prefixes, up to terms every width shares (they cancel from the
-    # posterior): ln (K-c)!, the per-cell lgamma sum of the proportional
-    # policy, and lgamma(lam) - lgamma(n + lam) and n ln lam of the constant
-    # one.  There a count m -> m + 1 adds ln(m + lam/w), which is
+    # posterior): ln (K-c)!, the per-cell lgamma sum of lam = w, and
+    # lgamma(lam) - lgamma(n + lam) and n ln lam of a constant lam.  There a
+    # count m -> m + 1 adds ln(m + lam/w), which is
     # ln lam - ln w + ln((lam + m w) / s) + ln(s / lam) for s = max(lam, 1);
     # the shared ln lam and ln(s / lam) are left out, which keeps the sums
     # accurate for a large lam, finite for a tiny one, and makes lam = inf the
     # dogmatic -n ln w.
     ln_fact = [math.lgamma(i + 1) for i in range(big_k + 1)]
-    proportional = params.lambda_policy == PROPORTIONAL
+    proportional = params.lambda_value is None
     fixed = [0.0] + [_ln_prior_factor(w, big_k, params) - ln_fact[big_k - w]
                      + (math.lgamma(w) if proportional else 0.0)
                      for w in range(1, big_k + 1)]

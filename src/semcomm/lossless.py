@@ -179,12 +179,6 @@ def lossless_encode_report(ev: EvidenceSet) -> tuple[bytes, LosslessReport]:
     return bytes(buf), report
 
 
-def lossless_encode(ev: EvidenceSet) -> bytes:
-    """Encode an evidence stream into a self-contained container."""
-    blob, _ = lossless_encode_report(ev)
-    return blob
-
-
 def lossless_decode(blob: bytes) -> EvidenceSet:
     """Rebuild the statement stream from a container.
 

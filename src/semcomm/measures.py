@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import DomainMismatchError
 from .inductive import InductiveModel
-from .sublang import Sentence
+from .sublang import Sentence, enumerate_constituents
 from .xreal import ExtremeReal, xsum
 
 _NORM_TOL = 1e-9
@@ -115,7 +115,7 @@ class MessagePartition:
         by_width: dict[int, tuple[float, float]] = {}
         members = []
         columns = []
-        for constituent in sl.all_constituents():
+        for constituent in enumerate_constituents(sl):
             if need <= constituent:
                 w = len(constituent)
                 if w not in by_width:

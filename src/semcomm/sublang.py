@@ -129,7 +129,7 @@ class SubLanguage:
         return Sentence(self.token, cs)
 
     def tautology(self) -> Sentence:
-        return self.sentence(self.all_constituents())
+        return self.sentence(enumerate_constituents(self))
 
     def minimal_constituent(self) -> Constituent:
         """The narrowest constituent compatible with the evidence."""
@@ -148,9 +148,6 @@ class SubLanguage:
         by_mask = self._constituents[1]
         return Sentence(self.token, frozenset(by_mask[m] for m in masks if m))
 
-    def all_constituents(self) -> list[Constituent]:
-        return enumerate_constituents(self)
-
     @cached_property
     def _constituents(self) -> tuple[list[Constituent], list[Constituent | None]]:
         # built on first use and shared by every caller: the constituents
@@ -160,7 +157,7 @@ class SubLanguage:
     def negate(self, s: Sentence) -> Sentence:
         if s.sublang_token != self.token:
             raise DomainMismatchError("sentence belongs to a different sub-language")
-        return Sentence(self.token, frozenset(self.all_constituents()) - s.constituents)
+        return Sentence(self.token, frozenset(enumerate_constituents(self)) - s.constituents)
 
 
 def entity_patterns(ev: EvidenceSet) -> dict[str, PatternKey]:

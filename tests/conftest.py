@@ -8,7 +8,7 @@ import pytest
 
 from semcomm.fol import AtomicStatement, EvidenceSet, parse_evidence
 from semcomm.inductive import InductiveModel, InductiveParams
-from semcomm.lossless import lossless_encode
+from semcomm.lossless import lossless_encode_report
 from semcomm.sublang import SubLanguageConfig, build_sublanguage
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "stories"
@@ -44,7 +44,8 @@ def random_evidence_text(rng: random.Random, max_preds: int = 5,
 
 def one_statement_container(pred: str, ent: str) -> bytes:
     """A container written from hand-built evidence, names unchecked."""
-    return lossless_encode(EvidenceSet((AtomicStatement(pred, ent, None),)))
+    ev = EvidenceSet((AtomicStatement(pred, ent, None),))
+    return lossless_encode_report(ev)[0]
 
 
 def random_model(rng: random.Random, slack: int | None = None,

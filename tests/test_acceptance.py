@@ -30,12 +30,12 @@ from semcomm.measures import (JointMessageDistribution, MessagePartition,
                               cont_sentence, mutual_cont_information,
                               transcont)
 from semcomm.sublang import (Constituent, EvidenceSummary, SubLanguageConfig,
-                             build_sublanguage)
+                             build_sublanguage, enumerate_constituents)
 from semcomm.xreal import ExtremeReal, lse
 
 from conftest import DATA_DIR, random_model
 
-_DOGMATIC = InductiveParams(lambda_policy="constant", lambda_value=math.inf)
+_DOGMATIC = InductiveParams(lambda_value=math.inf)
 
 
 # --- 1. hypothesis pricing against literal Bayes ------------------------
@@ -44,7 +44,7 @@ _DOGMATIC = InductiveParams(lambda_policy="constant", lambda_value=math.inf)
 def _walk_likelihood(kinds, counts, params):
     """Multiply smoothed next-case probabilities along one realization."""
     w = len(kinds)
-    lam = float(w) if params.lambda_policy == "proportional" else params.lambda_value
+    lam = float(w) if params.lambda_value is None else params.lambda_value
     seen = dict.fromkeys(kinds, 0)
     value, n = 1.0, 0
     for kind, reps in enumerate(counts):
@@ -185,7 +185,7 @@ def test_content_measure_chain_identity():
     pairs = 0
     while pairs < 10_000:
         model = random_model(rnd)
-        cons = list(model.sublang.all_constituents())
+        cons = list(enumerate_constituents(model.sublang))
         for _ in range(250):
             s1 = model.sublang.sentence(rnd.sample(cons, rnd.randint(1, len(cons))))
             s2 = model.sublang.sentence(rnd.sample(cons, rnd.randint(1, len(cons))))

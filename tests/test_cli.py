@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -163,6 +164,36 @@ def test_bad_lambda_spec(runner, evidence_file):
 
 
 # --- analyze -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("limit, slack, writes", [(4300, 14281, False),
+                                                  (640, 2122, True),
+                                                  (640, 2123, False)])
+def test_analyze_out_bounds_the_hypothesis_count_digits(runner, tmp_path,
+                                                        limit, slack, writes):
+    # story1 has c = 4, so K = slack + 4; 2^K - 1, the report's hypothesis
+    # count, has 4,301 digits at K = 14,285, 640 at K = 2,126 and 641 at
+    # K = 2,127.  A count the JSON report cannot hold is refused before the
+    # measures run, so the run is quick and writes nothing.
+    out = tmp_path / "d"
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        start = time.perf_counter()
+        res = runner.invoke(main, ["analyze", str(DATA_DIR / "story1.fol"),
+                                   "--slack", str(slack), "--out", str(out)])
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.set_int_max_str_digits(old)
+    if writes:
+        assert res.exit_code == 0, res.output
+        assert sorted(p.name for p in out.iterdir()) == ["story1.json",
+                                                         "summary.csv"]
+    else:
+        assert f"K={slack + 4}" in _one_error_line(res)
+        assert res.output.count("\n") == 1  # nothing printed before it
+        assert not out.exists()
+        assert elapsed < 5.0
 
 
 def test_analyze_single_file(runner, evidence_file):
@@ -478,7 +509,11 @@ def _one_error_line(res, code=1):
 @pytest.mark.parametrize("name, content", [("bad.json", b"{not json"),
                                            ("bad.fol", b"\xffRuns(Wren)\n"),
                                            pytest.param("deep.json", _DEEP.encode(),
-                                                        id="deep.json")])
+                                                        id="deep.json"),
+                                           # past the interpreter's int digit limit
+                                           pytest.param("long_int.json",
+                                                        b"[" + b"9" * 5000 + b"]",
+                                                        id="long_int.json")])
 def test_bad_evidence_file_is_one_error_line(runner, tmp_path, command,
                                              name, content):
     path = tmp_path / name

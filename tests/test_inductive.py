@@ -23,7 +23,7 @@ from semcomm.inductive import (InductiveModel, InductiveParams, _WidthTable,
                                predictive_probability)
 from semcomm.measures import UniverseSignature, cont_entropy, inf_entropy
 from semcomm.sublang import (Constituent, EvidenceSummary, SubLanguageConfig,
-                             build_sublanguage)
+                             build_sublanguage, enumerate_constituents)
 from semcomm.xreal import xsum
 
 from conftest import random_model
@@ -36,7 +36,7 @@ def _all_constituents(big_k):
 
 
 def _lambda_of(width, params):
-    if params.lambda_policy == "proportional":
+    if params.lambda_value is None:
         return float(width)
     return params.lambda_value
 
@@ -83,8 +83,8 @@ def _random_summary(rnd, max_k=6, max_n=30):
 
 @pytest.mark.parametrize("params", [
     InductiveParams(),
-    InductiveParams(lambda_policy="constant", lambda_value=1.0),
-    InductiveParams(lambda_policy="constant", lambda_value=math.inf),
+    InductiveParams(lambda_value=1.0),
+    InductiveParams(lambda_value=math.inf),
     InductiveParams(alpha=1.0),
 ])
 def test_posterior_matches_brute_force(params):
@@ -148,7 +148,7 @@ def test_model_summary_must_match_or_be_empty(rng):
     big_k, c = sl.big_k, sl.summary.c
     # no evidence: the posterior is the prior
     empty = InductiveModel(sl, model.params, EvidenceSummary(0, 0, (), big_k))
-    for con in sl.all_constituents():
+    for con in enumerate_constituents(sl):
         assert empty.constituent_posterior(con).to_float() == pytest.approx(
             constituent_prior(len(con), big_k, model.params).to_float(),
             rel=1e-12)
@@ -159,8 +159,22 @@ def test_model_summary_must_match_or_be_empty(rng):
                                                    (1,) * (c + 1), big_k))
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, -math.inf])
+def test_params_reject_a_lambda_that_is_not_positive(lam):
+    with pytest.raises(ValueError):
+        InductiveParams(lambda_value=lam)
+
+
+def test_params_lambda_value():
+    assert InductiveParams().lambda_of(3) == 3.0
+    assert not InductiveParams().dogmatic
+    assert InductiveParams(lambda_value=2.0).lambda_of(3) == 2.0
+    assert not InductiveParams(lambda_value=2.0).dogmatic
+    assert InductiveParams(lambda_value=math.inf).dogmatic
+
+
 def test_dogmatic_likelihood_closed_form():
-    params = InductiveParams(lambda_policy="constant", lambda_value=math.inf)
+    params = InductiveParams(lambda_value=math.inf)
     summary = EvidenceSummary(n=12, c=2, counts=(5, 7), big_k=4)
     for w in (2, 3, 4):
         con = Constituent(frozenset(range(w)))
@@ -195,8 +209,8 @@ def _oracle_next(kinds, counts, kind, params):
 
 @pytest.mark.parametrize("params", [
     InductiveParams(),
-    InductiveParams(lambda_policy="constant", lambda_value=1.0),
-    InductiveParams(lambda_policy="constant", lambda_value=math.inf),
+    InductiveParams(lambda_value=1.0),
+    InductiveParams(lambda_value=math.inf),
     InductiveParams(alpha=1.0),
 ])
 def test_predictive_matches_brute_force(params):
@@ -276,7 +290,7 @@ def test_check_convergence_identifies():
 
 def test_check_convergence_dogmatic_meets_bound():
     # the sample-size bound is tight only at the no-smoothing endpoint
-    params = InductiveParams(lambda_policy="constant", lambda_value=math.inf)
+    params = InductiveParams(lambda_value=math.inf)
     kinds = [0, 1, 2] * 20
     report = check_convergence(kinds, big_k=4, params=params, threshold=0.99)
     assert report.reached_at is not None
@@ -378,14 +392,14 @@ def _oracle_convergence(kinds, big_k, params, threshold):
 @pytest.mark.parametrize("params", [
     InductiveParams(),
     InductiveParams(alpha=1.5),
-    InductiveParams(lambda_policy="constant", lambda_value=2.0),
-    InductiveParams(lambda_policy="constant", lambda_value=1e6, alpha=0.5),
-    InductiveParams(lambda_policy="constant", lambda_value=1e300),
-    InductiveParams(lambda_policy="constant", lambda_value=math.inf),
-    InductiveParams(lambda_policy="constant", lambda_value=0.5, alpha=0.5),
+    InductiveParams(lambda_value=2.0),
+    InductiveParams(lambda_value=1e6, alpha=0.5),
+    InductiveParams(lambda_value=1e300),
+    InductiveParams(lambda_value=math.inf),
+    InductiveParams(lambda_value=0.5, alpha=0.5),
     # w / lam overflows here; each repeat's term must stay finite
-    InductiveParams(lambda_policy="constant", lambda_value=1e-300),
-    InductiveParams(lambda_policy="constant", lambda_value=1e-308),
+    InductiveParams(lambda_value=1e-300),
+    InductiveParams(lambda_value=1e-308),
 ], ids=["w", "w-alpha", "const2", "const1e6", "const1e300", "dogmatic",
         "const0.5", "const1e-300", "const1e-308"])
 def test_convergence_trace_matches_per_prefix_tables(params):
@@ -414,10 +428,10 @@ def test_large_constant_lambda_tends_to_the_dogmatic_limit():
     summary = EvidenceSummary(big_k=4, n=40, c=2, counts=(20, 20))
     tight = Constituent(frozenset({0, 1}))
     limit = constituent_posterior(tight, summary, InductiveParams(
-        lambda_policy="constant", lambda_value=math.inf)).to_float()
+        lambda_value=math.inf)).to_float()
     assert limit == pytest.approx(1.0 - 1.8e-7, abs=1e-8)
     for lam in (1e15, 1e300):
-        params = InductiveParams(lambda_policy="constant", lambda_value=lam)
+        params = InductiveParams(lambda_value=lam)
         got = constituent_posterior(tight, summary, params).to_float()
         assert got == pytest.approx(limit, abs=1e-12)
         trace = check_convergence([0, 1] * 20, 4, params)

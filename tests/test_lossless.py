@@ -15,8 +15,7 @@ from semcomm import lossless
 from semcomm.errors import DecodeError
 from semcomm.fol import AtomicStatement, EvidenceSet, parse_evidence
 from semcomm.lossless import (_write_uvarint, gzip_bits, lossless_decode,
-                              lossless_encode, lossless_encode_report,
-                              shannon_baseline)
+                              lossless_encode_report, shannon_baseline)
 
 from conftest import DATA_DIR, one_statement_container, random_evidence_text
 
@@ -38,7 +37,7 @@ Signals(Fyr)
 
 def _round_trip(text):
     ev = _parse(text)
-    blob = lossless_encode(ev)
+    blob = lossless_encode_report(ev)[0]
     back = lossless_decode(blob)
     assert back.normalized_text() == ev.normalized_text()
     return blob
@@ -63,7 +62,7 @@ def test_round_trip_random(seed):
 def test_round_trip_preserves_duplicates():
     text = "Runs(Wren)\nRuns(Wren)\nRuns(Wren)\nIdles(Coot)\n"
     ev = _parse(text)
-    back = lossless_decode(lossless_encode(ev))
+    back = lossless_decode(lossless_encode_report(ev)[0])
     assert len(back.statements) == 4
     assert back.normalized_text() == ev.normalized_text()
 
@@ -80,7 +79,7 @@ def test_tuple_fields_decode_in_bounded_chunks(monkeypatch):
              for i in range(600)]
     ev = _parse("\n".join(lines) + "\n")
     assert len(ev.distinct_statements) == 600
-    blob = lossless_encode(ev)
+    blob = lossless_encode_report(ev)[0]
     tracemalloc.start()
     try:
         back = lossless_decode(blob)
@@ -92,7 +91,7 @@ def test_tuple_fields_decode_in_bounded_chunks(monkeypatch):
 
 
 def test_container_magic():
-    blob = lossless_encode(_parse(SAMPLE))
+    blob = lossless_encode_report(_parse(SAMPLE))[0]
     assert blob[:4] == b"SEMC"
 
 
@@ -117,53 +116,53 @@ def test_report_json_shape():
 
 
 def test_reject_bad_magic():
-    blob = bytearray(lossless_encode(_parse(SAMPLE)))
+    blob = bytearray(lossless_encode_report(_parse(SAMPLE))[0])
     blob[:4] = b"NOPE"
     with pytest.raises(DecodeError):
         lossless_decode(bytes(blob))
 
 
 def test_reject_bad_version():
-    blob = bytearray(lossless_encode(_parse(SAMPLE)))
+    blob = bytearray(lossless_encode_report(_parse(SAMPLE))[0])
     blob[4] ^= 0x7F
     with pytest.raises(DecodeError):
         lossless_decode(bytes(blob))
 
 
 def test_reject_truncation():
-    blob = lossless_encode(_parse(SAMPLE))
+    blob = lossless_encode_report(_parse(SAMPLE))[0]
     for cut in (5, len(blob) // 2, len(blob) - 1):
         with pytest.raises(DecodeError):
             lossless_decode(blob[:cut])
 
 
 def test_reject_flipped_payload_bit():
-    blob = bytearray(lossless_encode(_parse(SAMPLE)))
+    blob = bytearray(lossless_encode_report(_parse(SAMPLE))[0])
     blob[len(blob) // 2] ^= 0x10
     with pytest.raises(DecodeError):
         lossless_decode(bytes(blob))
 
 
 def test_reject_flipped_checksum():
-    blob = bytearray(lossless_encode(_parse(SAMPLE)))
+    blob = bytearray(lossless_encode_report(_parse(SAMPLE))[0])
     blob[-1] ^= 0x01
     with pytest.raises(DecodeError):
         lossless_decode(bytes(blob))
 
 
 def test_reject_trailing_garbage():
-    blob = lossless_encode(_parse(SAMPLE))
+    blob = lossless_encode_report(_parse(SAMPLE))[0]
     with pytest.raises(DecodeError):
         lossless_decode(blob + b"\x00")
 
 
 def test_checksum_is_crc32():
-    blob = lossless_encode(_parse(SAMPLE))
+    blob = lossless_encode_report(_parse(SAMPLE))[0]
     body, tail = blob[:-4], blob[-4:]
     assert struct.unpack(">I", tail)[0] == zlib.crc32(body) & 0xFFFFFFFF
 
 
-_STORY1 = lossless_encode(parse_evidence(DATA_DIR / "story1.fol"))
+_STORY1 = lossless_encode_report(parse_evidence(DATA_DIR / "story1.fol"))[0]
 
 
 def _decodes_or_rejects(blob):
@@ -232,7 +231,7 @@ def test_predicate_with_two_arities_is_decode_error():
     ev = EvidenceSet((AtomicStatement("P", "a", None),
                       AtomicStatement("P", "a", "b")))
     with pytest.raises(DecodeError, match="arity"):
-        lossless_decode(lossless_encode(ev))
+        lossless_decode(lossless_encode_report(ev)[0])
 
 
 def test_empty_coded_block_fails_at_the_first_name(monkeypatch):
@@ -264,7 +263,7 @@ def test_header_counts_at_their_bounds_decode():
 
 def test_deterministic_container():
     ev = _parse(SAMPLE)
-    assert lossless_encode(ev) == lossless_encode(ev)
+    assert lossless_encode_report(ev)[0] == lossless_encode_report(ev)[0]
 
 
 def test_shannon_baseline_empty():
@@ -303,5 +302,5 @@ _GOLDEN_CONTAINERS = {
 
 @pytest.mark.parametrize("story", sorted(_GOLDEN_CONTAINERS))
 def test_golden_story_containers(story):
-    blob = lossless_encode(parse_evidence(DATA_DIR / f"{story}.fol"))
+    blob = lossless_encode_report(parse_evidence(DATA_DIR / f"{story}.fol"))[0]
     assert hashlib.sha256(blob).hexdigest() == _GOLDEN_CONTAINERS[story]

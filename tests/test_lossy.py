@@ -19,7 +19,8 @@ from semcomm.lossy import (LossyConfig, RDPoint, _argmax_point, _ba_point,
                            lossy_optimize, payoff_matrix, rd_sweep,
                            receiver_prior, relative_informativeness)
 from semcomm.measures import MessagePartition, cont_sentence
-from semcomm.sublang import Constituent, SubLanguageConfig, build_sublanguage
+from semcomm.sublang import (Constituent, SubLanguageConfig, build_sublanguage,
+                             enumerate_constituents)
 
 from conftest import DATA_DIR, random_evidence_text, random_model
 
@@ -372,7 +373,7 @@ def _zero_padded(model, source):
     kept = {con: (p, ln) for msg, p, ln in zip(source.members, source.probs,
                                                source.ln_probs)
             for con in msg.constituents}
-    cons = sl.all_constituents()
+    cons = enumerate_constituents(sl)
     probs, lns = zip(*(kept.get(con, (0.0, -math.inf)) for con in cons))
     return MessagePartition(tuple(sl.sentence([con]) for con in cons),
                             probs, lns)
@@ -409,7 +410,7 @@ def test_payoff_matrix_on_hand_built_partitions():
     # built from equal but distinct constituent objects
     sl = build_sublanguage(parse_evidence(DATA_DIR / "story7.fol"),
                            SubLanguageConfig(slack=1))
-    cons = sl.all_constituents()
+    cons = enumerate_constituents(sl)
     assert len(cons) >= 15
     receiver = receiver_prior(sl)
     rnd = random.Random(5)
@@ -433,8 +434,8 @@ def test_payoff_matrix_on_hand_built_partitions():
 @pytest.mark.parametrize("params", [
     InductiveParams(),
     InductiveParams(alpha=1.5),
-    InductiveParams(lambda_policy="constant", lambda_value=2.0, alpha=0.5),
-    InductiveParams(lambda_policy="constant", lambda_value=math.inf, alpha=1.0),
+    InductiveParams(lambda_value=2.0, alpha=0.5),
+    InductiveParams(lambda_value=math.inf, alpha=1.0),
 ])
 def test_receiver_route_matches_brute_force(params):
     # the receiver prices sentences by width class; the oracle sums the
@@ -447,13 +448,13 @@ def test_receiver_route_matches_brute_force(params):
         receiver = receiver_prior(sl, params)
         assert isinstance(receiver, InductiveModel)
         prior = {c: constituent_prior(len(c), sl.big_k, params).to_float()
-                 for c in sl.all_constituents()}
+                 for c in enumerate_constituents(sl)}
 
         def excluded(s):
             return math.fsum(w for c, w in prior.items()
                              if c not in s.constituents)
 
-        cons = sl.all_constituents()
+        cons = enumerate_constituents(sl)
         randoms = [sl.sentence(rnd.sample(cons, rnd.randint(0, len(cons))))
                    for _ in range(20)]
         for s in randoms:
@@ -474,7 +475,7 @@ def test_candidate_alphabet_is_upset_family():
     model, _, _, alphabet = _story_setup()
     sl = model.sublang
     assert len(alphabet) == 2 ** model.big_k
-    all_cons = frozenset(sl.all_constituents())
+    all_cons = frozenset(enumerate_constituents(sl))
     assert any(s.constituents == all_cons for s in alphabet)  # tautology
     for s in alphabet:
         for c in s.constituents:
@@ -502,7 +503,7 @@ def test_candidate_alphabet_is_upset_family():
 def test_receiver_prior_weights():
     model, _, receiver, _ = _story_setup()
     sl = model.sublang
-    for c in sl.all_constituents():
+    for c in enumerate_constituents(sl):
         want = constituent_prior(len(c), sl.big_k, model.params).to_float()
         got = receiver.sentence_probability(sl.sentence([c]))
         assert got == pytest.approx(want, rel=1e-12)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from semcomm.dataset import load_evidence, load_manifest
 from semcomm.fol import parse_evidence
-from semcomm.inductive import CONSTANT, InductiveModel, InductiveParams
+from semcomm.inductive import InductiveModel, InductiveParams
 from semcomm.measures import (JointMessageDistribution,
                               MessagePartition, UniverseSignature, cond_cont,
                               cond_cont_entropy, cont, cont_entropy,
@@ -20,14 +20,14 @@ from semcomm.measures import (JointMessageDistribution,
                               mutual_cont_information, scale_entropies,
                               transcont)
 from semcomm.sublang import (EvidenceSummary, SubLanguageConfig,
-                             build_sublanguage)
+                             build_sublanguage, enumerate_constituents)
 from semcomm.xreal import ExtremeReal, xsum
 
 from conftest import DATA_DIR, random_model
 
 
 def _random_sentence(rnd, model):
-    cons = list(model.sublang.all_constituents())
+    cons = list(enumerate_constituents(model.sublang))
     size = rnd.randint(1, len(cons))
     return model.sublang.sentence(rnd.sample(cons, size))
 
@@ -98,7 +98,7 @@ def test_tautology_has_no_content(rng):
 def test_l_exclusive():
     rnd = random.Random(5)
     model = random_model(rnd, slack=2)
-    cons = list(model.sublang.all_constituents())
+    cons = list(enumerate_constituents(model.sublang))
     a = model.sublang.sentence(cons[:1])
     b = model.sublang.sentence(cons[1:2])
     both = model.sublang.sentence(cons[:2])
@@ -110,7 +110,7 @@ def test_exclusive_contents_add(rng):
     # cont of a disjunction of exclusive sentences: contents add minus 1
     for _ in range(10):
         model = random_model(rng)
-        cons = list(model.sublang.all_constituents())
+        cons = list(enumerate_constituents(model.sublang))
         if len(cons) < 2:
             continue
         k = rng.randint(1, len(cons) - 1)
@@ -130,7 +130,7 @@ def test_partition_from_model_normalizes(rng):
         # the members are the hypotheses holding every observed kind, in
         # enumeration order; each one left out has posterior exactly zero
         need = set(range(model.summary.c))
-        cons = model.sublang.all_constituents()
+        cons = enumerate_constituents(model.sublang)
         kept = [con for m in part.members for con in m.constituents]
         assert kept == [con for con in cons if need <= con]
         for con in set(cons) - set(kept):
@@ -144,7 +144,7 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         MessagePartition((), (-0.1, 1.1))
     sl = random_model(random.Random(1), slack=1).sublang
-    a, b, c = sl.all_constituents()[:3]
+    a, b, c = enumerate_constituents(sl)[:3]
     overlapping = (sl.sentence([a]), sl.sentence([b, c]), sl.sentence([c]))
     with pytest.raises(ValueError, match="disjoint"):
         MessagePartition(overlapping, (0.5, 0.25, 0.25))
@@ -227,7 +227,7 @@ def _assert_matches_oracle(model, sig):
 
 
 _PARAMS = [InductiveParams(alpha=alpha) for alpha in (0.0, 0.5)] + [
-    InductiveParams(lambda_policy=CONSTANT, lambda_value=lam, alpha=alpha)
+    InductiveParams(lambda_value=lam, alpha=alpha)
     for lam in (2.0, math.inf) for alpha in (0.0, 0.5)]
 
 
@@ -295,7 +295,7 @@ def test_measures_match_brute_force(rng):
     for _ in range(5):
         model = random_model(rng)
         weight = {c: model.constituent_posterior(c).to_float()
-                  for c in model.sublang.all_constituents()}
+                  for c in enumerate_constituents(model.sublang)}
 
         def excluded(s):
             return math.fsum(w for c, w in weight.items()
@@ -318,7 +318,7 @@ def test_inductive_independence_uniform_prior():
     model = random_model(rnd, slack=2,
                          params=InductiveParams())
     taut = model.sublang.tautology()
-    some = model.sublang.sentence(list(model.sublang.all_constituents())[:1])
+    some = model.sublang.sentence(enumerate_constituents(model.sublang)[:1])
     # the tautology is independent of everything
     assert is_inductively_independent(taut, some, model)
 

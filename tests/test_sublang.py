@@ -93,7 +93,7 @@ def test_minimal_constituent_and_upset():
 @pytest.mark.parametrize("slack", [0, 1, 3])
 def test_upset_matches_brute_force(slack):
     sl = _sl("Chases(Rex, Tom)\n!Barks(Sid)\n", slack=slack)
-    cons = sl.all_constituents()
+    cons = enumerate_constituents(sl)
     shared = {id(c) for c in cons}
     for r in range(sl.big_k + 1):
         for req in itertools.combinations(range(sl.big_k), r):
