@@ -12,8 +12,8 @@ from .errors import (ArityConflictError, CapacityError, DecodeError,
 from .fol import AtomicStatement, EvidenceSet, parse_evidence, parse_triple_list
 from .inductive import (InductiveModel, InductiveParams, check_convergence,
                         constituent_likelihood, constituent_posterior,
-                        constituent_prior, pac_error, pac_sample_bound,
-                        predictive_probability)
+                        constituent_prior, pac_error, pac_errors,
+                        pac_sample_bound, predictive_probability)
 from .lossless import (LosslessReport, gzip_bits, lossless_decode,
                        lossless_encode_report, shannon_baseline)
 from .measures import (MessagePartition, UniverseSignature, cond_cont, cont,
@@ -40,7 +40,7 @@ __all__ = [
     "constituent_posterior", "constituent_prior",
     "gzip_bits", "inf_entropy", "inf_measure", "is_inductively_independent",
     "is_l_exclusive", "lossless_decode", "lossless_encode_report",
-    "lossy_optimize", "lse", "pac_error", "pac_sample_bound",
+    "lossy_optimize", "lse", "pac_error", "pac_errors", "pac_sample_bound",
     "parse_evidence", "parse_triple_list", "payoff_matrix",
     "predictive_probability", "rd_sweep", "receiver_prior",
     "relative_informativeness", "scale_entropies", "shannon_baseline",

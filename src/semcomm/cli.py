@@ -33,7 +33,7 @@ from .dataset import load_evidence, load_manifest
 from .errors import CapacityError, DecodeError, SemcommError
 from .fol import EvidenceSet
 from .inductive import (InductiveModel, InductiveParams, check_convergence,
-                        pac_error, pac_sample_bound)
+                        pac_errors, pac_sample_bound)
 from .lossless import (gzip_bits, lossless_decode, lossless_encode_report,
                        shannon_baseline)
 from .measures import (MessagePartition, UniverseSignature, cont_entropy,
@@ -475,8 +475,8 @@ def pac(k, alpha, epsilon, out):
     click.echo("smallest n at which the worst-case posterior error on "
                "over-wide hypotheses drops below the budget")
     # the bound needs n > alpha
-    rows = [(n, pac_error(k, n, alpha))
-            for n in range(math.floor(alpha) + 1, n0 + 5)]
+    ns = range(math.floor(alpha) + 1, n0 + 5)
+    rows = list(zip(ns, pac_errors(k, ns, alpha)))
     for n, bound in rows:
         marker = " <- n0" if n == n0 else ""
         click.echo(f"  n={n:<4d} bound={bound:.3e}{marker}")

@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, DomainMismatchError, InconsistentEvidenceError
+from .errors import (CapacityError, DomainMismatchError,
+                     InconsistentEvidenceError, clip)
 from .sublang import Constituent, EvidenceSummary, Sentence, SubLanguage
 from .xreal import ExtremeReal, lse
 
@@ -136,8 +137,8 @@ def _ln_likelihood_width(width: int, n: int, counts: Sequence[int],
         for n_j in counts:
             acc += _ln_rising(n_j, per_cell)
     except OverflowError:
-        raise CapacityError(f"{n} observations are past the float range of "
-                            "the likelihood") from None
+        raise CapacityError(f"{clip(str(n))} observations are past the float "
+                            "range of the likelihood") from None
     return acc
 
 
@@ -176,7 +177,8 @@ class WidthClass:
 
 def _precision_error(total: float, n: int, alpha: float) -> CapacityError:
     # the log masses grow as alpha ln alpha and n ln n: blame the larger
-    what = f"alpha={alpha!r} is" if alpha > n else f"{n} observations are"
+    what = (f"alpha={alpha!r} is" if alpha > n
+            else f"{clip(str(n))} observations are")
     return CapacityError(f"{what} past the float precision of the "
                          f"posterior: it sums to {total:.3g}")
 
@@ -372,6 +374,9 @@ _TAIL = 2.0 ** -60  # a c-sum stops once its tail is below this share of it
 # The limit stays at 15 all the same: the small K most runs use stay on
 # the cheaper route, and this route sums every term where the bisection's
 # sums stop at the 2^-60 tail, so moving it would change output bits.
+# Those timings compare one bisection per row; the table now seeds each
+# row's search past 15 cells from the row before, at about three sums a
+# row, and the limit stays at 15 for the output bits alone.
 _DIRECT_MAX_K = 15
 
 
@@ -430,43 +435,33 @@ def _pac_sum(m: int, c: int, expo: float, terms: int) -> float:
     return math.exp(ln_odds) if ln_odds < _LN_FLOAT_MAX else math.inf
 
 
-def pac_error(k: int, n: float, alpha: float = 0.0,
-              c: int | None = None) -> float:
-    """Upper bound on the posterior odds against the exact-evidence hypothesis.
-
-    With ``c`` given, the bound conditions on that many exemplified kinds:
-    sum over i >= 1 of C(k-c, i) * (c / (c+i))^(n-alpha).  Without ``c`` the
-    worst case over c = 0..k-1 is returned.  Requires a finite alpha >= 0
-    and n > alpha.
-
-    A sum stops once its tail is certified below 2^-60 of it.  The sums
-    are unimodal in c, so past 15 cells the worst case is a bisection on
-    their slope; up to 15 every sum is taken in full.
-    """
+def _check_pac(k: int, alpha: float) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     if not (alpha >= 0 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and >= 0")
+
+
+def _exponent(n: float, alpha: float) -> float:
     if not n > alpha:
         raise ValueError("the bound needs n > alpha")
     # n - alpha in one float rounds once n passes 2^53; the integer parts
     # cancel exactly first
     whole = math.floor(alpha)
-    expo = (n - whole) - (alpha - whole)
-    if c is not None:
-        if not 0 <= c <= k:
-            raise ValueError(f"c must lie in 0..{k}")
-        if c in (0, k):
-            return 0.0
-        terms, _ = _pac_scan(k - c, c, expo)
-        return _pac_sum(k - c, c, expo, terms)
-    # c = 0 contributes nothing.  Up to _DIRECT_MAX_K every sum is taken
-    # in full (see there why).
+    return (n - whole) - (alpha - whole)
+
+
+def _worst_error(k: int, expo: float,
+                 hint: int | None = None) -> tuple[float, int | None]:
+    # The worst case over c of the odds bound, and the c where the search
+    # over c stopped, which seeds the search at the next exponent (None on
+    # the direct route).  c = 0 contributes nothing.  Up to _DIRECT_MAX_K
+    # every sum is taken in full (see there why).
     if k <= _DIRECT_MAX_K:
         return max((_pac_sum(k - cc, cc, expo, k - cc) for cc in range(1, k)),
-                   default=0.0)
+                   default=0.0), None
     # Beyond it, S(c) = sum_{i=1..k-c} C(k-c, i) (c/(c+i))^x, x = expo > 0,
-    # is unimodal in c, so a bisection on its slope finds the largest.
+    # is unimodal in c, so a search on its slope finds the largest.
     # Proof:
     # 1. A ratio of two Laplace transforms.  Put
     #    (1 + i/c)^-x = Gamma(x)^-1 int_0^inf t^(x-1) e^(-t(1 + i/c)) dt
@@ -494,19 +489,87 @@ def pac_error(k: int, n: float, alpha: float = 0.0,
     # F is analytic and not constant (F(k) = 1, and F -> 0 as c -> inf), so
     # it strictly rises, then strictly falls, either part possibly empty.
     # So S does on c = 1..k-1, and comparing two neighbours tells on which
-    # side of them the largest is.  The bisection compares the sums' logs,
+    # side of them the largest is.  The search compares the sums' logs,
     # and neighbours of the peak can tie within their rounding, so the
     # exact sums of c* - 1..c* + 1 decide.
     scan = functools.cache(lambda cc: _pac_scan(k - cc, cc, expo))
-    lo, hi = 1, k - 1
+
+    def falls(cc: int) -> bool:
+        # S(cc) >= S(cc + 1): false below the peak, true from it on, so a
+        # search from any hint finds the same first true c; S(0) = 0 rises
+        if cc < 1:
+            return False
+        return cc >= k - 1 or scan(cc)[1] >= scan(cc + 1)[1]
+
+    # the first true c lies in lo..hi
+    if hint is None:
+        lo, hi = 1, k - 1
+    else:
+        # exponential search (Bentley and Yao 1976): step away from the hint
+        # by 1, 2, 4, ... until falls() turns; a peak that stayed put costs
+        # three scans
+        lo = hi = min(max(hint, 1), k - 1)
+        step = 1
+        if falls(hi):
+            lo = max(hi - step, 0)
+            while falls(lo):
+                hi, step = lo, 2 * step
+                lo = max(hi - step, 0)
+            lo += 1
+        else:
+            hi = min(lo + step, k - 1)
+            while not falls(hi):
+                lo, step = hi, 2 * step
+                hi = min(lo + step, k - 1)
+            lo += 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if scan(mid)[1] < scan(mid + 1)[1]:
-            lo = mid + 1
-        else:
+        if falls(mid):
             hi = mid
+        else:
+            lo = mid + 1
     return max(_pac_sum(k - cc, cc, expo, scan(cc)[0])
-               for cc in range(max(lo - 1, 1), min(lo + 1, k - 1) + 1))
+               for cc in range(max(lo - 1, 1), min(lo + 1, k - 1) + 1)), lo
+
+
+def pac_error(k: int, n: float, alpha: float = 0.0,
+              c: int | None = None) -> float:
+    """Upper bound on the posterior odds against the exact-evidence hypothesis.
+
+    With ``c`` given, the bound conditions on that many exemplified kinds:
+    sum over i >= 1 of C(k-c, i) * (c / (c+i))^(n-alpha).  Without ``c`` the
+    worst case over c = 0..k-1 is returned.  Requires a finite alpha >= 0
+    and n > alpha.
+
+    A sum stops once its tail is certified below 2^-60 of it.  The sums
+    are unimodal in c, so past 15 cells the worst case is a bisection on
+    their slope; up to 15 every sum is taken in full.
+    """
+    _check_pac(k, alpha)
+    expo = _exponent(n, alpha)
+    if c is None:
+        return _worst_error(k, expo)[0]
+    if not 0 <= c <= k:
+        raise ValueError(f"c must lie in 0..{k}")
+    if c in (0, k):
+        return 0.0
+    terms, _ = _pac_scan(k - c, c, expo)
+    return _pac_sum(k - c, c, expo, terms)
+
+
+def pac_errors(k: int, ns: Iterable[float], alpha: float = 0.0) -> list[float]:
+    """The worst-case :func:`pac_error` at each n in turn, bit for bit.
+
+    Each n's search over c starts from the worst c of the n before it.  That
+    c moves by a step or two between neighbouring n, so an increasing run of
+    n costs about three sums per n where a bisection pays 2 log2 K.
+    """
+    _check_pac(k, alpha)
+    bounds, hint = [], None
+    for n in ns:
+        bound, hint = _worst_error(k, _exponent(n, alpha), hint)
+        bounds.append(bound)
+    return bounds
 
 
 def pac_sample_bound(k: int, alpha: float, epsilon: float) -> int:
@@ -514,25 +577,30 @@ def pac_sample_bound(k: int, alpha: float, epsilon: float) -> int:
 
     The posterior error 1 - p is below epsilon as soon as the odds bound of
     :func:`pac_error` falls below epsilon / (1 - epsilon); this searches for
-    that n by doubling then bisection.
+    that n by doubling then bisection, each probe's search over c starting
+    from the worst c of the probe before it.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly inside (0, 1)")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not (alpha >= 0 and math.isfinite(alpha)):
-        raise ValueError("alpha must be finite and >= 0")
+    _check_pac(k, alpha)
     eps_odds = epsilon / (1.0 - epsilon)
+    hint = None
+
+    def within(n: int) -> bool:
+        nonlocal hint
+        bound, hint = _worst_error(k, _exponent(n, alpha), hint)
+        return bound <= eps_odds
+
     lo = math.floor(alpha) + 1
-    if pac_error(k, lo, alpha) <= eps_odds:
+    if within(lo):
         return lo
     hi = 2 * lo
-    while pac_error(k, hi, alpha) > eps_odds:
+    while not within(hi):
         lo = hi
         hi *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if pac_error(k, mid, alpha) <= eps_odds:
+        if within(mid):
             hi = mid
         else:
             lo = mid

@@ -11,9 +11,11 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from semcomm import inductive
 from semcomm import lossy as lossy_module
 from semcomm import sublang
 from semcomm.cli import main
+from semcomm.errors import clip
 from semcomm.measures import MessagePartition
 
 from conftest import DATA_DIR, one_statement_container
@@ -110,19 +112,42 @@ def test_pac_csv(runner, tmp_path):
     assert len(lines) == 1 + 14  # n = 1 .. n0 + 4
 
 
-# SHA-256 of the `pac K --out` CSVs: K = 60 and 300 take the bisection over c
+# SHA-256 of the `pac ARGS --out` CSVs: K = 17, just past the direct route,
+# 60 and 300 take the search over c
 _PAC_CSV_SHA256 = {
-    60: "5d8914d3562a7bf09ea1c91971a51b07dfbe3780033407a256b0b2e07b11810f",
-    300: "6e3b784f40ee202ab5633616a898c529830927e5564229b1cbe8fcc3af8cd3dd",
+    "17": "fb64c6164873bdbedf81c1c860ab542ed95ba32a73389d181db09005f45aa833",
+    "60": "5d8914d3562a7bf09ea1c91971a51b07dfbe3780033407a256b0b2e07b11810f",
+    "60 --alpha 2.5":
+        "bc662653145a101550fc1057a22c0d1fbb2fec1be60db700adca3c44bba0f1d5",
+    "300": "6e3b784f40ee202ab5633616a898c529830927e5564229b1cbe8fcc3af8cd3dd",
 }
 
 
-@pytest.mark.parametrize("k", sorted(_PAC_CSV_SHA256))
-def test_pac_csv_golden(runner, tmp_path, k):
+@pytest.mark.parametrize("args", sorted(_PAC_CSV_SHA256))
+def test_pac_csv_golden(runner, tmp_path, args):
     out = tmp_path / "bounds.csv"
-    res = runner.invoke(main, ["pac", str(k), "--out", str(out)])
+    res = runner.invoke(main, ["pac", *args.split(), "--out", str(out)])
     assert res.exit_code == 0, res.output
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PAC_CSV_SHA256[k]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PAC_CSV_SHA256[args]
+
+
+def test_pac_table_seeds_each_row(runner, tmp_path, monkeypatch):
+    # a bisection per row makes about 10 scans of the c-sums at K = 60; the
+    # seeded search makes about 3
+    calls = 0
+    scan = inductive._pac_scan
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return scan(*args)
+
+    monkeypatch.setattr(inductive, "_pac_scan", counted)
+    out = tmp_path / "bounds.csv"
+    res = runner.invoke(main, ["pac", "60", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rows = len(out.read_text().splitlines()) - 1
+    assert calls <= 4 * rows
 
 
 # --- converge ----------------------------------------------------------
@@ -622,6 +647,7 @@ def test_observations_below_kinds_is_one_error_line(runner, tiny_corpus):
 _COLD_START = """
 import sys
 from semcomm.cli import main
+from semcomm.errors import clip
 
 story, work = sys.argv[1], sys.argv[2]
 for args in (["compress", story, "--out", work + "/s.semc"],
@@ -680,15 +706,16 @@ def test_huge_evidence_volume_reports(runner, tmp_path, exponent):
     assert "most informative:  s" in res.output
 
 
-@pytest.mark.parametrize("exponent", [20, 300, 306, 320])
+@pytest.mark.parametrize("exponent", [20, 300, 306, 320, 4000])
 def test_volume_past_float_precision_is_one_error_line(runner, tmp_path,
                                                        exponent):
     # up to 10^300 the posterior's width classes no longer sum to one;
     # past it the likelihood leaves the float range, and 10^320 is an int
-    # no float holds
+    # no float holds; the error quotes a short head of a long count
     corpus = _one_story_manifest(tmp_path / "corpus", 10 ** exponent)
     line = _one_error_line(runner.invoke(main, ["analyze", str(corpus)]))
-    assert f"{10 ** exponent} observations" in line
+    assert f"{clip(str(10 ** exponent))} observations" in line
+    assert len(line.encode()) < 1024
 
 
 @pytest.mark.parametrize("command, alpha", [

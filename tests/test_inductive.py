@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from semcomm.errors import DomainMismatchError
 from semcomm.fol import parse_evidence
 from semcomm.inductive import (InductiveModel, InductiveParams, _WidthTable,
-                               check_convergence, constituent_likelihood,
-                               constituent_posterior, constituent_prior,
-                               pac_error, pac_sample_bound,
-                               predictive_probability)
+                               _worst_error, check_convergence,
+                               constituent_likelihood, constituent_posterior,
+                               constituent_prior, pac_error, pac_errors,
+                               pac_sample_bound, predictive_probability)
 from semcomm.measures import UniverseSignature, cont_entropy, inf_entropy
 from semcomm.sublang import (Constituent, EvidenceSummary, SubLanguageConfig,
                              build_sublanguage, enumerate_constituents)
@@ -480,6 +480,26 @@ def test_pac_sums_unimodal_in_c(alpha):
             rise, fall = ln_sums[:peak + 1], ln_sums[peak:]
             assert all(a <= b for a, b in zip(rise, rise[1:])), (k, n)
             assert all(a >= b for a, b in zip(fall, fall[1:])), (k, n)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.5])
+def test_pac_errors_equal_each_pac_error(alpha):
+    # the table seeds each row's search over c with the previous row's peak;
+    # that must find the same bits as a bisection per row
+    for k in (16, 17, 21, 34, 60, 100, 200):
+        ns = range(math.floor(alpha) + 1, pac_sample_bound(k, alpha, 1e-3) + 5)
+        assert pac_errors(k, ns, alpha) == [pac_error(k, n, alpha) for n in ns]
+
+
+@pytest.mark.parametrize("k", [16, 17, 60, 200])
+def test_pac_search_from_any_hint(k):
+    # a hint at either end of 1..K-1 or outside it is clamped, and the
+    # search finds the same peak and bound as from no hint
+    for n in (1, 3, 20, 200, 2000):
+        want = _worst_error(k, float(n))
+        assert want[0] == pac_error(k, n)
+        for hint in (-3, 0, 1, 2, k // 2, k - 2, k - 1, k, k + 7):
+            assert _worst_error(k, float(n), hint) == want, (n, hint)
 
 
 @pytest.mark.parametrize("epsilon", [1e-2, 1e-3])
