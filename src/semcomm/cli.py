@@ -77,6 +77,13 @@ def _params_record(lam: str, alpha: float, slack: int,
     return record, digest
 
 
+def _echo_lines(lines) -> None:
+    """Print a table in one write; an empty table prints nothing."""
+    text = "\n".join(lines)
+    if text:
+        click.echo(text)
+
+
 def _friendly(fn):
     """Surface library errors as clean one-line failures (exit code 1)."""
     @functools.wraps(fn)
@@ -477,15 +484,13 @@ def pac(k, alpha, epsilon, out):
     # the bound needs n > alpha
     ns = range(math.floor(alpha) + 1, n0 + 5)
     rows = list(zip(ns, pac_errors(k, ns, alpha)))
-    for n, bound in rows:
-        marker = " <- n0" if n == n0 else ""
-        click.echo(f"  n={n:<4d} bound={bound:.3e}{marker}")
+    _echo_lines(f"  n={n:<4d} bound={bound:.3e}{' <- n0' if n == n0 else ''}"
+                for n, bound in rows)
     if out:
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "error_bound"])
-            for n, bound in rows:
-                writer.writerow([n, f"{bound:.9e}"])
+            writer.writerows([n, f"{bound:.9e}"] for n, bound in rows)
         click.echo(f"wrote {out}")
 
 
@@ -519,9 +524,8 @@ def converge(evidence, slack, lam, alpha, threshold, out):
     if not kinds:
         raise click.ClickException(f"{evidence}: no individuals to trace")
     report = check_convergence(kinds, sl.big_k, params, threshold)
-    for pt in report.points:
-        click.echo(f"  n={pt.n:<4d} kinds_seen={pt.c_seen:<3d} "
-                   f"posterior={pt.posterior:.6f}")
+    _echo_lines(f"  n={pt.n:<4d} kinds_seen={pt.c_seen:<3d} posterior={pt.posterior:.6f}"
+                for pt in report.points)
     reached = (f"reached {threshold:g} at n={report.reached_at}"
                if report.reached_at is not None
                else f"did not reach {threshold:g}")
@@ -531,8 +535,8 @@ def converge(evidence, slack, lam, alpha, threshold, out):
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "kinds_seen", "posterior"])
-            for pt in report.points:
-                writer.writerow([pt.n, pt.c_seen, f"{pt.posterior:.9f}"])
+            writer.writerows([pt.n, pt.c_seen, f"{pt.posterior:.9f}"]
+                             for pt in report.points)
         click.echo(f"wrote {out}")
 
 

@@ -10,6 +10,11 @@ deduplicated for kind assignment only).
 Names (predicates and individuals) share one lexical shape:
 ``[A-Za-z_][A-Za-z0-9_]*``.  A predicate's arity is fixed by its first
 occurrence; later use with a different arity is an error.
+
+One strict regular expression of the grammar decides each line: a match
+gives the statement's fields.  A diagnostic expression runs only on the
+lines it rejects, which are blank, comment-only or wrong, and explains a
+wrong one as a ``StatementParseError`` placed at its first bad character.
 """
 
 from __future__ import annotations
@@ -47,12 +52,17 @@ def check_arity(arities: dict[str, int], predicate: str, arity: int) -> None:
         raise ArityConflictError(predicate, seen, arity)
 
 
-# Each part is optional and nested in the one before it, so the match stops
-# where the first missing part belongs; the last group it matched names
-# what the statement needed next.  A comma with no name after it stops the
-# match before the closing parenthesis.
 NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_STATEMENT = re.compile(rf"""
+# one line: negation, predicate, subject, optional object, then the tail
+# (group 5), an optional comment and the newline
+_STRICT = re.compile(rf"[ \t]*(!?)[ \t]*({NAME.pattern})[ \t]*\([ \t]*({NAME.pattern})[ \t]*"
+                     rf"(?:,[ \t]*({NAME.pattern})[ \t]*)?\)[ \t]*((?:#.*)?\n?)")
+# The diagnostic grammar, compiled (and cached by re) on first use, so an
+# import does not pay for it.  Each part is optional and nested in the one
+# before it, so the match stops where the first missing part belongs; the
+# last group it matched names what the statement needed next.  A comma with
+# no name after it stops the match before the closing parenthesis.
+_STATEMENT = rf"""
     [ \t]* (?P<neg>!)? [ \t]*
     (?: (?P<pred>{NAME.pattern}) [ \t]*
       (?: (?P<open>\() [ \t]*
@@ -62,19 +72,21 @@ _STATEMENT = re.compile(rf"""
         )?
       )?
     )?
-""", re.VERBOSE)
+"""
 _EXPECTED_AFTER = {None: "predicate name", "neg": "predicate name", "pred": "'('",
                    "open": "individual name", "no_obj": "individual name",
                    "subj": "')'", "obj": "')'"}
 
 
-def parse_statement(text: str, arities: dict[str, int], line_no: int = 1) -> AtomicStatement:
-    """Parse one statement line (comments already stripped).
+def _diagnose(text: str, line_no: int) -> tuple[str | None, str, str, str | None]:
+    """The (negation, predicate, subject, object) fields of ``text``, which
+    the strict grammar rejected, or the error at its first wrong character.
 
-    ``arities`` maps each predicate seen so far to its arity.  Names are
-    interned, so a long stream holds each name once.
+    It can still accept: an item of a line iterable may hold a newline
+    before its comment, or several at its end, which the strict grammar
+    rejects.
     """
-    m = _STATEMENT.match(text)
+    m = re.match(_STATEMENT, text, re.VERBOSE)
     end = m.end()
     if m.lastgroup != "close":
         found = repr(text[end]) if end < len(text) else "end of line"
@@ -83,11 +95,23 @@ def parse_statement(text: str, arities: dict[str, int], line_no: int = 1) -> Ato
     if end < len(text):
         raise StatementParseError(f"unexpected trailing text {clip(repr(text[end:]))}",
                                   line=line_no, column=end + 1)
-    pred, subj, obj = m.group("pred", "subj", "obj")
+    return m.group("neg", "pred", "subj", "obj")
+
+
+def parse_statement(text: str, arities: dict[str, int], line_no: int = 1) -> AtomicStatement:
+    """Parse one statement line (comments already stripped).
+
+    ``arities`` maps each predicate seen so far to its arity.  Names are
+    interned, so a long stream holds each name once.
+    """
+    m = _STRICT.fullmatch(text)
+    # a bare statement has no tail: a comment or newline here is an error
+    neg, pred, subj, obj = (m.groups()[:4] if m is not None and not m[5]
+                            else _diagnose(text, line_no))
     pred = sys.intern(pred)
     check_arity(arities, pred, 1 if obj is None else 2)
-    return AtomicStatement(pred, sys.intern(subj), None if obj is None else sys.intern(obj),
-                           m["neg"] is None)
+    return tuple.__new__(AtomicStatement, (pred, sys.intern(subj), obj and sys.intern(obj),
+                                           not neg))
 
 
 def _iter_lines(source) -> Iterator[str]:
@@ -151,11 +175,21 @@ def parse_evidence(source, source_id: str | None = None,
     if source_id is None:
         source_id = Path(source).stem if isinstance(source, (str, Path)) else "evidence"
     statements: list[AtomicStatement] = []
+    # parse_statement's steps, inlined: this loop runs once per line, and
+    # tuple.__new__ skips the named tuple's Python-level __new__
+    match, intern, new, append = _STRICT.fullmatch, sys.intern, tuple.__new__, statements.append
     for line_no, raw in enumerate(_iter_lines(source), start=1):
-        body = raw.split("#", 1)[0]
-        if not body.strip():
-            continue
-        statements.append(parse_statement(body.rstrip("\n"), arities, line_no))
+        m = match(raw)
+        if m is not None:
+            neg, pred, subj, obj, _ = m.groups()
+        else:
+            body = raw.split("#", 1)[0]
+            if not body.strip():
+                continue
+            neg, pred, subj, obj = _diagnose(body.rstrip("\n"), line_no)
+        pred = intern(pred)
+        check_arity(arities, pred, 1 if obj is None else 2)
+        append(new(AtomicStatement, (pred, intern(subj), obj and intern(obj), not neg)))
     return EvidenceSet(tuple(statements), source_id, observations)
 
 

@@ -65,7 +65,11 @@ from .sublang import EvidenceSummary, Sentence
 log = logging.getLogger("semcomm.lossy")
 
 _LN2 = math.log(2.0)
+# a pass may raise the objective by rounding alone: by up to this much, or
+# this share of the objective's size, whichever is larger (one near
+# -16,037 has risen by 1.3e-9)
 _MONOTONE_SLACK = 1e-9
+_MONOTONE_REL = 1e-12
 _MAX_ITERS = 500  # BA passes per multiplier
 _TOL = 1e-10      # rate change (bits) that counts as converged
 
@@ -276,7 +280,8 @@ def _ba_point(channel: _Quotient, beta: float, max_iters: int,
             np.ascontiguousarray(ln_cond.T), axis=0)[:, None]
         rate, mean_payoff, ln_q = _mutual_bits(ln_p, ln_cond, payoff, *split)
         obj = rate - beta * mean_payoff
-        if obj > prev_obj + _MONOTONE_SLACK:
+        rise = obj - prev_obj
+        if rise > _MONOTONE_SLACK and rise > _MONOTONE_REL * abs(prev_obj):
             raise RuntimeError(f"objective increased from {prev_obj!r} to "
                                f"{obj!r} at beta={beta:g}")
         prev_obj = obj

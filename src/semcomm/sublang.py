@@ -16,7 +16,6 @@ and is that frozenset of cell ids; a sentence is a set of constituents
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -162,12 +161,21 @@ class SubLanguage:
 
 def entity_patterns(ev: EvidenceSet) -> dict[str, PatternKey]:
     """Participation pattern of every observed individual (deduped stream)."""
-    # keys arrive in the order of ev.entities: first appearance, subject first
-    per_entity: dict[str, Counter] = defaultdict(Counter)
-    for st in ev.distinct_statements:
-        per_entity[st.subject][(st.predicate, "s", st.positive)] += 1
-        if st.obj is not None:
-            per_entity[st.obj][(st.predicate, "o", st.positive)] += 1
+    # keys arrive in the order of ev.entities: first appearance, subject first;
+    # plain dicts and get() count about twice as fast as defaultdict(Counter)
+    per_entity: dict[str, dict[tuple, int]] = {}
+    for pred, subj, obj, positive in ev.distinct_statements:
+        cnt = per_entity.get(subj)
+        if cnt is None:
+            cnt = per_entity[subj] = {}
+        key = (pred, "s", positive)
+        cnt[key] = cnt.get(key, 0) + 1
+        if obj is not None:
+            cnt = per_entity.get(obj)
+            if cnt is None:
+                cnt = per_entity[obj] = {}
+            key = (pred, "o", positive)
+            cnt[key] = cnt.get(key, 0) + 1
     return {name: tuple(sorted(cnt.items())) for name, cnt in per_entity.items()}
 
 

@@ -150,6 +150,25 @@ def test_pac_table_seeds_each_row(runner, tmp_path, monkeypatch):
     assert calls <= 4 * rows
 
 
+# SHA-256 of standard output: the table printed in one write must give the
+# bytes it gave with one write per row
+_STDOUT_SHA256 = {
+    "converge story1.fol":
+        "0c1cb460527f165460aca845fa8b4d99b6313f172f43e2e546a8ca483f59538c",
+    "pac 17": "8131662a8437749877cfa561084ca11a1aaf301e9bcd531f165f5ce56c1a22f7",
+}
+
+
+@pytest.mark.parametrize("args", sorted(_STDOUT_SHA256))
+def test_table_stdout_golden(runner, args):
+    command, arg = args.split()
+    if command == "converge":
+        arg = str(DATA_DIR / arg)
+    res = runner.invoke(main, [command, arg])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == _STDOUT_SHA256[args]
+
+
 # --- converge ----------------------------------------------------------
 
 
@@ -471,6 +490,16 @@ def test_lossy_past_enumeration_limit_is_one_error_line(runner, monkeypatch,
     line = _one_error_line(res)
     assert "K=13" in line and "K=12" in line
     assert not (tmp_path / "rd.csv").exists()
+
+
+def test_lossy_objective_rounding_is_not_a_rise(runner, tmp_path):
+    # at beta = 16384 the objective nears -16,037 and a pass rounds it up
+    # by 1.3e-9, past an absolute slack of 1e-9
+    out = tmp_path / "rd.csv"
+    res = runner.invoke(main, ["lossy", str(DATA_DIR / "story1.fol"), "--slack", "8",
+                               "--betas", "0,16384", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_lossy_bad_betas(runner, evidence_file):

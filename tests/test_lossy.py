@@ -91,6 +91,23 @@ def test_rising_objective_is_an_error(monkeypatch):
         _ba_point(_lump(_ln_probs(probs), payoff), 1.0, 50, 1e-12)
 
 
+@pytest.mark.parametrize("rise, raises", [(1e-13, False), (1e-6, True)])
+def test_objective_slack_scales_with_its_size(monkeypatch, rise, raises):
+    # at beta = 1 with no rate the objective is minus the mean payoff; a
+    # rise of 1e-13 of its size is rounding, one of 1e-6 is not
+    big = 16037.249534374318
+    payoffs = iter([big, big * (1 - rise)])
+    monkeypatch.setattr(lossy, "_mutual_bits",
+                        lambda ln_p, ln_cond, payoff, *split: (
+                            0.0, next(payoffs), ln_cond[0]))
+    channel = _lump(_ln_probs(np.array([0.4, 0.6])), np.array([[0.9, 0.3], [0.2, 0.7]]))
+    if raises:
+        with pytest.raises(RuntimeError, match="objective increased"):
+            _ba_point(channel, 1.0, 2, 1e-12)
+    else:
+        assert _ba_point(channel, 1.0, 2, 1e-12).converged
+
+
 def _dense_mutual_bits(ln_p, ln_cond, payoff):
     """Rate (bits) and expected payoff of a full channel (the oracle's own)."""
     ln_joint = ln_p[:, None] + ln_cond

@@ -3,6 +3,7 @@
 import io
 import itertools
 import math
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,24 @@ def test_kind_of_consistency(rng):
             for b in ev.entities:
                 same = sl.kind_of(a) == sl.kind_of(b)
                 assert same == (pats[a] == pats[b])
+
+
+def _reference_patterns(ev):
+    per_entity = defaultdict(Counter)
+    for st_ in ev.distinct_statements:
+        per_entity[st_.subject][(st_.predicate, "s", st_.positive)] += 1
+        if st_.obj is not None:
+            per_entity[st_.obj][(st_.predicate, "o", st_.positive)] += 1
+    return {name: tuple(sorted(cnt.items())) for name, cnt in per_entity.items()}
+
+
+def test_entity_patterns_match_counter_reference(rng):
+    for _ in range(200):
+        ev = parse_evidence(io.StringIO(random_evidence_text(rng, max_stmts=40)))
+        want = _reference_patterns(ev)
+        got = entity_patterns(ev)
+        assert got == want
+        assert list(got) == list(want) == list(ev.entities)
 
 
 def test_enumerate_constituents_counts():
