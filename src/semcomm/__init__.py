@@ -16,10 +16,11 @@ from .inductive import (InductiveModel, InductiveParams, check_convergence,
                         pac_sample_bound, predictive_probability)
 from .lossless import (LosslessReport, gzip_bits, lossless_decode,
                        lossless_encode_report, shannon_baseline)
-from .measures import (MessagePartition, UniverseSignature, cond_cont, cont,
+from .measures import (JointMessageDistribution, MessagePartition,
+                       UniverseSignature, cond_cont, cond_cont_entropy, cont,
                        cont_entropy, cont_sentence, inf_entropy, inf_measure,
                        is_inductively_independent, is_l_exclusive,
-                       scale_entropies, transcont)
+                       mutual_cont_information, scale_entropies, transcont)
 from .sublang import (Constituent, Sentence, SubLanguage, SubLanguageConfig,
                       build_sublanguage)
 from .xreal import ExtremeReal, lse, xsum
@@ -30,17 +31,20 @@ __all__ = [
     "ArityConflictError", "CapacityError", "Constituent", "DecodeError",
     "DomainMismatchError", "EvidenceSet", "ExtremeReal",
     "InconsistentEvidenceError", "InductiveModel", "InductiveParams",
-    "AtomicStatement", "InfeasibleTargetError", "LosslessReport",
+    "AtomicStatement", "InfeasibleTargetError", "JointMessageDistribution",
+    "LosslessReport",
     "LossyConfig", "MessagePartition", "RDPoint", "SemcommError", "Sentence",
     "StatementParseError", "SubLanguage", "SubLanguageConfig",
     "UniverseSignature", "build_sublanguage",
     "candidate_reconstructions",
-    "check_convergence", "cond_cont", "cont", "cont_entropy",
+    "check_convergence", "cond_cont", "cond_cont_entropy", "cont",
+    "cont_entropy",
     "cont_sentence", "content_cap", "constituent_likelihood",
     "constituent_posterior", "constituent_prior",
     "gzip_bits", "inf_entropy", "inf_measure", "is_inductively_independent",
     "is_l_exclusive", "lossless_decode", "lossless_encode_report",
-    "lossy_optimize", "lse", "pac_error", "pac_errors", "pac_sample_bound",
+    "lossy_optimize", "lse", "mutual_cont_information", "pac_error",
+    "pac_errors", "pac_sample_bound",
     "parse_evidence", "parse_triple_list", "payoff_matrix",
     "predictive_probability", "rd_sweep", "receiver_prior",
     "relative_informativeness", "scale_entropies", "shannon_baseline",

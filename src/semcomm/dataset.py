@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import StatementParseError, clip
-from .fol import EvidenceSet, parse_evidence, parse_triple_list, utf8_error
+from .fol import (AtomicStatement, EvidenceSet, parse_evidence, parse_triple_list,
+                  utf8_error)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,12 +52,9 @@ def _statement_from_item(item) -> str:
     if not isinstance(positive, bool):
         raise StatementParseError(f"triple item {clip(repr(item))} has a "
                                   f"non-boolean polarity {clip(repr(positive))}")
-    neg = "" if positive else "!"
-    if obj is None:
-        return f"{neg}{pred}({subj})"
-    if not isinstance(obj, str):
+    if obj is not None and not isinstance(obj, str):
         raise StatementParseError(f"triple item {clip(repr(item))} has a non-string object")
-    return f"{neg}{pred}({subj}, {obj})"
+    return AtomicStatement(pred, subj, obj, positive).text()
 
 
 def load_evidence(path: str | Path, observations: int | None = None) -> tuple[EvidenceSet, str]:

@@ -120,19 +120,17 @@ def constituent_prior(width: int, big_k: int,
 
 
 def _ln_likelihood_width(width: int, n: int, counts: Sequence[int],
-                         params: InductiveParams) -> float | None:
+                         params: InductiveParams) -> float:
     # Closed form of the sequential next-case product for a compatible
-    # width-w hypothesis; None encodes exact probability zero.
-    if width < len(counts):
-        return None
+    # width-w hypothesis, one that holds every one of the len(counts) kinds
     if n == 0:
         return 0.0
-    if params.dogmatic:
-        return -n * math.log(width)
-    # one rising factorial for the total count, one per cell
     lam = params.lambda_of(width)
     per_cell = lam / width
     try:
+        if params.dogmatic:
+            return -n * math.log(width)
+        # one rising factorial for the total count, one per cell
         acc = -_ln_rising(n, lam)
         for n_j in counts:
             acc += _ln_rising(n_j, per_cell)
@@ -159,10 +157,8 @@ def constituent_likelihood(constituent: Constituent, summary: EvidenceSummary,
     params = params or InductiveParams()
     if not _holds_evidence(constituent, summary):
         return ExtremeReal.zero()
-    ln = _ln_likelihood_width(len(constituent), summary.n, summary.counts, params)
-    if ln is None:
-        return ExtremeReal.zero()
-    return ExtremeReal.from_ln(ln)
+    return ExtremeReal.from_ln(
+        _ln_likelihood_width(len(constituent), summary.n, summary.counts, params))
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,8 +194,6 @@ class _WidthTable:
         rows = []
         for w in range(max(c, 1), big_k + 1):
             ln_lik = _ln_likelihood_width(w, n, counts, params)
-            if ln_lik is None:
-                continue
             ln_each = _ln_prior_factor(w, big_k, params) + ln_lik
             if ln_each == -math.inf:
                 continue

@@ -54,8 +54,6 @@ _ROWS = 4096  # distinct statements decoded per tuple-field run
 
 
 def _write_uvarint(buf: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError("varint value must be nonnegative")
     while True:
         b = value & 0x7F
         value >>= 7

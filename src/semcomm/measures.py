@@ -242,13 +242,6 @@ class JointMessageDistribution:
         if abs(math.fsum(flat) - 1.0) > _NORM_TOL:
             raise ValueError("joint weights must sum to one")
 
-    @classmethod
-    def from_matrix(cls, rows: Sequence[Sentence], cols: Sequence[Sentence],
-                    joint: Sequence[Sequence[float]],
-                    model: InductiveModel) -> "JointMessageDistribution":
-        jm = tuple(tuple(float(x) for x in row) for row in joint)
-        return cls(tuple(rows), tuple(cols), jm, model)
-
 
 def _expected_pair_content(joint: JointMessageDistribution,
                            sig: UniverseSignature, content) -> ExtremeReal:

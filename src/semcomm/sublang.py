@@ -94,8 +94,6 @@ class EvidenceSummary:
             counts[j] += 1
         while short < 0:  # floors clamped at 1 can overshoot
             idx = max(range(self.c), key=lambda t: (counts[t], -t))
-            if counts[idx] <= 1:
-                raise ValueError("cannot apportion without emptying a kind")
             counts[idx] -= 1
             short += 1
         return EvidenceSummary(n_eff, self.c, tuple(counts), self.big_k)
@@ -127,15 +125,11 @@ class SubLanguage:
                 raise DomainMismatchError(f"constituent {sorted(c)} outside this sub-language")
         return Sentence(self.token, cs)
 
-    def tautology(self) -> Sentence:
-        return self.sentence(enumerate_constituents(self))
-
-    def minimal_constituent(self) -> Constituent:
-        """The narrowest constituent compatible with the evidence."""
-        return Constituent(range(self.summary.c))
-
     def upset(self, required_kinds: Iterable[int]) -> Sentence:
-        """All constituents claiming at least the given kinds inhabited."""
+        """All constituents claiming at least the given kinds inhabited.
+
+        ``upset(())`` is the tautology: every constituent.
+        """
         req = frozenset(required_kinds)
         if not all(0 <= k < self.big_k for k in req):
             raise DomainMismatchError(f"kinds {sorted(req)} outside this sub-language")
@@ -152,11 +146,6 @@ class SubLanguage:
         # built on first use and shared by every caller: the constituents
         # in enumeration order, and the same objects indexed by cell mask
         return _constituent_table(self.big_k)
-
-    def negate(self, s: Sentence) -> Sentence:
-        if s.sublang_token != self.token:
-            raise DomainMismatchError("sentence belongs to a different sub-language")
-        return Sentence(self.token, frozenset(enumerate_constituents(self)) - s.constituents)
 
 
 def entity_patterns(ev: EvidenceSet) -> dict[str, PatternKey]:

@@ -6,10 +6,6 @@ reduce to compensated additions of the log parts and are therefore exact
 round trips: (a*b)/b reproduces a's log magnitude bit for bit.  Addition
 uses log-sum-exp with the correction term computed in plain doubles,
 which keeps the log-domain error near 1 ulp.
-
-Closeness between two values is defined on the log magnitude: for small
-deltas |d(ln x)| equals the relative error of x itself, and at magnitudes
-like 10**+-15000 the log domain is the only place a tolerance can live.
 """
 
 from __future__ import annotations
@@ -55,10 +51,6 @@ class ExtremeReal:
         return cls(0, float("-inf"), 0.0)
 
     @classmethod
-    def one(cls) -> "ExtremeReal":
-        return cls(1, 0.0, 0.0)
-
-    @classmethod
     def from_float(cls, x: float) -> "ExtremeReal":
         if x == 0.0:
             return cls.zero()
@@ -77,12 +69,6 @@ class ExtremeReal:
         return cls(sign, ln_mag, 0.0)
 
     @classmethod
-    def from_log10(cls, log10_mag: float, sign: int = 1) -> "ExtremeReal":
-        if sign == 0 or log10_mag == float("-inf"):
-            return cls.zero()
-        return cls.from_ln(log10_mag * _LN10, sign)
-
-    @classmethod
     def from_log2(cls, log2_mag: float, sign: int = 1) -> "ExtremeReal":
         if sign == 0 or log2_mag == float("-inf"):
             return cls.zero()
@@ -99,10 +85,6 @@ class ExtremeReal:
         return self.ln_mag / _LN10
 
     @property
-    def log2_mag(self) -> float:
-        return self.ln_mag / math.log(2.0)
-
-    @property
     def is_zero(self) -> bool:
         return self.sign == 0
 
@@ -116,13 +98,6 @@ class ExtremeReal:
 
     def as_json(self) -> dict:
         return {"sign": self.sign, "log10_mag": None if self.sign == 0 else self.log10_mag}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExtremeReal":
-        sign = int(obj["sign"])
-        if sign == 0:
-            return cls.zero()
-        return cls.from_log10(float(obj["log10_mag"]), sign)
 
     def format_scientific(self, digits: int = 2) -> str:
         """Render as mantissa/exponent text, e.g. '1.18e-563'."""
@@ -162,11 +137,6 @@ class ExtremeReal:
             return self
         return ExtremeReal(-self.sign, self._hi, self._lo)
 
-    def __abs__(self) -> "ExtremeReal":
-        if self.sign < 0:
-            return -self
-        return self
-
     def __add__(self, other: "ExtremeReal") -> "ExtremeReal":
         if self.sign == 0:
             return other
@@ -193,7 +163,7 @@ class ExtremeReal:
     def __sub__(self, other: "ExtremeReal") -> "ExtremeReal":
         return self + (-other)
 
-    # --- ordering and closeness --------------------------------------
+    # --- ordering ----------------------------------------------------
 
     def _key(self) -> tuple:
         # total order consistent with real-number order
@@ -204,24 +174,8 @@ class ExtremeReal:
     def __lt__(self, other: "ExtremeReal") -> bool:
         return self._key() < other._key()
 
-    def __le__(self, other: "ExtremeReal") -> bool:
-        return self._key() <= other._key()
-
     def __gt__(self, other: "ExtremeReal") -> bool:
         return self._key() > other._key()
-
-    def __ge__(self, other: "ExtremeReal") -> bool:
-        return self._key() >= other._key()
-
-    def is_close(self, other: "ExtremeReal", rel_tol: float = 1e-9) -> bool:
-        """Log-domain closeness: |delta ln| <= rel_tol * max(1, |ln|)."""
-        if self.sign != other.sign:
-            return self.sign == 0 and other.sign == 0
-        if self.sign == 0:
-            return True
-        da = self.ln_mag
-        db = other.ln_mag
-        return abs(da - db) <= rel_tol * max(1.0, abs(da), abs(db))
 
 
 def xsum(values) -> ExtremeReal:

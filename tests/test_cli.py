@@ -747,6 +747,13 @@ def test_volume_past_float_precision_is_one_error_line(runner, tmp_path,
     assert len(line.encode()) < 1024
 
 
+def test_dogmatic_volume_past_float_range_is_one_error_line(runner, tmp_path):
+    # the dogmatic likelihood -n ln w meets the same int no float holds
+    corpus = _one_story_manifest(tmp_path / "corpus", 10 ** 320)
+    res = runner.invoke(main, ["analyze", str(corpus), "--lam", "const:inf"])
+    assert f"{clip(str(10 ** 320))} observations" in _one_error_line(res)
+
+
 @pytest.mark.parametrize("command, alpha", [
     ("analyze", "1e308"), ("converge", "1e308"), ("lossy", "1e308"),
     ("analyze", "1e200"), ("converge", "1e200"), ("lossy", "1e200")])

@@ -1,4 +1,5 @@
-"""No module-level import goes unused in the package or the test suite.
+"""No module-level import goes unused in the package or the test suite, and
+no public name in the package goes uncalled.
 
 No linter is installed, so this walks each module's syntax tree with the
 standard library alone.  An import counts as used when its bound name
@@ -6,6 +7,11 @@ appears anywhere else in the module (as a name, the root of an attribute
 chain, or a parameter name, which is how pytest fixtures are requested), or
 when the module lists it in ``__all__``.  ``from __future__`` imports are
 exempt, and so are the names ``coder.py`` re-exports from ``_coder_py``.
+
+A public function, class or method counts as called when its name appears
+as a name or an attribute anywhere in the package, or when ``semcomm``
+exports it in ``__all__``.  The click commands are reached through their
+group and are exempt.
 """
 
 import ast
@@ -14,9 +20,15 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "semcomm").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
-REEXPORT = ROOT / "src" / "semcomm" / "coder.py"
+PACKAGE = ROOT / "src" / "semcomm"
+MODULES = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+REEXPORT = PACKAGE / "coder.py"
+# public names kept with no caller in the package: the one-interval decoder
+# steps, the reference the tests check the run kernel against, and the
+# backend name the benchmark records
+KEPT_UNCALLED = ["_coder_py:RangeDecoder.decode_target",
+                 "_coder_py:RangeDecoder.decode_update",
+                 "coder:get_backend_name"]
 
 
 def _module_imports(tree: ast.Module):
@@ -79,3 +91,58 @@ def test_checker_flags_an_unused_import(tmp_path):
                    "__all__ = ['tau']\n"
                    "def f(json):\n    return os.sep\n")
     assert unused_imports(src) == ["pi", "system"]
+
+
+def _is_click_command(node) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group")
+               for d in node.decorator_list)
+
+
+def _public_definitions(tree: ast.Module):
+    # module-level functions and classes, and the methods of those classes
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, defs) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def uncalled_public_names(package: Path) -> list[str]:
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package.glob("*.py"))}
+    called = _dunder_all(trees[package / "__init__.py"])
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                called.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                called.add(node.attr)
+    return sorted(f"{path.stem}:{qualname}"
+                  for path, tree in trees.items()
+                  for qualname, node in _public_definitions(tree)
+                  if node.name not in called and not _is_click_command(node))
+
+
+def test_every_public_name_has_a_caller():
+    assert uncalled_public_names(PACKAGE) == KEPT_UNCALLED
+
+
+def test_checker_flags_an_uncalled_public_name(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .mod import Kept, exported\n__all__ = ['exported']\n")
+    (tmp_path / "mod.py").write_text(
+        "import click\n"
+        "@click.group()\ndef main():\n    pass\n"
+        "@main.command()\ndef run():\n    pass\n"
+        "def exported():\n    return used() + Kept().get()\n"
+        "def used():\n    return 1\n"
+        "def unused():\n    return _private()\n"
+        "def _private():\n    return 2\n"
+        "class Kept:\n"
+        "    def get(self):\n        return 3\n"
+        "    def orphan(self):\n        return 4\n")
+    assert uncalled_public_names(tmp_path) == ["mod:Kept.orphan", "mod:unused"]

@@ -190,12 +190,31 @@ def test_crc_fixed_mutations_raise_only_decode_error(edits):
     _decodes_or_rejects(bytes(body) + zlib.crc32(body).to_bytes(4, "big"))
 
 
+def _sealed(body: bytes) -> bytes:
+    return bytes(body) + zlib.crc32(body).to_bytes(4, "big")
+
+
 def _container(n_pred, n_ent, n_distinct, n_stream, coded=b"\x5a" * 8):
     buf = bytearray(b"SEMC\x01")
     for value in (n_pred, n_ent, n_distinct, n_stream, len(coded)):
         _write_uvarint(buf, value)
     buf += coded
-    return bytes(buf) + zlib.crc32(buf).to_bytes(4, "big")
+    return _sealed(buf)
+
+
+@pytest.mark.parametrize("blob, match", [
+    (_sealed(b"SEMC\x01\x80"), "truncated varint at byte 6"),
+    (_sealed(b"SEMC\x01" + b"\xff" * 10), "varint overflow at byte 15"),
+    # declares a 9-byte coded block and holds 8
+    (_sealed(b"SEMC\x01\x01\x01\x01\x01\x09" + b"\x5a" * 8),
+     "coded block truncated at byte 18"),
+    (_container(0, 0, 0, 5), "stream declared without a statement alphabet"),
+], ids=["truncated-varint", "varint-past-63-bits", "short-coded-block",
+        "stream-without-alphabet"])
+def test_reject_malformed_header(blob, match):
+    # the checksum holds, so the header parse itself must refuse these
+    with pytest.raises(DecodeError, match=match):
+        lossless_decode(blob)
 
 
 @pytest.mark.parametrize("counts", [

@@ -431,7 +431,7 @@ def test_payoff_matrix_on_hand_built_partitions():
     assert len(cons) >= 15
     receiver = receiver_prior(sl)
     rnd = random.Random(5)
-    alphabet = [sl.sentence([]), sl.tautology()]
+    alphabet = [sl.sentence([]), sl.upset(())]
     alphabet += [sl.upset(rnd.sample(range(sl.big_k), rnd.randint(0, 2)))
                  for _ in range(6)]
     alphabet += [sl.sentence(Constituent(sorted(c))

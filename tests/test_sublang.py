@@ -102,7 +102,7 @@ def test_enumerate_constituents_counts():
 
 def test_minimal_constituent_and_upset():
     sl = _sl("Barks(Rex)\n!Barks(Tom)\n", slack=1)
-    mc = sl.minimal_constituent()
+    mc = Constituent(range(sl.summary.c))
     assert mc == frozenset({0, 1})
     ups = sl.upset(mc)
     assert all(mc <= c for c in ups.constituents)
@@ -143,9 +143,8 @@ def test_sentence_algebra():
     b = sl.sentence([Constituent(frozenset({1}))])
     assert (a | b).constituents == a.constituents | b.constituents
     assert not (a & b).constituents
-    taut = sl.tautology()
+    taut = sl.upset(())
     assert len(taut.constituents) == 2 ** sl.big_k - 1
-    assert sl.negate(a).constituents == taut.constituents - a.constituents
 
 
 def test_cross_language_mix_rejected():
@@ -202,6 +201,9 @@ def test_scaled_to_proportions():
     summary = EvidenceSummary(n=10, c=2, counts=(8, 2), big_k=2)
     scaled = summary.scaled_to(1000)
     assert scaled.counts == (800, 200)
+    # the floors clamped at one overshoot, and the largest count gives back
+    summary = EvidenceSummary(n=100, c=3, counts=(98, 1, 1), big_k=3)
+    assert summary.scaled_to(3).counts == (1, 1, 1)
 
 
 def _largest_remainder(counts, n_eff):
