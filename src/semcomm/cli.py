@@ -121,8 +121,8 @@ def main(ctx, seed):
 # --- analyze -----------------------------------------------------------
 
 
-def _analyze_one(ev: EvidenceSet, fmt: str, slack: int, params: InductiveParams,
-                 label: str, writes_json: bool) -> tuple:
+def _analyze_one(ev: EvidenceSet, fmt: str, observations: int | None, slack: int,
+                 params: InductiveParams, label: str, writes_json: bool) -> tuple:
     sl = build_sublanguage(ev, SubLanguageConfig(slack=slack))
     # the report holds the exact 2^K - 1 hypothesis count, which json.dumps
     # cannot write with more digits than the interpreter's int limit (0 is
@@ -133,10 +133,10 @@ def _analyze_one(ev: EvidenceSet, fmt: str, slack: int, params: InductiveParams,
                             f"longer than {limit} digits, too long for a JSON "
                             "report; drop --out or lower --slack")
     summary = sl.summary
-    scaled = ev.observations is not None and ev.observations != summary.n
-    if ev.observations is not None:
+    scaled = observations is not None and observations != summary.n
+    if observations is not None:
         try:
-            summary = summary.scaled_to(ev.observations)
+            summary = summary.scaled_to(observations)
         except ValueError as exc:  # fewer observations than kinds
             raise click.ClickException(f"{label}: {exc}") from exc
     model = InductiveModel(sl, params, summary)
@@ -152,7 +152,7 @@ def _analyze_one(ev: EvidenceSet, fmt: str, slack: int, params: InductiveParams,
             "distinct_statements": len(ev.distinct_statements),
             "kinds_observed": sl.summary.c,
             "big_k": sl.big_k,
-            "observations": ev.observations,
+            "observations": observations,
         },
         "universe": sig.as_json(),
         "inf_entropy_bits": inf_entropy(model),
@@ -198,20 +198,21 @@ def analyze(ctx, paths, slack, lam, alpha, out):
         except (FileNotFoundError, ValueError) as exc:
             raise click.UsageError(str(exc))
         for st in stories:
-            ev, fmt = load_evidence(st.evidence_path, st.observations)
-            jobs.append((st.evidence_path, ev, fmt, st.story_id))
+            ev, fmt = load_evidence(st.evidence_path)
+            jobs.append((st.evidence_path, ev, fmt, st.observations, st.story_id))
     else:
         stems = [Path(p).stem for p in paths]  # row labels, report names
         for p, stem in zip(paths, stems):
             if stems.count(stem) > 1:
                 raise click.UsageError(f"two evidence files are named {stem!r}")
             ev, fmt = load_evidence(p)
-            jobs.append((p, ev, fmt, stem))
+            jobs.append((p, ev, fmt, None, stem))
 
     rows = []
     normalized = []
-    for path, ev, fmt, label in jobs:
-        record, value = _analyze_one(ev, fmt, slack, params, label, bool(out))
+    for path, ev, fmt, observations, label in jobs:
+        record, value = _analyze_one(ev, fmt, observations, slack, params, label,
+                                     bool(out))
         if value.is_zero:  # the scaled columns divide by it
             raise click.ClickException(f"{path}: one hypothesis holds all the "
                                        "mass, so there is no content to scale; "
@@ -313,7 +314,7 @@ def compress(source, text, out):
         outdir.mkdir(parents=True, exist_ok=True)
         rows = []
         for story in stories:
-            ev, _ = load_evidence(story.evidence_path, story.observations)
+            ev, _ = load_evidence(story.evidence_path)
             blob, record = _compress_one(ev, story.read_text())
             (outdir / f"{story.story_id}.semc").write_bytes(blob)
             (outdir / f"{story.story_id}.report.json").write_text(

@@ -2,9 +2,11 @@
 
 A corpus directory holds a ``manifest.json`` naming each story's English
 text file, its statement-stream file, and optionally the evidence volume
-the stream stands in for (``observations``).  Statement files come in
-the one-statement-per-line format or as a JSON list of triples; which
-one was used is recorded so reports can say how the evidence was read.
+the stream stands in for (``observations``).  That count stays on the
+``Story``: parsing never sees it, and only ``analyze`` reads it, to
+rescale the evidence summary.  Statement files come in the
+one-statement-per-line format or as a JSON list of triples; which one
+was used is recorded so reports can say how the evidence was read.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _statement_from_item(item) -> str:
     return AtomicStatement(pred, subj, obj, positive).text()
 
 
-def load_evidence(path: str | Path, observations: int | None = None) -> tuple[EvidenceSet, str]:
+def load_evidence(path: str | Path) -> tuple[EvidenceSet, str]:
     """Read a statement file; returns the evidence and the format used."""
     path = Path(path)
     if path.suffix.lower() == ".json":
@@ -78,11 +80,8 @@ def load_evidence(path: str | Path, observations: int | None = None) -> tuple[Ev
             raise StatementParseError(
                 f"{path}: JSON evidence must be a list of triples")
         lines = [_statement_from_item(item) for item in payload]
-        ev = parse_triple_list(lines, source_id=path.stem,
-                               observations=observations)
-        return ev, "json-triples"
-    ev = parse_evidence(path, observations=observations)
-    return ev, "line"
+        return parse_triple_list(lines, source_id=path.stem), "json-triples"
+    return parse_evidence(path), "line"
 
 
 def load_manifest(directory: str | Path) -> list[Story]:

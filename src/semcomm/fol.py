@@ -11,6 +11,9 @@ Names (predicates and individuals) share one lexical shape:
 ``[A-Za-z_][A-Za-z0-9_]*``.  A predicate's arity is fixed by its first
 occurrence; later use with a different arity is an error.
 
+An ``EvidenceSet`` holds the statements and a source id, nothing else: a
+corpus manifest's declared evidence volume stays with its ``Story``.
+
 One strict regular expression of the grammar decides each line: a match
 gives the statement's fields.  A diagnostic expression runs only on the
 lines it rejects, which are blank, comment-only or wrong, and explains a
@@ -144,7 +147,6 @@ class EvidenceSet:
 
     statements: tuple[AtomicStatement, ...]
     source_id: str = "evidence"
-    observations: int | None = None  # optional declared evidence volume
 
     # each index is built on first use; all keep first-appearance order
 
@@ -168,8 +170,7 @@ class EvidenceSet:
         return "\n".join(st.text() for st in self.statements) + "\n"
 
 
-def parse_evidence(source, source_id: str | None = None,
-                   observations: int | None = None) -> EvidenceSet:
+def parse_evidence(source, source_id: str | None = None) -> EvidenceSet:
     """Parse an evidence stream (path, open text file, or iterable of lines)."""
     arities: dict[str, int] = {}
     if source_id is None:
@@ -190,12 +191,11 @@ def parse_evidence(source, source_id: str | None = None,
         pred = intern(pred)
         check_arity(arities, pred, 1 if obj is None else 2)
         append(new(AtomicStatement, (pred, intern(subj), obj and intern(obj), not neg)))
-    return EvidenceSet(tuple(statements), source_id, observations)
+    return EvidenceSet(tuple(statements), source_id)
 
 
-def parse_triple_list(triples: Iterable[str], source_id: str = "evidence",
-                      observations: int | None = None) -> EvidenceSet:
+def parse_triple_list(triples: Iterable[str], source_id: str = "evidence") -> EvidenceSet:
     """Permissive list-of-strings form: each item is one statement."""
     arities: dict[str, int] = {}
     statements = [parse_statement(t, arities, i + 1) for i, t in enumerate(triples)]
-    return EvidenceSet(tuple(statements), source_id, observations)
+    return EvidenceSet(tuple(statements), source_id)

@@ -195,6 +195,8 @@ class _WidthTable:
         for w in range(max(c, 1), big_k + 1):
             ln_lik = _ln_likelihood_width(w, n, counts, params)
             ln_each = _ln_prior_factor(w, big_k, params) + ln_lik
+            # the dogmatic prior alpha ln(w/K) overflows to -inf for a huge
+            # alpha: such a width holds no mass, and its 0 * ln 0 would be nan
             if ln_each == -math.inf:
                 continue
             size = math.comb(big_k - c, w - c)
@@ -269,13 +271,6 @@ class InductiveModel:
     @property
     def width_classes(self) -> tuple[WidthClass, ...]:
         return self._table.classes
-
-    # -- single hypotheses ------------------------------------------------
-
-    def constituent_posterior(self, constituent: Constituent) -> ExtremeReal:
-        if not _holds_evidence(constituent, self.summary):
-            return ExtremeReal.zero()
-        return self._table.unit(len(constituent))
 
     # -- sentences --------------------------------------------------------
 
@@ -615,8 +610,6 @@ class ConvergencePoint:
 class ConvergenceReport:
     """Posterior trace of the exact-evidence hypothesis along a stream."""
 
-    big_k: int
-    threshold: float
     points: tuple[ConvergencePoint, ...]
     reached_at: int | None
     eventually_monotone: bool
@@ -707,8 +700,6 @@ def check_convergence(kinds: Iterable[int], big_k: int,
         limit = bound / (1.0 + bound) if bound < math.inf else 1.0
         pac_ok = (1.0 - final.posterior) <= limit * (1.0 + 1e-9) + 1e-15
     return ConvergenceReport(
-        big_k=big_k,
-        threshold=threshold,
         points=tuple(points),
         reached_at=reached_at,
         eventually_monotone=monotone,

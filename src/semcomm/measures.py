@@ -278,10 +278,9 @@ def is_l_exclusive(m1: Sentence, m2: Sentence) -> bool:
     return not (m1.constituents & m2.constituents)
 
 
-def is_inductively_independent(m1: Sentence, m2: Sentence, model,
-                               tol: float = _NORM_TOL) -> bool:
+def is_inductively_independent(m1: Sentence, m2: Sentence, model) -> bool:
     """True when the joint weight factorizes over the two sentences."""
     p1 = model.sentence_probability(m1)
     p2 = model.sentence_probability(m2)
     p12 = model.sentence_probability(m1 & m2)
-    return abs(p12 - p1 * p2) <= tol
+    return abs(p12 - p1 * p2) <= _NORM_TOL

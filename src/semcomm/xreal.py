@@ -69,10 +69,8 @@ class ExtremeReal:
         return cls(sign, ln_mag, 0.0)
 
     @classmethod
-    def from_log2(cls, log2_mag: float, sign: int = 1) -> "ExtremeReal":
-        if sign == 0 or log2_mag == float("-inf"):
-            return cls.zero()
-        return cls.from_ln(log2_mag * math.log(2.0), sign)
+    def from_log2(cls, log2_mag: float) -> "ExtremeReal":
+        return cls.from_ln(log2_mag * math.log(2.0))
 
     # --- views --------------------------------------------------------
 

@@ -205,6 +205,10 @@ def test_bad_lambda_spec(runner, evidence_file):
     res = runner.invoke(main, ["converge", str(evidence_file),
                                "--lam", "const:-2"])
     assert res.exit_code == 2
+    res = runner.invoke(main, ["converge", str(evidence_file),
+                               "--lam", "const:abc"])
+    assert res.exit_code == 2
+    assert "--lam" in res.output and "not a number: 'abc'" in res.output
 
 
 # --- analyze -----------------------------------------------------------

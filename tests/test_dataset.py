@@ -23,10 +23,9 @@ def test_bundled_corpus_loads():
     stories = load_manifest(DATA_DIR)
     assert [s.story_id for s in stories] == [f"story{i}" for i in range(1, 8)]
     assert all(s.observations and s.observations > 0 for s in stories)
-    ev, fmt = load_evidence(stories[0].evidence_path,
-                            stories[0].observations)
+    assert stories[0].observations == 5812
+    ev, fmt = load_evidence(stories[0].evidence_path)
     assert fmt == "line"
-    assert ev.observations == stories[0].observations
     assert len(ev.statements) > 0
     assert stories[0].read_text().startswith(b"")
 
@@ -86,7 +85,6 @@ def test_load_evidence_line_format(tmp_path):
     ev, fmt = load_evidence(p)
     assert fmt == "line"
     assert len(ev.statements) == 3
-    assert ev.observations is None
 
 
 def test_load_evidence_json_list(tmp_path):
@@ -98,10 +96,9 @@ def test_load_evidence_json_list(tmp_path):
         ["Runs", "Grebe", None, False][:2] + [None, False],
     ]
     p.write_text(json.dumps(payload))
-    ev, fmt = load_evidence(p, observations=12)
+    ev, fmt = load_evidence(p)
     assert fmt == "json-triples"
     assert len(ev.statements) == 4
-    assert ev.observations == 12
     text = ev.normalized_text()
     assert "!Runs(Coot)" in text
     assert "Serves(Wren, Holm)" in text

@@ -1,5 +1,6 @@
 """Statement parsing and evidence sets."""
 
+import dataclasses
 import io
 import re
 
@@ -109,8 +110,14 @@ def test_normalized_text_empty():
 
 
 def test_observations_metadata():
-    ev = parse_evidence(io.StringIO("Barks(Rex)\n"), observations=5812)
-    assert ev.observations == 5812
+    # a manifest's declared volume stays on its Story; parsed evidence
+    # holds the statements and a source id, nothing else
+    ev = parse_evidence(io.StringIO("Barks(Rex)\n"))
+    assert [f.name for f in dataclasses.fields(ev)] == ["statements", "source_id"]
+    with pytest.raises(TypeError):
+        parse_evidence(io.StringIO("Barks(Rex)\n"), observations=5812)
+    with pytest.raises(TypeError):
+        parse_triple_list(["Barks(Rex)"], observations=5812)
 
 
 def test_parse_triple_list():

@@ -8,9 +8,14 @@ chain, or a parameter name, which is how pytest fixtures are requested), or
 when the module lists it in ``__all__``.  ``from __future__`` imports are
 exempt, and so are the names ``coder.py`` re-exports from ``_coder_py``.
 
-A public function, class or method counts as called when its name appears
-as a name or an attribute anywhere in the package, or when ``semcomm``
-exports it in ``__all__``.  The click commands are reached through their
+A public module-level function or class counts as called when its name
+appears as a name or an attribute anywhere in the package, or when
+``semcomm`` exports it in ``__all__``.  A public method or property counts
+as called only when its name appears as an attribute (``x.name``): a local
+variable or an exported function of the same name does not reach it.  The
+rule still cannot tell whose attribute it is, so a method reads as called
+through any namesake on another type: ``RangeEncoder.encode`` through
+``str.encode``, for one.  The click commands are reached through their
 group and are exempt.
 """
 
@@ -23,12 +28,19 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "semcomm"
 MODULES = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
 REEXPORT = PACKAGE / "coder.py"
-# public names kept with no caller in the package: the one-interval decoder
-# steps, the reference the tests check the run kernel against, and the
-# backend name the benchmark records
-KEPT_UNCALLED = ["_coder_py:RangeDecoder.decode_target",
-                 "_coder_py:RangeDecoder.decode_update",
-                 "coder:get_backend_name"]
+# public names kept with no caller in the package, each with its reason
+KEPT_UNCALLED = [
+    # the tests read each cycle model's symbol count through it
+    "_coder_py:AdaptiveModel.total",
+    # the one-interval decoder steps: the reference the tests check the run
+    # kernel against
+    "_coder_py:RangeDecoder.decode_target",
+    "_coder_py:RangeDecoder.decode_update",
+    # the backend name the benchmark records
+    "coder:get_backend_name",
+    # hand-built sentences stay library API
+    "sublang:SubLanguage.sentence",
+]
 
 
 def _module_imports(tree: ast.Module):
@@ -114,17 +126,20 @@ def _public_definitions(tree: ast.Module):
 def uncalled_public_names(package: Path) -> list[str]:
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(package.glob("*.py"))}
-    called = _dunder_all(trees[package / "__init__.py"])
+    names = _dunder_all(trees[package / "__init__.py"])
+    attributes = set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                called.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                called.add(node.attr)
+                attributes.add(node.attr)
+    names |= attributes
     return sorted(f"{path.stem}:{qualname}"
                   for path, tree in trees.items()
                   for qualname, node in _public_definitions(tree)
-                  if node.name not in called and not _is_click_command(node))
+                  if node.name not in (attributes if "." in qualname else names)
+                  and not _is_click_command(node))
 
 
 def test_every_public_name_has_a_caller():
@@ -140,9 +155,12 @@ def test_checker_flags_an_uncalled_public_name(tmp_path):
         "@main.command()\ndef run():\n    pass\n"
         "def exported():\n    return used() + Kept().get()\n"
         "def used():\n    return 1\n"
-        "def unused():\n    return _private()\n"
+        "def unused():\n    shadow = _private()\n    return shadow\n"
         "def _private():\n    return 2\n"
         "class Kept:\n"
         "    def get(self):\n        return 3\n"
-        "    def orphan(self):\n        return 4\n")
-    assert uncalled_public_names(tmp_path) == ["mod:Kept.orphan", "mod:unused"]
+        "    def orphan(self):\n        return 4\n"
+        "    def shadow(self):\n        return 5\n"
+        "    def exported(self):\n        return 6\n")
+    assert uncalled_public_names(tmp_path) == ["mod:Kept.exported", "mod:Kept.orphan",
+                                               "mod:Kept.shadow", "mod:unused"]

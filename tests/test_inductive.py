@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semcomm.errors import DomainMismatchError
+from semcomm.errors import DomainMismatchError, InconsistentEvidenceError
 from semcomm.fol import parse_evidence
 from semcomm.inductive import (InductiveModel, InductiveParams, _WidthTable,
                                _worst_error, check_convergence,
@@ -124,6 +124,9 @@ def test_prior_normalizes():
             total = xsum(constituent_prior(len(c), big_k, params)
                          for c in _all_constituents(big_k))
             assert total.to_float() == pytest.approx(1.0, rel=1e-12)
+            for width in (0, big_k + 1):
+                with pytest.raises(ValueError, match="width must lie"):
+                    constituent_prior(width, big_k, params)
 
 
 def test_posterior_normalizes():
@@ -140,6 +143,13 @@ def test_incompatible_posterior_is_exact_zero():
     for con in _all_constituents(4):
         if not {0, 1} <= con:
             assert constituent_posterior(con, summary).is_zero
+    # a cell past K is an error, not a hypothesis of zero weight
+    for price in (constituent_posterior, constituent_likelihood):
+        with pytest.raises(DomainMismatchError, match="outside the language"):
+            price(Constituent({0, 1, 4}), summary)
+    # a hand-built language of no cells has no hypothesis to normalize
+    with pytest.raises(InconsistentEvidenceError, match="normalizer is zero"):
+        constituent_posterior(Constituent(), EvidenceSummary(0, 0, (), 0))
 
 
 def test_model_summary_must_match_or_be_empty(rng):
@@ -149,9 +159,9 @@ def test_model_summary_must_match_or_be_empty(rng):
     # no evidence: the posterior is the prior
     empty = InductiveModel(sl, model.params, EvidenceSummary(0, 0, (), big_k))
     for con in enumerate_constituents(sl):
-        assert empty.constituent_posterior(con).to_float() == pytest.approx(
-            constituent_prior(len(con), big_k, model.params).to_float(),
-            rel=1e-12)
+        got = constituent_posterior(con, empty.summary, empty.params).to_float()
+        assert got == pytest.approx(
+            constituent_prior(len(con), big_k, model.params).to_float(), rel=1e-12)
     with pytest.raises(DomainMismatchError):
         InductiveModel(sl, summary=EvidenceSummary(0, 0, (), big_k + 1))
     with pytest.raises(DomainMismatchError):  # slack leaves room for c + 1
@@ -182,9 +192,24 @@ def test_dogmatic_likelihood_closed_form():
         assert got == pytest.approx((1.0 / w) ** 12, rel=1e-12)
 
 
+def test_dogmatic_prior_past_the_float_range_holds_no_mass():
+    # alpha ln(w/K) passes -1.8e308 for w <= 16 at alpha = 1e308, K = 100:
+    # those widths leave the table, and the entropy stays 0 rather than nan
+    ev = parse_evidence(io.StringIO("Barks(Rex)\n"))
+    sl = build_sublanguage(ev, SubLanguageConfig(slack=99))
+    model = InductiveModel(sl, InductiveParams(lambda_value=math.inf, alpha=1e308))
+    widths = [cl.width for cl in model.width_classes]
+    assert widths == list(range(17, 101))
+    assert all(math.isfinite(cl.ln_each) for cl in model.width_classes)
+    assert inf_entropy(model) == 0.0
+
+
 def test_predictive_probability_mixture(rng):
     # prediction for a seen kind exceeds the one for a slack kind
     model = random_model(rng, slack=2)
+    for kind in (-1, model.summary.big_k):
+        with pytest.raises(ValueError, match="kind must lie"):
+            predictive_probability(model, kind)
     if model.summary.c == 0:
         return
     seen = predictive_probability(model, 0)
@@ -277,6 +302,28 @@ def test_pac_error_rejects_bad_alpha(alpha):
         pac_error(5, 3, alpha)
     with pytest.raises(ValueError, match="finite and >= 0"):
         pac_error(5, 3, alpha, c=2)
+
+
+def test_pac_rejects_bad_k_n_c_and_epsilon():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        pac_error(0, 3)
+    for n, alpha in ((2, 2.0), (1, 3.5)):
+        with pytest.raises(ValueError, match="needs n > alpha"):
+            pac_error(5, n, alpha)
+    for c in (-1, 6):
+        with pytest.raises(ValueError, match="c must lie"):
+            pac_error(5, 3, c=c)
+    for epsilon in (0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            pac_sample_bound(5, 0.0, epsilon)
+
+
+def test_check_convergence_rejects_bad_kinds():
+    with pytest.raises(ValueError, match="at least one observation"):
+        check_convergence([], big_k=3)
+    for kind in (-1, 3):
+        with pytest.raises(ValueError, match="kind ids must lie"):
+            check_convergence([0, kind], big_k=3)
 
 
 def test_check_convergence_identifies():

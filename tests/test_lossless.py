@@ -209,8 +209,11 @@ def _container(n_pred, n_ent, n_distinct, n_stream, coded=b"\x5a" * 8):
     (_sealed(b"SEMC\x01\x01\x01\x01\x01\x09" + b"\x5a" * 8),
      "coded block truncated at byte 18"),
     (_container(0, 0, 0, 5), "stream declared without a statement alphabet"),
+    (_container(0, 0, 1, 1), "statements declared without names to build them"),
+    (_container(1, 0, 1, 1), "statements declared without names to build them"),
 ], ids=["truncated-varint", "varint-past-63-bits", "short-coded-block",
-        "stream-without-alphabet"])
+        "stream-without-alphabet", "statements-without-predicates",
+        "statements-without-entities"])
 def test_reject_malformed_header(blob, match):
     # the checksum holds, so the header parse itself must refuse these
     with pytest.raises(DecodeError, match=match):

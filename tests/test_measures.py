@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from semcomm.dataset import load_evidence, load_manifest
 from semcomm.fol import parse_evidence
-from semcomm.inductive import InductiveModel, InductiveParams
+from semcomm.inductive import InductiveModel, InductiveParams, constituent_posterior
 from semcomm.measures import (JointMessageDistribution,
                               MessagePartition, UniverseSignature, cond_cont,
                               cond_cont_entropy, cont, cont_entropy,
@@ -39,6 +39,12 @@ def test_point_measures():
     assert inf_measure(0.0) == math.inf
     with pytest.raises(ValueError):
         inf_measure(-0.1)
+    for p in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError, match="p must lie"):
+            cont(p)
+    for counts in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            UniverseSignature(*counts)
 
 
 def _prior_model(big_k):
@@ -135,7 +141,7 @@ def test_partition_from_model_normalizes(rng):
         assert kept == [con for con in cons if need <= con]
         for con in set(cons) - set(kept):
             assert not need <= con
-            assert model.constituent_posterior(con).is_zero
+            assert constituent_posterior(con, model.summary, model.params).is_zero
 
 
 def test_partition_validation():
@@ -143,12 +149,24 @@ def test_partition_validation():
         MessagePartition((), (0.5, 0.6))
     with pytest.raises(ValueError):
         MessagePartition((), (-0.1, 1.1))
-    sl = random_model(random.Random(1), slack=1).sublang
+    model = random_model(random.Random(1), slack=1)
+    sl = model.sublang
     a, b, c = enumerate_constituents(sl)[:3]
     overlapping = (sl.sentence([a]), sl.sentence([b, c]), sl.sentence([c]))
     with pytest.raises(ValueError, match="disjoint"):
         MessagePartition(overlapping, (0.5, 0.25, 0.25))
-    MessagePartition(overlapping[:2], (0.5, 0.5))  # disjoint members pass
+    disjoint = overlapping[:2]
+    MessagePartition(disjoint, (0.5, 0.5))  # disjoint members pass
+    with pytest.raises(ValueError, match="one weight per member"):
+        MessagePartition(disjoint, (1.0,))
+    with pytest.raises(ValueError, match="log weights must align"):
+        MessagePartition(disjoint, (0.5, 0.5), ln_probs=(0.0,))
+    # the joint of two message lists holds to the same rules
+    for joint, match in ((((1.0,),), "shape"), (((0.5, 0.5),), "shape"),
+                         (((1.5, -0.5), (0.0, 0.0)), "nonnegative"),
+                         (((0.5, 0.25), (0.0, 0.0)), "sum to one")):
+        with pytest.raises(ValueError, match=match):
+            JointMessageDistribution(disjoint, disjoint, joint, model)
 
 
 def test_cont_entropy_bounds(rng):
@@ -241,7 +259,7 @@ def test_width_route_matches_enumeration(rng):
 def test_width_route_matches_enumeration_on_stories(slack):
     # the volumes the manifest declares, as analyze uses them
     for story in load_manifest(DATA_DIR):
-        ev, _ = load_evidence(story.evidence_path, story.observations)
+        ev, _ = load_evidence(story.evidence_path)
         sl = build_sublanguage(ev, SubLanguageConfig(slack=slack))
         summary = sl.summary.scaled_to(story.observations)
         sig = UniverseSignature(len(ev.predicates), len(ev.entities))
@@ -294,7 +312,8 @@ def test_measures_match_brute_force(rng):
     # width-class pricing against literal sums over single hypotheses
     for _ in range(5):
         model = random_model(rng)
-        weight = {c: model.constituent_posterior(c).to_float()
+        weight = {c: constituent_posterior(c, model.summary,
+                                           model.params).to_float()
                   for c in enumerate_constituents(model.sublang)}
 
         def excluded(s):

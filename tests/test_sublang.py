@@ -169,6 +169,10 @@ def test_summary_validation():
         EvidenceSummary(n=3, c=2, counts=(1, 1), big_k=3)
     with pytest.raises(ValueError):
         EvidenceSummary(n=2, c=3, counts=(1, 1, 0), big_k=3)
+    with pytest.raises(ValueError, match="more exemplified kinds than cells"):
+        EvidenceSummary(n=2, c=2, counts=(1, 1), big_k=1)
+    with pytest.raises(ValueError, match="cannot scale an empty summary"):
+        EvidenceSummary(n=0, c=0, counts=(), big_k=3).scaled_to(5)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1,

@@ -23,6 +23,9 @@ def test_float_round_trip():
         assert ExtremeReal.from_float(x).to_float() == pytest.approx(x, rel=1e-12)
     assert ExtremeReal.from_float(0.0).is_zero
     assert ExtremeReal.zero().to_float() == 0.0
+    for bad, what in ((math.nan, "NaN"), (math.inf, "infinity"), (-math.inf, "infinity")):
+        with pytest.raises(ValueError, match=what):
+            ExtremeReal.from_float(bad)
 
 
 def test_log_constructors_agree():
@@ -30,6 +33,9 @@ def test_log_constructors_agree():
     c = ExtremeReal.from_log2(100.0 * math.log2(10.0))
     assert abs(a.ln_mag - c.ln_mag) < 1e-9
     assert a.log10_mag == pytest.approx(100.0, abs=1e-12)
+    assert ExtremeReal.from_log2(-math.inf).is_zero
+    with pytest.raises(ValueError, match="sign"):
+        ExtremeReal.from_ln(1.0, sign=2)
 
 
 def test_self_ratio_bit_exact():
