@@ -525,7 +525,7 @@ def converge(evidence, slack, lam, alpha, threshold, out):
     if not kinds:
         raise click.ClickException(f"{evidence}: no individuals to trace")
     report = check_convergence(kinds, sl.big_k, params, threshold)
-    _echo_lines(f"  n={pt.n:<4d} kinds_seen={pt.c_seen:<3d} posterior={pt.posterior:.6f}"
+    _echo_lines("  n=%-4d kinds_seen=%-3d posterior=%.6f" % pt
                 for pt in report.points)
     reached = (f"reached {threshold:g} at n={report.reached_at}"
                if report.reached_at is not None

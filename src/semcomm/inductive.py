@@ -15,7 +15,9 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import repeat
+from operator import sub
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (CapacityError, DomainMismatchError,
                      InconsistentEvidenceError, clip)
@@ -599,8 +601,7 @@ def pac_sample_bound(k: int, alpha: float, epsilon: float) -> int:
 # -- convergence traces ---------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ConvergencePoint:
+class ConvergencePoint(NamedTuple):
     n: int
     c_seen: int
     posterior: float
@@ -628,7 +629,9 @@ def check_convergence(kinds: Iterable[int], big_k: int,
     consistent with the odds bound of :func:`pac_error` evaluated at the
     final (n, c).  Each observation costs O(K - c): no width is dropped,
     because one negligible against c kinds can dominate once a new kind
-    appears.
+    appears.  Every log-gamma is read from one table of ln i! for i up to
+    n + K, so a run makes O(n + K) ``lgamma`` calls, not one per width and
+    observation.
     """
     params = params or InductiveParams()
     seq = list(kinds)
@@ -645,41 +648,51 @@ def check_convergence(kinds: Iterable[int], big_k: int,
     # ln lam - ln w + ln((lam + m w) / s) + ln(s / lam) for s = max(lam, 1);
     # the shared ln lam and ln(s / lam) are left out, which keeps the sums
     # accurate for a large lam, finite for a tiny one, and makes lam = inf the
-    # dogmatic -n ln w.
-    ln_fact = [math.lgamma(i + 1) for i in range(big_k + 1)]
+    # dogmatic -n ln w.  ln i! and ln i come from one shared table: a
+    # proportional lam needs lgamma(t + w) = ln (t + w - 1)!, so its table
+    # runs to n + K
     proportional = params.lambda_value is None
+    ln_fact, ln_int = _ln_tables(big_k + len(seq) if proportional else big_k)
     fixed = [0.0] + [_ln_prior_factor(w, big_k, params) - ln_fact[big_k - w]
-                     + (math.lgamma(w) if proportional else 0.0)
+                     + (ln_fact[w - 1] if proportional else 0.0)
                      for w in range(1, big_k + 1)]
     if not proportional:
-        ln_width = [0.0] + [math.log(w) for w in range(1, big_k + 1)]
         scale = max(params.lambda_value, 1.0)
         shift = min(params.lambda_value, 1.0) - 1.0  # lam / s - 1
         inv_cell = [0.0] + [w / scale for w in range(1, big_k + 1)]
-        cell_sums = [0.0] * (big_k + 1)
+        cell_sums = [0.0] * (big_k + 1)  # one per width c..K, c = 0 here
 
     counts: dict[int, int] = {}
     points: list[ConvergencePoint] = []
     last_growth = 1
     c = 0
+    # Every width w = c..K is priced at every observation.  Each list below
+    # runs over the widths in order with the operations of a per-width
+    # loop, so the bits are that loop's; a table slice stands in for each
+    # lgamma(t + w)
     for t, kind in enumerate(seq, start=1):
         m = counts.get(kind, 0)
         counts[kind] = m + 1
         if m == 0:
             c += 1
             last_growth = t
-            widths = range(c, big_k + 1)
-            base = [fixed[w] - ln_fact[w - c] for w in widths]
+            base = list(map(sub, fixed[c:], ln_fact[:big_k - c + 1]))
+            if not proportional:
+                del cell_sums[0]
+                inv = inv_cell[c:]
+                ln_width = ln_int[c:big_k + 1]
         if proportional:
-            terms = [b - math.lgamma(t + w) for b, w in zip(base, widths)]
+            terms = list(map(sub, base, ln_fact[t + c - 1:t + big_k]))
         else:
+            # zip comprehensions: for these two-operation lines, chains of
+            # operator maps measured slower on CPython 3.11
             if m and not params.dogmatic:
-                for w in widths:
-                    cell_sums[w] += math.log1p(shift + m * inv_cell[w])
-            terms = [b + cell_sums[w] - t * ln_width[w]
-                     for b, w in zip(base, widths)]
+                cell_sums = [s + math.log1p(shift + m * x)
+                             for s, x in zip(cell_sums, inv)]
+            terms = [b + s - t * lw
+                     for b, s, lw in zip(base, cell_sums, ln_width)]
         top = max(terms)  # lse(terms) inlined for speed; no term is -inf
-        total = math.fsum([math.exp(v - top) for v in terms])
+        total = math.fsum(map(math.exp, map(sub, terms, repeat(top))))
         ln_z = top + math.log(total)
         # _WidthTable's sum check in O(1): the posteriors exp(v - ln_z) sum
         # to total * exp(top - ln_z), which strays from 1 once ln z is so
@@ -687,7 +700,8 @@ def check_convergence(kinds: Iterable[int], big_k: int,
         total *= math.exp(top - ln_z)
         if abs(total - 1.0) > 1e-6:
             raise _precision_error(total, t, params.alpha)
-        points.append(ConvergencePoint(t, c, math.exp(terms[0] - ln_z)))
+        points.append(tuple.__new__(
+            ConvergencePoint, (t, c, math.exp(terms[0] - ln_z))))
 
     reached_at = next((p.n for p in points if p.posterior >= threshold), None)
     tail = [p.posterior for p in points[last_growth - 1:]]

@@ -152,7 +152,7 @@ def entity_patterns(ev: EvidenceSet) -> dict[str, PatternKey]:
     """Participation pattern of every observed individual (deduped stream)."""
     # keys arrive in the order of ev.entities: first appearance, subject first;
     # plain dicts and get() count about twice as fast as defaultdict(Counter)
-    per_entity: dict[str, dict[tuple, int]] = {}
+    per_entity: dict[str, dict[tuple, int] | PatternKey] = {}
     for pred, subj, obj, positive in ev.distinct_statements:
         cnt = per_entity.get(subj)
         if cnt is None:
@@ -165,7 +165,14 @@ def entity_patterns(ev: EvidenceSet) -> dict[str, PatternKey]:
                 cnt = per_entity[obj] = {}
             key = (pred, "o", positive)
             cnt[key] = cnt.get(key, 0) + 1
-    return {name: tuple(sorted(cnt.items())) for name, cnt in per_entity.items()}
+    # each count dict gives way to its sorted tuple as the loop reaches it,
+    # and equal patterns share one tuple, so a crowd of individuals of few
+    # kinds holds few patterns
+    shared: dict[PatternKey, PatternKey] = {}
+    for name, cnt in per_entity.items():
+        pat = tuple(sorted(cnt.items()))
+        per_entity[name] = shared.setdefault(pat, pat)
+    return per_entity
 
 
 def check_consistent(ev: EvidenceSet) -> None:

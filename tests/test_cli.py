@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,11 +12,12 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from semcomm import inductive
+from semcomm import cli, inductive
 from semcomm import lossy as lossy_module
 from semcomm import sublang
 from semcomm.cli import main
 from semcomm.errors import clip
+from semcomm.fol import EvidenceSet
 from semcomm.measures import MessagePartition
 
 from conftest import DATA_DIR, one_statement_container
@@ -169,6 +171,51 @@ def test_table_stdout_golden(runner, args):
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == _STDOUT_SHA256[args]
 
 
+def _crowd_text():
+    """1,000 individuals over 64 kinds of two unary facts each, in the
+    shape of the benchmark's crowd: every kind once, then a skewed draw,
+    shuffled."""
+    rnd = random.Random(80)
+    kinds = list(range(64)) + [min(rnd.randrange(64), rnd.randrange(64))
+                               for _ in range(936)]
+    rnd.shuffle(kinds)
+    return "".join(f"A{k % 8}(e{i})\n!B{k // 8}(e{i})\n"
+                   for i, k in enumerate(kinds))
+
+
+# SHA-256 of `converge crowd.fol --slack 16 ARGS` (K = 80): standard output,
+# then the --out CSV
+_CONVERGE_K80_SHA256 = {
+    "": ("ae4083be1dbc8e80cec7f2ea9a723e27493a239a09f3e30a6d1cd78bb403c45b",
+         "fbb81c90d8d317769a3287b13d0b71e250a26477784e1e5fb1f69e849c768123"),
+    "--lam const:2.5":
+        ("9df13cc78b5683bfc85a368e7de3ca4bdb28bb96300ec70398761ce0f2460255",
+         "d12fdce5c38ae14935609c6e4a084669985f6440825f3680d82c7499a3c9df72"),
+    "--lam const:inf":
+        ("9c169eb41461ada411ca6cfb7da2e818ee0505f64a10d4a80fd7bc795dd465ba",
+         "63f4e463c36eed0f458307369560793c608c9bd3df73c74356069168801b0d0d"),
+    "--alpha 2.5":
+        ("a983933464e92527366a0803bb140225e595a598009ad91f8d645b3c310a59e6",
+         "307e855df66de0a3cfe1256328752949a81ecefc3abc8bd4cd19e226c36713ff"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(_CONVERGE_K80_SHA256))
+def test_converge_golden_at_k80(runner, tmp_path, args):
+    crowd = tmp_path / "crowd.fol"
+    crowd.write_text(_crowd_text())
+    base = ["converge", str(crowd), "--slack", "16", *args.split()]
+    res = runner.invoke(main, base)
+    assert res.exit_code == 0, res.output
+    assert res.output.count("\n") == 1001
+    assert "kinds_seen=64 " in res.output.splitlines()[-2]
+    out = tmp_path / "trace.csv"
+    assert runner.invoke(main, [*base, "--out", str(out)]).exit_code == 0
+    digests = (hashlib.sha256(res.stdout_bytes).hexdigest(),
+               hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == _CONVERGE_K80_SHA256[args]
+
+
 # --- converge ----------------------------------------------------------
 
 
@@ -305,7 +352,8 @@ def test_analyze_dir_plus_file_rejected(runner, tiny_corpus, evidence_file):
 # --- compress / decompress ---------------------------------------------
 
 
-def test_compress_decompress_round_trip(runner, evidence_file, tmp_path):
+def test_compress_decompress_round_trip(runner, evidence_file, tmp_path,
+                                        monkeypatch):
     container = tmp_path / "harbor.semc"
     res = runner.invoke(main, ["compress", str(evidence_file),
                                "--out", str(container)])
@@ -322,6 +370,17 @@ def test_compress_decompress_round_trip(runner, evidence_file, tmp_path):
     assert res.exit_code == 0, res.output
     # normalized text of this already-clean stream is identical
     assert recovered.read_text() == SMALL_FOL
+
+    # a container that decodes to other statements is never written
+    monkeypatch.setattr(cli, "lossless_decode", lambda blob: EvidenceSet(()))
+    audited = tmp_path / "audited.semc"
+    res = runner.invoke(main, ["compress", str(evidence_file),
+                               "--out", str(audited)])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [
+        "Error: round-trip audit failed: decoded statements differ from input"]
+    assert not audited.exists()
+    assert not audited.with_suffix(".report.json").exists()
 
 
 def test_compress_with_narrative_baseline(runner, evidence_file, tmp_path):

@@ -103,6 +103,9 @@ def test_encoder_rejects_bad_interval():
         enc.encode(0, 11, 10)
     with pytest.raises(ValueError):
         enc.encode(0, 1, coder.MAX_TOTAL + 1)
+    enc.finish()
+    with pytest.raises(ValueError, match="already finished"):
+        enc.encode(0, 1, 2)
 
 
 def test_deterministic_output():
@@ -476,3 +479,13 @@ def test_decode_run_on_corrupt_stream_raises():
         coder.decode_run(steered(), [coder.AdaptiveModel(4)], 3)
     with pytest.raises(ValueError, match="outside alphabet total"):
         coder.decode_run(steered(), [coder.AdaptiveModel(2)] * 3, 1)
+    # the one-interval reference calls check their arguments and the
+    # stream the same way
+    dec = coder.RangeDecoder(b"\xff" * 8)
+    with pytest.raises(ValueError, match="invalid total"):
+        dec.decode_target(0)
+    with pytest.raises(ValueError, match="invalid frequency interval"):
+        dec.decode_update(1, 1, 4)
+    dec.decode_update(0, 1, 1000)
+    with pytest.raises(ValueError, match="outside alphabet total"):
+        dec.decode_target(1000)

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semcomm import inductive
 from semcomm.errors import DomainMismatchError, InconsistentEvidenceError
 from semcomm.fol import parse_evidence
 from semcomm.inductive import (InductiveModel, InductiveParams, _WidthTable,
+                               _ln_prior_factor, _precision_error,
                                _worst_error, check_convergence,
                                constituent_likelihood, constituent_posterior,
                                constituent_prior, pac_error, pac_errors,
@@ -167,6 +169,15 @@ def test_model_summary_must_match_or_be_empty(rng):
     with pytest.raises(DomainMismatchError):  # slack leaves room for c + 1
         InductiveModel(sl, summary=EvidenceSummary(c + 1, c + 1,
                                                    (1,) * (c + 1), big_k))
+    # a sentence of another sub-language, even one of the same shape
+    other = build_sublanguage(parse_evidence(io.StringIO("Barks(Rex)\n")),
+                              SubLanguageConfig(slack=1))
+    with pytest.raises(DomainMismatchError, match="different sub-language"):
+        model.member_width_counts(other.upset(()))
+    # a bag cannot hold more hypotheses of a width than the class has
+    top = model.width_classes[-1]
+    with pytest.raises(ValueError, match="exceeds the class size"):
+        model.complement_width_counts({top.width: top.size + 1})
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, -math.inf])
@@ -483,6 +494,91 @@ def test_large_constant_lambda_tends_to_the_dogmatic_limit():
         assert got == pytest.approx(limit, abs=1e-12)
         trace = check_convergence([0, 1] * 20, 4, params)
         assert trace.final_posterior == pytest.approx(got, abs=1e-12)
+    # Stirling's series is what runs past x = 32; past the float range it
+    # raises rather than return inf
+    with pytest.raises(OverflowError, match="past the float range"):
+        inductive._ln_rising(1e308, 100.0)
+
+
+def _reference_points(kinds, big_k, params):
+    """The trace as a per-width Python loop with one lgamma per width and
+    observation: the same floating-point operations in the same order."""
+    ln_fact = [math.lgamma(i + 1) for i in range(big_k + 1)]
+    proportional = params.lambda_value is None
+    fixed = [0.0] + [_ln_prior_factor(w, big_k, params) - ln_fact[big_k - w]
+                     + (math.lgamma(w) if proportional else 0.0)
+                     for w in range(1, big_k + 1)]
+    if not proportional:
+        ln_width = [0.0] + [math.log(w) for w in range(1, big_k + 1)]
+        scale = max(params.lambda_value, 1.0)
+        shift = min(params.lambda_value, 1.0) - 1.0
+        inv_cell = [0.0] + [w / scale for w in range(1, big_k + 1)]
+        cell_sums = [0.0] * (big_k + 1)
+    counts = {}
+    points = []
+    c = 0
+    for t, kind in enumerate(kinds, start=1):
+        m = counts.get(kind, 0)
+        counts[kind] = m + 1
+        if m == 0:
+            c += 1
+            widths = range(c, big_k + 1)
+            base = [fixed[w] - ln_fact[w - c] for w in widths]
+        if proportional:
+            terms = [b - math.lgamma(t + w) for b, w in zip(base, widths)]
+        else:
+            if m and not params.dogmatic:
+                for w in widths:
+                    cell_sums[w] += math.log1p(shift + m * inv_cell[w])
+            terms = [b + cell_sums[w] - t * ln_width[w]
+                     for b, w in zip(base, widths)]
+        top = max(terms)
+        total = math.fsum([math.exp(v - top) for v in terms])
+        ln_z = top + math.log(total)
+        total *= math.exp(top - ln_z)
+        if abs(total - 1.0) > 1e-6:
+            raise _precision_error(total, t, params.alpha)
+        points.append((t, c, math.exp(terms[0] - ln_z)))
+    return points
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.5])
+@pytest.mark.parametrize("lam", [None, 0.5, 3.0, 1e6, math.inf],
+                         ids=["w", "const0.5", "const3", "const1e6", "inf"])
+@pytest.mark.parametrize("big_k", [1, 2, 5, 17, 80, 200])
+def test_convergence_trace_equals_per_width_loop(big_k, lam, alpha):
+    # bit for bit, on every point
+    params = InductiveParams(lambda_value=lam, alpha=alpha)
+    rnd = random.Random(big_k)
+    for case in range(3):
+        used = rnd.randint(1, big_k)
+        kinds = [rnd.randrange(used) for _ in range(rnd.randint(1, 150))]
+        if case == 0:
+            kinds = rnd.sample(range(used), used) + kinds
+        report = check_convergence(kinds, big_k, params)
+        assert report.points == tuple(_reference_points(kinds, big_k, params))
+
+
+@pytest.mark.parametrize("lam", [None, 2.5], ids=["w", "const2.5"])
+def test_convergence_lgamma_calls_are_linear(monkeypatch, lam):
+    # one table of ln i! for i <= n + K serves every observation, where a
+    # per-width pass made an lgamma call per width and observation (about
+    # 21,000 here)
+    calls = 0
+    lgamma = math.lgamma
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return lgamma(x)
+
+    n, big_k = 1000, 80
+    rnd = random.Random(3)
+    kinds = list(range(64)) + [rnd.randrange(64) for _ in range(n - 64)]
+    inductive._ln_tables.cache_clear()
+    monkeypatch.setattr(math, "lgamma", counted)
+    check_convergence(kinds, big_k, InductiveParams(lambda_value=lam))
+    assert 0 < calls <= n + 3 * big_k
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -446,6 +447,12 @@ def test_payoff_matrix_on_hand_built_partitions():
         source = MessagePartition(members, (1.0 / len(members),) * len(members))
         assert np.array_equal(payoff_matrix(source, alphabet, receiver),
                               _subset_payoff(source, alphabet, receiver))
+    with pytest.raises(ValueError, match="alphabet must be non-empty"):
+        payoff_matrix(source, [], receiver)
+    # MessagePartition itself refuses no members (its weights sum to 0), so
+    # an empty stand-in reaches the check
+    with pytest.raises(ValueError, match="carries no message sentences"):
+        payoff_matrix(SimpleNamespace(members=()), alphabet, receiver)
 
 
 @pytest.mark.parametrize("params", [

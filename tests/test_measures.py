@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcomm.dataset import load_evidence, load_manifest
+from semcomm.errors import DomainMismatchError
 from semcomm.fol import parse_evidence
 from semcomm.inductive import InductiveModel, InductiveParams, constituent_posterior
 from semcomm.measures import (JointMessageDistribution,
@@ -110,6 +111,9 @@ def test_l_exclusive():
     both = model.sublang.sentence(cons[:2])
     assert is_l_exclusive(a, b)
     assert not is_l_exclusive(a, both)
+    other = random_model(rnd, slack=2).sublang
+    with pytest.raises(DomainMismatchError, match="different sub-languages"):
+        is_l_exclusive(a, other.sentence(enumerate_constituents(other)[:1]))
 
 
 def test_exclusive_contents_add(rng):

@@ -3,6 +3,7 @@
 import io
 import itertools
 import math
+import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -90,6 +91,20 @@ def test_entity_patterns_match_counter_reference(rng):
         got = entity_patterns(ev)
         assert got == want
         assert list(got) == list(want) == list(ev.entities)
+
+
+def test_equal_patterns_are_one_object():
+    ev = parse_evidence(io.StringIO(
+        "Barks(Rex)\nChases(Rex, Tom)\nBarks(Sid)\nChases(Sid, Ada)\n"
+        "Chases(Ada, Tom)\nBarks(Ada)\n!Barks(Tom)\n"))
+    pats = entity_patterns(ev)
+    assert pats["Rex"] is pats["Sid"]
+    assert pats["Ada"] != pats["Rex"] and pats["Ada"] != pats["Tom"]
+    rng = random.Random(7)
+    for _ in range(50):
+        pats = entity_patterns(parse_evidence(io.StringIO(
+            random_evidence_text(rng, max_stmts=40))))
+        assert len({id(p) for p in pats.values()}) == len(set(pats.values()))
 
 
 def test_enumerate_constituents_counts():
