@@ -25,6 +25,7 @@ from .sublang import Constituent, EvidenceSummary, Sentence, SubLanguage
 from .xreal import ExtremeReal, lse
 
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
+_LN_FLOAT_MIN = math.log(sys.float_info.min)  # the least normal float
 
 
 @dataclass(frozen=True, slots=True)
@@ -366,8 +367,8 @@ _TAIL = 2.0 ** -60  # a c-sum stops once its tail is below this share of it
 # the cheaper route, and this route sums every term where the bisection's
 # sums stop at the 2^-60 tail, so moving it would change output bits.
 # Those timings compare one bisection per row; the table now seeds each
-# row's search past 15 cells from the row before, at about three sums a
-# row, and the limit stays at 15 for the output bits alone.
+# row's search past 15 cells from the row before, at about three scans and
+# one exact sum a row, and the limit stays at 15 for the output bits alone.
 _DIRECT_MAX_K = 15
 
 
@@ -480,10 +481,14 @@ def _worst_error(k: int, expo: float,
     # F is analytic and not constant (F(k) = 1, and F -> 0 as c -> inf), so
     # it strictly rises, then strictly falls, either part possibly empty.
     # So S does on c = 1..k-1, and comparing two neighbours tells on which
-    # side of them the largest is.  The search compares the sums' logs,
-    # and neighbours of the peak can tie within their rounding, so the
-    # exact sums of c* - 1..c* + 1 decide.
-    scan = functools.cache(lambda cc: _pac_scan(k - cc, cc, expo))
+    # side of them the largest is.  The search compares the sums' logs.
+    scans: dict[int, tuple[int, float]] = {}
+
+    def scan(cc: int) -> tuple[int, float]:
+        got = scans.get(cc)
+        if got is None:
+            got = scans[cc] = _pac_scan(k - cc, cc, expo)
+        return got
 
     def falls(cc: int) -> bool:
         # S(cc) >= S(cc + 1): false below the peak, true from it on, so a
@@ -519,8 +524,37 @@ def _worst_error(k: int, expo: float,
             hi = mid
         else:
             lo = mid + 1
-    return max(_pac_sum(k - cc, cc, expo, scan(cc)[0])
-               for cc in range(max(lo - 1, 1), min(lo + 1, k - 1) + 1)), lo
+    # Neighbours of the peak can tie within their rounding, so the exact
+    # sums of c* - 1..c* + 1 decide, but only those whose scan log L lies
+    # within delta of the top one's can hold the largest.  L and the log of
+    # the exact sum S cover the same terms and differ only by rounding.
+    # With u = 2^-53, x = expo and every kept power (c/(c+i))^x a normal
+    # float, each is within 64 u (1 + x ln(2K) + ln K!) of the true log:
+    # a term's log sums table entries of at most ln K! and x ln K, each to
+    # a few u of its size; a rounded base c/(c+i) moves its power by x u;
+    # the scan's rescalings lose u per step and per unit of log they climb,
+    # at most K + ln K! + x ln K in all, and K <= ln K! from K = 8; the
+    # binomials' conversion, the products and fsum add a few u; and the log
+    # route, taken below the float max only once a binomial passes it
+    # (K > 1,000, ln K! > 5,900), loses u (ln K! + x ln(2K)) in its logs and
+    # 710 u in its exp.  delta = 2^-40 (1 + x ln(2K) + ln K!) is 64 times
+    # both errors together, so a neighbour whose L lies more than delta
+    # under the top holds a smaller S, and max() returns the same float
+    # without it.  A power under 2^-1022 keeps no relative precision (times
+    # a binomial that can pass 2^900), and a top L within delta of
+    # ln(float max) may stand for an infinite sum, so then all three sums
+    # are taken.
+    near = [(cc, *scan(cc))
+            for cc in range(max(lo - 1, 1), min(lo + 1, k - 1) + 1)]
+    lf, ln_int = _ln_tables(k)
+    delta = 2.0 ** -40 * (1.0 + expo * math.log(2 * k) + lf[k])
+    top = max(ln_sum for _, _, ln_sum in near)
+    if top < _LN_FLOAT_MAX - delta and all(
+            expo * (ln_int[cc] - ln_int[cc + terms]) > _LN_FLOAT_MIN + delta
+            for cc, terms, _ in near):
+        near = [row for row in near if row[2] >= top - delta]
+    return max(_pac_sum(k - cc, cc, expo, terms)
+               for cc, terms, _ in near), lo
 
 
 def pac_error(k: int, n: float, alpha: float = 0.0,
@@ -534,7 +568,9 @@ def pac_error(k: int, n: float, alpha: float = 0.0,
 
     A sum stops once its tail is certified below 2^-60 of it.  The sums
     are unimodal in c, so past 15 cells the worst case is a bisection on
-    their slope; up to 15 every sum is taken in full.
+    the slope of their log-space scans, and only the peak's neighbours
+    whose scans lie within rounding of the largest are summed exactly;
+    up to 15 every sum is taken in full.
     """
     _check_pac(k, alpha)
     expo = _exponent(n, alpha)
@@ -553,7 +589,8 @@ def pac_errors(k: int, ns: Iterable[float], alpha: float = 0.0) -> list[float]:
 
     Each n's search over c starts from the worst c of the n before it.  That
     c moves by a step or two between neighbouring n, so an increasing run of
-    n costs about three sums per n where a bisection pays 2 log2 K.
+    n costs about three scans and one exact sum per n, where a bisection
+    pays 2 log2 K scans.
     """
     _check_pac(k, alpha)
     bounds, hint = [], None

@@ -115,13 +115,17 @@ def test_pac_csv(runner, tmp_path):
 
 
 # SHA-256 of the `pac ARGS --out` CSVs: K = 17, just past the direct route,
-# 60 and 300 take the search over c
+# 60 to 300 take the search over c; 120 and 200 --alpha 0.5 were taken while
+# every row took the exact sums of all three neighbours of its peak
 _PAC_CSV_SHA256 = {
     "17": "fb64c6164873bdbedf81c1c860ab542ed95ba32a73389d181db09005f45aa833",
     "60": "5d8914d3562a7bf09ea1c91971a51b07dfbe3780033407a256b0b2e07b11810f",
     "60 --alpha 2.5":
         "bc662653145a101550fc1057a22c0d1fbb2fec1be60db700adca3c44bba0f1d5",
     "300": "6e3b784f40ee202ab5633616a898c529830927e5564229b1cbe8fcc3af8cd3dd",
+    "120": "8dbfe6e03d4f1ddcd61d1f363474c7b2f86a596df35ee95679b98175b048893c",
+    "200 --alpha 0.5":
+        "195ec89f955ce398faee88094048f11de9d7d65147277e0a9f87f1deea29f6ea",
 }
 
 
@@ -133,23 +137,35 @@ def test_pac_csv_golden(runner, tmp_path, args):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _PAC_CSV_SHA256[args]
 
 
-def test_pac_table_seeds_each_row(runner, tmp_path, monkeypatch):
-    # a bisection per row makes about 10 scans of the c-sums at K = 60; the
-    # seeded search makes about 3
+def _count_pac_calls(runner, tmp_path, monkeypatch, name):
+    """Calls to inductive's `name` during `pac 60`, and the table's rows."""
     calls = 0
-    scan = inductive._pac_scan
+    fn = getattr(inductive, name)
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return scan(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(inductive, "_pac_scan", counted)
+    monkeypatch.setattr(inductive, name, counted)
     out = tmp_path / "bounds.csv"
     res = runner.invoke(main, ["pac", "60", "--out", str(out)])
     assert res.exit_code == 0, res.output
-    rows = len(out.read_text().splitlines()) - 1
+    return calls, len(out.read_text().splitlines()) - 1
+
+
+def test_pac_table_seeds_each_row(runner, tmp_path, monkeypatch):
+    # a bisection per row makes about 10 scans of the c-sums at K = 60; the
+    # seeded search makes about 3
+    calls, rows = _count_pac_calls(runner, tmp_path, monkeypatch, "_pac_scan")
     assert calls <= 4 * rows
+
+
+def test_pac_table_takes_one_exact_sum_a_row(runner, tmp_path, monkeypatch):
+    # the scans' logs rule out all but one of the peak's three neighbours;
+    # the exact sums of all three made 1,489 calls here
+    calls, rows = _count_pac_calls(runner, tmp_path, monkeypatch, "_pac_sum")
+    assert calls <= rows + 40
 
 
 # SHA-256 of standard output: the table printed in one write must give the

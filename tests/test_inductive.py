@@ -5,9 +5,11 @@ closed form under test, and a literal Bayes computation that walks the
 observation sequence and multiplies smoothed next-case probabilities.
 """
 
+import functools
 import io
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -643,6 +645,136 @@ def test_pac_search_from_any_hint(k):
         assert want[0] == pac_error(k, n)
         for hint in (-3, 0, 1, 2, k // 2, k - 2, k - 1, k, k + 7):
             assert _worst_error(k, float(n), hint) == want, (n, hint)
+
+
+# the scans are pure, so the reference and the route under test share them
+_memo_scan = functools.cache(inductive._pac_scan)
+
+
+@functools.cache
+def _three_sum_worst_error(k, expo, hint=None):
+    """The search over c with the exact sums of all of c* - 1..c* + 1.
+
+    The route `_worst_error` took before the scans' logs ruled neighbours
+    out; it also returns each neighbour's (c, terms, scan log, exact sum).
+    """
+    def scan(cc):
+        return _memo_scan(k - cc, cc, expo)
+
+    def falls(cc):
+        if cc < 1:
+            return False
+        return cc >= k - 1 or scan(cc)[1] >= scan(cc + 1)[1]
+
+    if hint is None:
+        lo, hi = 1, k - 1
+    else:
+        lo = hi = min(max(hint, 1), k - 1)
+        step = 1
+        if falls(hi):
+            lo = max(hi - step, 0)
+            while falls(lo):
+                hi, step = lo, 2 * step
+                lo = max(hi - step, 0)
+        else:
+            hi = min(lo + step, k - 1)
+            while not falls(hi):
+                lo, step = hi, 2 * step
+                hi = min(lo + step, k - 1)
+        lo += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if falls(mid) else (mid + 1, hi)
+    near = [(cc, *scan(cc), inductive._pac_sum(k - cc, cc, expo, scan(cc)[0]))
+            for cc in range(max(lo - 1, 1), min(lo + 1, k - 1) + 1)]
+    return max(row[3] for row in near), lo, near
+
+
+_REF_KS = (16, 17, 21, 34, 60, 100, 200, 1000)
+_REF_ALPHAS = (0.0, 0.5, 2.5)
+
+
+@functools.cache
+def _three_sum_table(k, alpha):
+    """(expo, hint, reference result) along the pac table of K and alpha,
+    each hint the c before, then at n = 10^5 and 10^7, where the worst
+    sums are subnormal and zero.  Alpha 0.5 and 2.5 share every exponent
+    of the table, and so their reference rows."""
+    ns = range(math.floor(alpha) + 1, pac_sample_bound(k, alpha, 1e-3) + 5)
+    rows, hint = [], None
+    for n in [*ns, 10**5, 10**7]:
+        expo = inductive._exponent(n, alpha)
+        ref = _three_sum_worst_error(k, expo, hint)
+        rows.append((expo, hint, ref))
+        hint = ref[1]
+    return rows
+
+
+def _scan_slack(k, expo):
+    """The margin `_worst_error` lets the top scan log rule a neighbour
+    out by."""
+    return 2.0 ** -40 * (1.0 + expo * math.log(2 * k) + math.lgamma(k + 1))
+
+
+@pytest.mark.parametrize("k", _REF_KS)
+def test_worst_error_one_sum_matches_three(k, monkeypatch):
+    # the scans' logs leave one exact sum a row in the normal range and
+    # must give the bits the three sums gave, with hints and without
+    sums = 0
+    pac_sum = inductive._pac_sum
+
+    def counted(*args):
+        nonlocal sums
+        sums += 1
+        return pac_sum(*args)
+
+    monkeypatch.setattr(inductive, "_pac_scan", _memo_scan)
+    for alpha in _REF_ALPHAS:
+        rows = _three_sum_table(k, alpha)
+        monkeypatch.setattr(inductive, "_pac_sum", counted)
+        sums = 0
+        for expo, hint, (bound, lo, _) in rows:
+            assert _worst_error(k, expo, hint) == (bound, lo), (alpha, expo)
+        # the near-ties at K = 1000 and the subnormal rows take the rest
+        assert sums <= len(rows) + 12, (alpha, sums)
+        monkeypatch.setattr(inductive, "_pac_sum", pac_sum)
+        # a search from scratch costs about 2 log2 K scans a row
+        for expo, _, (bound, lo, _) in rows[::1 + len(rows) // 200]:
+            assert _worst_error(k, expo) == (bound, lo), (alpha, expo)
+    _memo_scan.cache_clear()
+
+
+@pytest.mark.parametrize("k", _REF_KS)
+def test_scan_logs_within_slack_of_exact_sums(k):
+    # the premise of the shortcut: where an exact sum is a normal float,
+    # its log and its scan's log differ by far less than the margin
+    for alpha in _REF_ALPHAS:
+        for expo, _, (_, _, near) in _three_sum_table(k, alpha):
+            slack = _scan_slack(k, expo)
+            for cc, _, ln_scan, exact in near:
+                if sys.float_info.min <= exact < math.inf:
+                    gap = abs(ln_scan - math.log(exact))
+                    assert gap < slack / 64, (alpha, expo, cc)
+
+
+def test_worst_error_takes_both_near_tied_sums(monkeypatch):
+    # at K = 1000, n = 8914, alpha = 0.5 the scans of c = 907 and 908 lie
+    # 1e-9 apart, inside the margin, so both exact sums are taken
+    k, expo = 1000, inductive._exponent(8914, 0.5)
+    bound, lo, near = _three_sum_worst_error(k, expo)
+    ln_scans = sorted(row[2] for row in near)
+    assert ln_scans[-1] - ln_scans[-2] < _scan_slack(k, expo) < (
+        ln_scans[-1] - ln_scans[-3])
+    calls = []
+    pac_sum = inductive._pac_sum
+
+    def counted(m, c, expo, terms):
+        calls.append(c)
+        return pac_sum(m, c, expo, terms)
+
+    monkeypatch.setattr(inductive, "_pac_sum", counted)
+    assert _worst_error(k, expo) == (bound, lo)
+    assert sorted(calls) == [907, 908]
 
 
 @pytest.mark.parametrize("epsilon", [1e-2, 1e-3])

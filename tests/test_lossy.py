@@ -6,7 +6,6 @@ import itertools
 import math
 import random
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -449,10 +448,10 @@ def test_payoff_matrix_on_hand_built_partitions():
                               _subset_payoff(source, alphabet, receiver))
     with pytest.raises(ValueError, match="alphabet must be non-empty"):
         payoff_matrix(source, [], receiver)
-    # MessagePartition itself refuses no members (its weights sum to 0), so
-    # an empty stand-in reaches the check
+    # a partition of weights alone, with no member sentences, builds (its
+    # weights sum to one), and payoff_matrix refuses it
     with pytest.raises(ValueError, match="carries no message sentences"):
-        payoff_matrix(SimpleNamespace(members=()), alphabet, receiver)
+        payoff_matrix(MessagePartition((), (1.0,)), alphabet, receiver)
 
 
 @pytest.mark.parametrize("params", [
