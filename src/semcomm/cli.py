@@ -521,7 +521,7 @@ def converge(evidence, slack, lam, alpha, threshold, out):
     params = _make_params(lam, alpha)
     ev, _ = load_evidence(evidence)
     sl = build_sublanguage(ev, SubLanguageConfig(slack=slack))
-    kinds = [sl.kind_of(e) for e in ev.entities]
+    kinds = list(sl.entity_kinds.values())
     if not kinds:
         raise click.ClickException(f"{evidence}: no individuals to trace")
     report = check_convergence(kinds, sl.big_k, params, threshold)

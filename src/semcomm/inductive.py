@@ -412,16 +412,19 @@ def _pac_scan(m: int, c: int, expo: float) -> tuple[int, float]:
 
 def _pac_sum(m: int, c: int, expo: float, terms: int) -> float:
     # the first `terms` terms, with exact binomials, as the float route of
-    # fsum; the log route takes sums past the float range
+    # fsum; the log route takes sums past the float range, and sums whose
+    # last and least power (c/(c+terms))^expo is subnormal, which keeps no
+    # relative precision
     binoms, binom = [], 1
     for i in range(1, terms + 1):
         binom = binom * (m - i + 1) // i
         binoms.append(binom)
-    try:
-        return math.fsum(b * (c / (c + i)) ** expo
-                         for i, b in enumerate(binoms, start=1))
-    except OverflowError:  # a binomial or the sum leaves the float range
-        pass
+    if (c / (c + terms)) ** expo >= sys.float_info.min:
+        try:
+            return math.fsum(b * (c / (c + i)) ** expo
+                             for i, b in enumerate(binoms, start=1))
+        except OverflowError:  # a binomial or the sum leaves the float range
+            pass
     ln_odds = lse(math.log(b) + expo * math.log(c / (c + i))
                   for i, b in enumerate(binoms, start=1))
     return math.exp(ln_odds) if ln_odds < _LN_FLOAT_MAX else math.inf
@@ -540,10 +543,10 @@ def _worst_error(k: int, expo: float,
     # 710 u in its exp.  delta = 2^-40 (1 + x ln(2K) + ln K!) is 64 times
     # both errors together, so a neighbour whose L lies more than delta
     # under the top holds a smaller S, and max() returns the same float
-    # without it.  A power under 2^-1022 keeps no relative precision (times
-    # a binomial that can pass 2^900), and a top L within delta of
-    # ln(float max) may stand for an infinite sum, so then all three sums
-    # are taken.
+    # without it.  A sum that keeps a power under 2^-1022 may itself fall
+    # below 2^-1022, where no float keeps relative precision, and a top L
+    # within delta of ln(float max) may stand for an infinite sum, so then
+    # all three sums are taken.
     near = [(cc, *scan(cc))
             for cc in range(max(lo - 1, 1), min(lo + 1, k - 1) + 1)]
     lf, ln_int = _ln_tables(k)

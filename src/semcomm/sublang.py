@@ -2,7 +2,8 @@
 
 Two individuals share a kind exactly when their full participation
 multisets coincide: the multiset of (predicate, role, polarity) triples
-over the deduplicated evidence, where role is subject or object.  The
+over the deduplicated evidence, where role is subject or object; cell ids
+follow the patterns' first appearance in ``EvidenceSet.entities``.  The
 sub-language has K cells: one per observed pattern plus a configured
 number of slack cells for kinds the evidence never exemplified.  Within
 it the evidence is complete by construction, so the generalization
@@ -22,9 +23,6 @@ from typing import Iterable
 
 from .errors import CapacityError, DomainMismatchError, InconsistentEvidenceError, clip
 from .fol import EvidenceSet
-
-# participation pattern: sorted tuple of ((predicate, role, positive), count)
-PatternKey = tuple
 
 _token_counter = itertools.count(1)
 # the one enumeration limit, 2^12 - 1 hypotheses: lossy pairs each with all
@@ -113,9 +111,6 @@ class SubLanguage:
     summary: EvidenceSummary
     token: int = field(default_factory=lambda: next(_token_counter))
 
-    def kind_of(self, entity: str) -> int:
-        return self.entity_kinds[entity]
-
     # --- sentence construction ---------------------------------------
 
     def sentence(self, constituents: Iterable[Constituent]) -> Sentence:
@@ -148,65 +143,66 @@ class SubLanguage:
         return _constituent_table(self.big_k)
 
 
-def entity_patterns(ev: EvidenceSet) -> dict[str, PatternKey]:
-    """Participation pattern of every observed individual (deduped stream)."""
-    # keys arrive in the order of ev.entities: first appearance, subject first;
-    # plain dicts and get() count about twice as fast as defaultdict(Counter)
-    per_entity: dict[str, dict[tuple, int] | PatternKey] = {}
+def kind_quotient(ev: EvidenceSet) -> tuple[dict[str, int], list[int]]:
+    """The cell id of every observed individual, and the individuals per cell.
+
+    The first dict maps each entity, in the order of ``ev.entities``, to
+    its cell: the rank of its participation pattern's first appearance.
+    The list counts the individuals in each cell.
+    """
+    # one shared (predicate, role, sign) key pair per predicate, indexed by
+    # sign, so the count dicts hold no tuple of their own; plain dicts and
+    # get() count about twice as fast as defaultdict(Counter)
+    keys: tuple[dict, dict] = ({}, {})
+    kinds: dict[str, dict | int] = {}  # individuals arrive in ev.entities order
     for pred, subj, obj, positive in ev.distinct_statements:
-        cnt = per_entity.get(subj)
+        pair = keys[positive].get(pred)
+        if pair is None:
+            pair = keys[positive][pred] = ((pred, "s", positive), (pred, "o", positive))
+        cnt = kinds.get(subj)
         if cnt is None:
-            cnt = per_entity[subj] = {}
-        key = (pred, "s", positive)
-        cnt[key] = cnt.get(key, 0) + 1
+            cnt = kinds[subj] = {}
+        cnt[pair[0]] = cnt.get(pair[0], 0) + 1
         if obj is not None:
-            cnt = per_entity.get(obj)
+            cnt = kinds.get(obj)
             if cnt is None:
-                cnt = per_entity[obj] = {}
-            key = (pred, "o", positive)
-            cnt[key] = cnt.get(key, 0) + 1
-    # each count dict gives way to its sorted tuple as the loop reaches it,
-    # and equal patterns share one tuple, so a crowd of individuals of few
-    # kinds holds few patterns
-    shared: dict[PatternKey, PatternKey] = {}
-    for name, cnt in per_entity.items():
-        pat = tuple(sorted(cnt.items()))
-        per_entity[name] = shared.setdefault(pat, pat)
-    return per_entity
+                cnt = kinds[obj] = {}
+            cnt[pair[1]] = cnt.get(pair[1], 0) + 1
+    # each count dict gives way to its cell id as the loop reaches it, so
+    # only one pattern per cell stays alive
+    cells: dict[tuple, int] = {}
+    counts: list[int] = []
+    for name, cnt in kinds.items():
+        kinds[name] = kind = cells.setdefault(tuple(sorted(cnt.items())), len(cells))
+        if kind == len(counts):
+            counts.append(0)
+        counts[kind] += 1
+    return kinds, counts
 
 
 def check_consistent(ev: EvidenceSet) -> None:
-    polarity_seen: dict[tuple, bool] = {}
+    # probing the statements before each one with its sign twin holds only
+    # tuples that already exist, and reports the same first conflict
+    seen: set[tuple] = set()
     for st in ev.distinct_statements:  # a repeat never conflicts first
-        prev = polarity_seen.setdefault(st[:3], st.positive)
-        if prev != st.positive:
+        pred, subj, obj, positive = st
+        if (pred, subj, obj, not positive) in seen:
             raise InconsistentEvidenceError(
                 f"evidence both asserts and negates {clip(st._replace(positive=True).text())}")
+        seen.add(st)
 
 
 def build_sublanguage(ev: EvidenceSet, config: SubLanguageConfig | None = None) -> SubLanguage:
     """Quotient the evidence into kinds and wrap it in a sub-language."""
     config = config or SubLanguageConfig()
     check_consistent(ev)
-    patterns = entity_patterns(ev)
-
-    cell_map: dict[PatternKey, int] = {}
-    entity_kinds: dict[str, int] = {}
-    counts: list[int] = []
-    for ent, pat in patterns.items():  # first-appearance order fixes cell ids
-        if pat not in cell_map:
-            cell_map[pat] = len(cell_map)
-            counts.append(0)
-        kind = cell_map[pat]
-        entity_kinds[ent] = kind
-        counts[kind] += 1
-
-    c = len(cell_map)
+    entity_kinds, counts = kind_quotient(ev)
+    c = len(counts)
     big_k = c + config.slack
     if big_k < 1:
         raise CapacityError("empty evidence with no slack cells leaves no language")
 
-    summary = EvidenceSummary(n=sum(counts), c=c, counts=tuple(counts), big_k=big_k)
+    summary = EvidenceSummary(n=len(entity_kinds), c=c, counts=tuple(counts), big_k=big_k)
     return SubLanguage(big_k=big_k, entity_kinds=entity_kinds, summary=summary)
 
 

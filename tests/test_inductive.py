@@ -595,6 +595,15 @@ def test_pac_error_matches_bignum_sum(alpha):
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_pac_error_keeps_precision_in_subnormal_sums():
+    # at K = 200, c = 1 the kept powers (1/(1+i))^x fall below 2^-1022,
+    # where a product with its binomial keeps no relative precision, so the
+    # sum takes the log route
+    want = math.exp(_ln_pac_sums(200, 1076 - 2.5)[0])
+    assert 0.0 < want < sys.float_info.min
+    assert pac_error(200, 1076, 2.5, c=1) == pytest.approx(want, rel=0.01, abs=0.0)
+
+
 def _ln_pac_sums(k, x):
     """ln of every c-sum for c = 1..k-1, from log-binomials and one fsum each."""
     lf = [math.lgamma(i + 1) for i in range(k + 1)]
