@@ -51,17 +51,12 @@ __all__ = [
     "transcont", "xsum",
 ]
 
-# the lossy layer is the one user of numpy; its names resolve on first use
-# (PEP 562), so the other commands start without importing numpy
-_LOSSY_NAMES = frozenset({
-    "LossyConfig", "RDPoint", "candidate_reconstructions", "content_cap",
-    "lossy_optimize", "payoff_matrix", "rd_sweep", "receiver_prior",
-    "relative_informativeness",
-})
-
 
 def __getattr__(name: str):
-    if name in _LOSSY_NAMES:
+    # the names in __all__ not imported above are the lossy layer's, the one
+    # user of numpy; they resolve on first use (PEP 562), so the other
+    # commands start without importing numpy
+    if name in __all__:
         from . import lossy
         return getattr(lossy, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

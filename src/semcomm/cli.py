@@ -69,28 +69,41 @@ def _make_params(lam: str, alpha: float) -> InductiveParams:
         raise click.BadParameter(str(exc), param_hint="--alpha")
 
 
-def _params_record(lam: str, alpha: float, slack: int,
-                   seed: int | None) -> tuple[dict, str]:
-    record = {"lambda": lam, "alpha": alpha, "slack": slack, "seed": seed}
-    digest = hashlib.sha256(
-        json.dumps(record, sort_keys=True).encode()).hexdigest()[:16]
-    return record, digest
-
-
 def _echo_lines(lines) -> None:
-    """Print a table in one write; an empty table prints nothing."""
-    text = "\n".join(lines)
-    if text:
-        click.echo(text)
+    """Print a table in one write."""
+    click.echo("\n".join(lines))
+
+
+def _write_json(path: Path, record: dict) -> None:
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _load_stories(directory):
+    try:
+        return load_manifest(directory)
+    except (FileNotFoundError, ValueError) as exc:
+        raise click.UsageError(str(exc))
 
 
 def _friendly(fn):
-    """Surface library errors as clean one-line failures (exit code 1)."""
+    """Surface library and file-system errors as one-line failures (exit 1).
+
+    A closed stdout pipe is left to click, which exits quietly.
+    """
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except SemcommError as exc:
+        except BrokenPipeError:
+            raise
+        except (SemcommError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
     return wrapper
 
@@ -185,7 +198,10 @@ def analyze(ctx, paths, slack, lam, alpha, out):
     columns compare the sources analyzed in this run against each other.
     """
     params = _make_params(lam, alpha)
-    record_params, digest = _params_record(lam, alpha, slack, ctx.obj["seed"])
+    record_params = {"lambda": lam, "alpha": alpha, "slack": slack,
+                     "seed": ctx.obj["seed"]}
+    digest = hashlib.sha256(
+        json.dumps(record_params, sort_keys=True).encode()).hexdigest()[:16]
 
     dirs = [p for p in paths if Path(p).is_dir()]
     if dirs and len(paths) > 1:
@@ -193,11 +209,7 @@ def analyze(ctx, paths, slack, lam, alpha, out):
 
     jobs = []
     if dirs:
-        try:
-            stories = load_manifest(dirs[0])
-        except (FileNotFoundError, ValueError) as exc:
-            raise click.UsageError(str(exc))
-        for st in stories:
+        for st in _load_stories(dirs[0]):
             ev, fmt = load_evidence(st.evidence_path)
             jobs.append((st.evidence_path, ev, fmt, st.observations, st.story_id))
     else:
@@ -209,7 +221,6 @@ def analyze(ctx, paths, slack, lam, alpha, out):
             jobs.append((p, ev, fmt, None, stem))
 
     rows = []
-    normalized = []
     for path, ev, fmt, observations, label in jobs:
         record, value = _analyze_one(ev, fmt, observations, slack, params, label,
                                      bool(out))
@@ -220,37 +231,28 @@ def analyze(ctx, paths, slack, lam, alpha, out):
         record["params"] = record_params
         record["params_hash"] = digest
         rows.append((label, record, value))
-        normalized.append(value)
 
-    scaled = scale_entropies(normalized)
-    header = f"{'source':<12}{'normalized':>14}{'min_scaled':>14}{'max_scaled':>14}"
-    click.echo(header)
+    scaled = scale_entropies([value for _, _, value in rows])
+    table = []  # label, then the normalized, min- and max-scaled values
     for (label, record, value), lo, hi in zip(rows, scaled["min_scaled"],
                                               scaled["max_scaled"]):
-        click.echo(f"{label:<12}{value.format_scientific():>14}"
-                   f"{lo.format_scientific():>14}{hi.format_scientific():>14}")
-    best = max(rows, key=lambda r: r[2])
-    worst = min(rows, key=lambda r: r[2])
-    click.echo(f"most informative:  {best[0]}")
-    click.echo(f"least informative: {worst[0]}")
-
+        record["scaled"] = {"min_scaled": lo.as_json(),
+                            "max_scaled": hi.as_json()}
+        table.append([label, *(x.format_scientific() for x in (value, lo, hi))])
     if out:
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
-        for (label, record, value), lo, hi in zip(rows, scaled["min_scaled"],
-                                                  scaled["max_scaled"]):
-            record["scaled"] = {"min_scaled": lo.as_json(),
-                                "max_scaled": hi.as_json()}
-            path = outdir / f"{label}.json"
-            path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        with open(outdir / "summary.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["story", "normalized", "min_scaled", "max_scaled"])
-            for (label, record, value), lo, hi in zip(
-                    rows, scaled["min_scaled"], scaled["max_scaled"]):
-                writer.writerow([label, value.format_scientific(),
-                                 lo.format_scientific(), hi.format_scientific()])
+        for label, record, _ in rows:
+            _write_json(outdir / f"{label}.json", record)
+        _write_csv(outdir / "summary.csv",
+                   ["story", "normalized", "min_scaled", "max_scaled"], table)
         log.info("wrote %d reports to %s", len(rows), outdir)
+    _echo_lines([
+        f"{'source':<12}{'normalized':>14}{'min_scaled':>14}{'max_scaled':>14}",
+        *(f"{label:<12}{value:>14}{lo:>14}{hi:>14}"
+          for label, value, lo, hi in table),
+        f"most informative:  {max(rows, key=lambda r: r[2])[0]}",
+        f"least informative: {min(rows, key=lambda r: r[2])[0]}"])
 
 
 # --- compress / decompress ---------------------------------------------
@@ -283,6 +285,11 @@ def _compress_one(ev: EvidenceSet, text: bytes | None) -> tuple[bytes, dict]:
     return blob, record
 
 
+def _write_container(target: Path, blob: bytes, record: dict) -> None:
+    target.write_bytes(blob)
+    _write_json(target.with_suffix(".report.json"), record)
+
+
 @main.command()
 @click.argument("source", type=click.Path(exists=True))
 @click.option("--text", type=click.Path(exists=True, dir_okay=False), default=None,
@@ -303,10 +310,7 @@ def compress(source, text, out):
     if src.is_dir():
         if text:
             raise click.UsageError("--text applies to single-file mode only")
-        try:
-            stories = load_manifest(src)
-        except (FileNotFoundError, ValueError) as exc:
-            raise click.UsageError(str(exc))
+        stories = _load_stories(src)
         outdir = Path(out) if out else Path("compressed")
         if outdir.exists() and not outdir.is_dir():
             raise click.UsageError(f"--out {outdir} is a file; dataset mode "
@@ -316,24 +320,18 @@ def compress(source, text, out):
         for story in stories:
             ev, _ = load_evidence(story.evidence_path)
             blob, record = _compress_one(ev, story.read_text())
-            (outdir / f"{story.story_id}.semc").write_bytes(blob)
-            (outdir / f"{story.story_id}.report.json").write_text(
-                json.dumps(record, indent=2, sort_keys=True) + "\n")
-            rows.append((story.story_id, record))
-        with open(outdir / "compression.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["story", "semantic_bits", "shannon_bits", "ratio"])
-            for label, record in rows:
-                writer.writerow([label, record["semantic_bits"],
-                                 record["shannon_bits"],
-                                 f"{record['ratio']:.2f}"])
-        click.echo(f"{'story':<12}{'semantic':>10}{'shannon':>10}{'ratio':>8}")
-        for label, record in rows:
-            click.echo(f"{label:<12}{record['semantic_bits']:>10}"
-                       f"{record['shannon_bits']:>10}"
-                       f"{record['ratio']:>8.2f}")
-        mean = sum(r["ratio"] for _, r in rows) / len(rows)
-        click.echo(f"mean ratio: {mean:.2f}")
+            _write_container(outdir / f"{story.story_id}.semc", blob, record)
+            rows.append((story.story_id, record["semantic_bits"],
+                         record["shannon_bits"], record["ratio"]))
+        _write_csv(outdir / "compression.csv",
+                   ["story", "semantic_bits", "shannon_bits", "ratio"],
+                   ([label, semantic, shannon, f"{ratio:.2f}"]
+                    for label, semantic, shannon, ratio in rows))
+        mean = sum(row[3] for row in rows) / len(rows)
+        _echo_lines([f"{'story':<12}{'semantic':>10}{'shannon':>10}{'ratio':>8}",
+                     *(f"{label:<12}{semantic:>10}{shannon:>10}{ratio:>8.2f}"
+                       for label, semantic, shannon, ratio in rows),
+                     f"mean ratio: {mean:.2f}"])
         return
 
     if out and Path(out).is_dir():
@@ -343,9 +341,7 @@ def compress(source, text, out):
     narrative = Path(text).read_bytes() if text else None
     blob, record = _compress_one(ev, narrative)
     target = Path(out) if out else src.with_suffix(".semc")
-    target.write_bytes(blob)
-    target.with_suffix(".report.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _write_container(target, blob, record)
     click.echo(f"wrote {target} ({len(blob)} bytes)")
     click.echo(f"semantic_bits={record['semantic_bits']} "
                f"shannon_bits={record['shannon_bits']} "
@@ -354,15 +350,14 @@ def compress(source, text, out):
 
 
 @main.command()
-@click.argument("container", type=click.Path(exists=True))
+@click.argument("container", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Where to write the recovered statements.")
 @_friendly
 def decompress(container, out):
     """Recover the statement stream from a .semc container."""
-    blob = Path(container).read_bytes()
     try:
-        ev = lossless_decode(blob)
+        ev = lossless_decode(Path(container).read_bytes())
     except DecodeError as exc:
         raise click.ClickException(
             f"container rejected ({exc}); the checksum guards against "
@@ -406,7 +401,7 @@ def lossy(evidence, slack, lam, alpha, betas, dstar, out):
     params = _make_params(lam, alpha)
     if betas is not None:
         try:
-            grid = tuple(sorted(float(b) for b in betas.split(",")))
+            grid = tuple(float(b) for b in betas.split(","))
         except ValueError:
             raise click.BadParameter("expected comma-separated numbers",
                                      param_hint="--betas")
@@ -438,24 +433,18 @@ def lossy(evidence, slack, lam, alpha, betas, dstar, out):
                    f"(beta={point.beta:g}, cap={cap.cont_info:.6f})")
         return
 
-    points = rd_sweep(source, alphabet, cfg, receiver)
-    header = f"{'beta':>10}{'rate_bits':>12}{'cont_info':>12}{'relative':>10}"
-    click.echo(header)
-    rows = []
-    for pt in points:
-        rel = relative_informativeness(pt, cap.cont_info)
-        rows.append((pt.beta, pt.rate_bits, pt.cont_info, rel))
-        click.echo(f"{pt.beta:>10g}{pt.rate_bits:>12.4f}"
-                   f"{pt.cont_info:>12.6f}{rel:>10.4f}")
+    rows = [(pt.beta, pt.rate_bits, pt.cont_info,
+             relative_informativeness(pt, cap.cont_info))
+            for pt in rd_sweep(source, alphabet, cfg, receiver)]
     target = Path(out) if out else Path(evidence).with_suffix(".rd.csv")
-    with open(target, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "rate_bits", "cont_info_normalized",
-                         "relative_informativeness"])
-        for beta, rate, info, rel in rows:
-            writer.writerow([f"{beta:g}", f"{rate:.6f}", f"{info:.9f}",
-                             f"{rel:.6f}"])
-    click.echo(f"wrote {target}")
+    _write_csv(target, ["beta", "rate_bits", "cont_info_normalized",
+                        "relative_informativeness"],
+               ([f"{beta:g}", f"{rate:.6f}", f"{info:.9f}", f"{rel:.6f}"]
+                for beta, rate, info, rel in rows))
+    _echo_lines([f"{'beta':>10}{'rate_bits':>12}{'cont_info':>12}{'relative':>10}",
+                 *(f"{beta:>10g}{rate:>12.4f}{info:>12.6f}{rel:>10.4f}"
+                   for beta, rate, info, rel in rows),
+                 f"wrote {target}"])
 
 
 # --- pac ---------------------------------------------------------------
@@ -479,20 +468,19 @@ def pac(k, alpha, epsilon, out):
         n0 = pac_sample_bound(k, alpha, epsilon)
     except ValueError as exc:  # K and epsilon were vetted above
         raise click.BadParameter(str(exc), param_hint="--alpha")
-    click.echo(f"K={k} alpha={alpha:g} epsilon={epsilon:g} -> n0={n0}")
-    click.echo("smallest n at which the worst-case posterior error on "
-               "over-wide hypotheses drops below the budget")
     # the bound needs n > alpha
     ns = range(math.floor(alpha) + 1, n0 + 5)
     rows = list(zip(ns, pac_errors(k, ns, alpha)))
-    _echo_lines(f"  n={n:<4d} bound={bound:.3e}{' <- n0' if n == n0 else ''}"
-                for n, bound in rows)
-    if out:
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "error_bound"])
-            writer.writerows([n, f"{bound:.9e}"] for n, bound in rows)
-        click.echo(f"wrote {out}")
+    lines = [f"K={k} alpha={alpha:g} epsilon={epsilon:g} -> n0={n0}",
+             "smallest n at which the worst-case posterior error on "
+             "over-wide hypotheses drops below the budget",
+             *(f"  n={n:<4d} bound={bound:.3e}{' <- n0' if n == n0 else ''}"
+               for n, bound in rows)]
+    if out:  # before any printing, so an unwritable path prints only its error
+        _write_csv(out, ["n", "error_bound"],
+                   ([n, f"{bound:.9e}"] for n, bound in rows))
+        lines.append(f"wrote {out}")
+    _echo_lines(lines)
 
 
 # --- converge ----------------------------------------------------------
@@ -525,20 +513,19 @@ def converge(evidence, slack, lam, alpha, threshold, out):
     if not kinds:
         raise click.ClickException(f"{evidence}: no individuals to trace")
     report = check_convergence(kinds, sl.big_k, params, threshold)
-    _echo_lines("  n=%-4d kinds_seen=%-3d posterior=%.6f" % pt
-                for pt in report.points)
     reached = (f"reached {threshold:g} at n={report.reached_at}"
                if report.reached_at is not None
                else f"did not reach {threshold:g}")
-    click.echo(f"{reached}; final posterior {report.final_posterior:.6f}; "
-               f"monotone tail: {report.eventually_monotone}")
+    lines = ["  n=%-4d kinds_seen=%-3d posterior=%.6f" % pt
+             for pt in report.points]
+    lines.append(f"{reached}; final posterior {report.final_posterior:.6f}; "
+                 f"monotone tail: {report.eventually_monotone}")
     if out:
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "kinds_seen", "posterior"])
-            writer.writerows([pt.n, pt.c_seen, f"{pt.posterior:.9f}"]
-                             for pt in report.points)
-        click.echo(f"wrote {out}")
+        _write_csv(out, ["n", "kinds_seen", "posterior"],
+                   ([pt.n, pt.c_seen, f"{pt.posterior:.9f}"]
+                    for pt in report.points))
+        lines.append(f"wrote {out}")
+    _echo_lines(lines)
 
 
 if __name__ == "__main__":

@@ -359,16 +359,15 @@ def predictive_probability(model: InductiveModel, kind: int) -> float:
 
 
 _TAIL = 2.0 ** -60  # a c-sum stops once its tail is below this share of it
-# pac_error sums every c in full up to this many cells.  Timed on the pac
-# command's table (epsilon 1e-3, alternating in-process runs, 2-core Xeon),
-# the bisection is 1.9-2.5x slower at K = 3-5, 1.2-1.3x slower at 8-9, even
-# at 10-11, 17-23% faster at 12-14, 1.5-2x faster at 15-16 and 12x at 80.
-# The limit stays at 15 all the same: the small K most runs use stay on
-# the cheaper route, and this route sums every term where the bisection's
-# sums stop at the 2^-60 tail, so moving it would change output bits.
-# Those timings compare one bisection per row; the table now seeds each
-# row's search past 15 cells from the row before, at about three scans and
-# one exact sum a row, and the limit stays at 15 for the output bits alone.
+# pac_error sums every c in full up to this many cells.  Past it the search
+# over c stops each sum at its 2^-60 tail, so moving the limit would change
+# output bits, and that alone keeps it at 15.  When it was set, timed on
+# the pac command's table (epsilon 1e-3, alternating in-process runs, 2-core
+# Xeon), a bisection over c per row was 1.9-2.5x slower than the full sums
+# at K = 3-5, 1.2-1.3x slower at 8-9, even at 10-11, 17-23% faster at
+# 12-14, 1.5-2x faster at 15-16 and 12x at 80.  The search now starts at
+# c = 1, or in a table at the row before's peak, at about three scans and
+# one exact sum a row.
 _DIRECT_MAX_K = 15
 
 
@@ -447,11 +446,12 @@ def _exponent(n: float, alpha: float) -> float:
 
 
 def _worst_error(k: int, expo: float,
-                 hint: int | None = None) -> tuple[float, int | None]:
+                 hint: int | None = 1) -> tuple[float, int | None]:
     # The worst case over c of the odds bound, and the c where the search
     # over c stopped, which seeds the search at the next exponent (None on
-    # the direct route).  c = 0 contributes nothing.  Up to _DIRECT_MAX_K
-    # every sum is taken in full (see there why).
+    # the direct route; a None hint counts as 1).  c = 0 contributes
+    # nothing.  Up to _DIRECT_MAX_K every sum is taken in full (see there
+    # why).
     if k <= _DIRECT_MAX_K:
         return max((_pac_sum(k - cc, cc, expo, k - cc) for cc in range(1, k)),
                    default=0.0), None
@@ -500,27 +500,23 @@ def _worst_error(k: int, expo: float,
             return False
         return cc >= k - 1 or scan(cc)[1] >= scan(cc + 1)[1]
 
-    # the first true c lies in lo..hi
-    if hint is None:
-        lo, hi = 1, k - 1
-    else:
-        # exponential search (Bentley and Yao 1976): step away from the hint
-        # by 1, 2, 4, ... until falls() turns; a peak that stayed put costs
-        # three scans
-        lo = hi = min(max(hint, 1), k - 1)
-        step = 1
-        if falls(hi):
+    # Exponential search (Bentley and Yao 1976): step away from the hint by
+    # 1, 2, 4, ... until falls() turns, then bisect the last step for the
+    # first true c.  A peak that stayed put costs three scans, and one at c*
+    # costs O(log c*) scans from the default hint of 1.
+    lo = hi = min(max(hint or 1, 1), k - 1)
+    step = 1
+    if falls(hi):
+        lo = max(hi - step, 0)
+        while falls(lo):
+            hi, step = lo, 2 * step
             lo = max(hi - step, 0)
-            while falls(lo):
-                hi, step = lo, 2 * step
-                lo = max(hi - step, 0)
-            lo += 1
-        else:
+    else:
+        hi = min(lo + step, k - 1)
+        while not falls(hi):
+            lo, step = hi, 2 * step
             hi = min(lo + step, k - 1)
-            while not falls(hi):
-                lo, step = hi, 2 * step
-                hi = min(lo + step, k - 1)
-            lo += 1
+    lo += 1
     while lo < hi:
         mid = (lo + hi) // 2
         if falls(mid):
@@ -570,10 +566,10 @@ def pac_error(k: int, n: float, alpha: float = 0.0,
     and n > alpha.
 
     A sum stops once its tail is certified below 2^-60 of it.  The sums
-    are unimodal in c, so past 15 cells the worst case is a bisection on
-    the slope of their log-space scans, and only the peak's neighbours
-    whose scans lie within rounding of the largest are summed exactly;
-    up to 15 every sum is taken in full.
+    are unimodal in c, so past 15 cells the worst case is an exponential
+    search up from c = 1 on the slope of their log-space scans, and only
+    the peak's neighbours whose scans lie within rounding of the largest
+    are summed exactly; up to 15 every sum is taken in full.
     """
     _check_pac(k, alpha)
     expo = _exponent(n, alpha)
@@ -590,10 +586,10 @@ def pac_error(k: int, n: float, alpha: float = 0.0,
 def pac_errors(k: int, ns: Iterable[float], alpha: float = 0.0) -> list[float]:
     """The worst-case :func:`pac_error` at each n in turn, bit for bit.
 
-    Each n's search over c starts from the worst c of the n before it.  That
-    c moves by a step or two between neighbouring n, so an increasing run of
-    n costs about three scans and one exact sum per n, where a bisection
-    pays 2 log2 K scans.
+    Each n's search over c starts from the worst c of the n before it, where
+    :func:`pac_error` starts from c = 1.  That c moves by a step or two
+    between neighbouring n, so an increasing run of n costs about three
+    scans and one exact sum per n.
     """
     _check_pac(k, alpha)
     bounds, hint = [], None
@@ -654,7 +650,6 @@ class ConvergenceReport:
     points: tuple[ConvergencePoint, ...]
     reached_at: int | None
     eventually_monotone: bool
-    pac_consistent: bool
     final_posterior: float
 
 
@@ -664,10 +659,8 @@ def check_convergence(kinds: Iterable[int], big_k: int,
     """Track the exact-evidence hypothesis across every prefix of a stream.
 
     ``kinds`` is the observation sequence as cell ids.  The report records
-    the posterior after each prefix, whether the trace is nondecreasing once
-    the last new kind has appeared, and whether the final value is
-    consistent with the odds bound of :func:`pac_error` evaluated at the
-    final (n, c).  Each observation costs O(K - c): no width is dropped,
+    the posterior after each prefix, and whether the trace is nondecreasing
+    once the last new kind has appeared.  Each observation costs O(K - c): no width is dropped,
     because one negligible against c kinds can dominate once a new kind
     appears.  Every log-gamma is read from one table of ln i! for i up to
     n + K, so a run makes O(n + K) ``lgamma`` calls, not one per width and
@@ -746,17 +739,9 @@ def check_convergence(kinds: Iterable[int], big_k: int,
     reached_at = next((p.n for p in points if p.posterior >= threshold), None)
     tail = [p.posterior for p in points[last_growth - 1:]]
     monotone = all(b >= a - 1e-12 for a, b in zip(tail, tail[1:]))
-
-    final = points[-1]
-    pac_ok = False
-    if final.n > params.alpha:
-        bound = pac_error(big_k, final.n, params.alpha, c=final.c_seen)
-        limit = bound / (1.0 + bound) if bound < math.inf else 1.0
-        pac_ok = (1.0 - final.posterior) <= limit * (1.0 + 1e-9) + 1e-15
     return ConvergenceReport(
         points=tuple(points),
         reached_at=reached_at,
         eventually_monotone=monotone,
-        pac_consistent=pac_ok,
-        final_posterior=final.posterior,
+        final_posterior=points[-1].posterior,
     )

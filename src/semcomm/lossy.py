@@ -76,7 +76,7 @@ _TOL = 1e-10      # rate change (bits) that counts as converged
 
 @dataclass(frozen=True, slots=True)
 class LossyConfig:
-    """Constraint floor and multiplier grid for the rate sweep."""
+    """Constraint floor and multiplier grid (kept ascending) for the rate sweep."""
 
     d_star: float = 0.0
     beta_grid: tuple[float, ...] = (0.0,) + tuple(float(1 << i) for i in range(14))
@@ -84,13 +84,11 @@ class LossyConfig:
     def __post_init__(self):
         if not math.isfinite(self.d_star) or self.d_star < 0.0:
             raise ValueError("d_star must be finite and nonnegative")
-        grid = tuple(float(b) for b in self.beta_grid)
+        grid = tuple(sorted(float(b) for b in self.beta_grid))
         if not grid:
             raise ValueError("beta_grid must be non-empty")
         if any(not math.isfinite(b) or b < 0.0 for b in grid):
             raise ValueError("beta values must be finite and nonnegative")
-        if list(grid) != sorted(grid):
-            raise ValueError("beta_grid must be sorted ascending")
         object.__setattr__(self, "beta_grid", grid)
 
 

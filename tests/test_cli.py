@@ -725,9 +725,10 @@ def test_degenerate_evidence_is_one_error_line(runner, tmp_path, command,
     assert str(path) in _one_error_line(res)
 
 
-@pytest.mark.parametrize("command", [["lossy"], ["converge"],
+@pytest.mark.parametrize("command", [["lossy"], ["converge"], ["decompress"],
                                      ["compress", "FILE", "--text"]],
-                         ids=["lossy", "converge", "compress-text"])
+                         ids=["lossy", "converge", "decompress",
+                              "compress-text"])
 def test_directory_argument_is_usage_error(runner, evidence_file, tmp_path,
                                            command):
     args = [str(evidence_file) if a == "FILE" else a for a in command]
@@ -794,6 +795,47 @@ def test_out_directory_is_usage_error(runner, evidence_file, tmp_path,
     res = runner.invoke(main, [command, target, "--out", str(outdir)])
     assert "Error:" in _one_error_line(res, code=2)
     assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["compress", "decompress", "lossy",
+                                     "converge", "pac"])
+def test_out_in_missing_directory_is_one_error_line(runner, evidence_file,
+                                                    tmp_path, command):
+    target = {"pac": "3", "decompress": str(evidence_file.with_suffix(".semc"))
+              }.get(command, str(evidence_file))
+    if command == "decompress":
+        assert runner.invoke(main, ["compress", str(evidence_file)]).exit_code == 0
+    out = tmp_path / "missing" / "out"
+    res = runner.invoke(main, [command, target, "--out", str(out)])
+    line = _one_error_line(res)
+    assert "No such file or directory" in line
+    # the output is written before the table is printed
+    assert res.output.splitlines() == [line]
+    assert not out.parent.exists()
+
+
+def test_analyze_out_under_a_file_is_one_error_line(runner, evidence_file,
+                                                    tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep me")
+    res = runner.invoke(main, ["analyze", str(evidence_file),
+                               "--out", str(blocker / "reports")])
+    line = _one_error_line(res)
+    assert "Not a directory" in line
+    assert res.output.splitlines() == [line]
+    assert blocker.read_text() == "keep me"
+
+
+def test_closed_stdout_is_not_an_error_line(runner, monkeypatch):
+    # a reader that quits early, as `semcomm pac 300 | head` does, closes
+    # the pipe; click exits 1 quietly, where an OSError is one error line
+    def closed(*args, **kwargs):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli.click, "echo", closed)
+    res = runner.invoke(main, ["pac", "3"])
+    assert res.exit_code == 1
+    assert "Error:" not in res.output
 
 
 def _one_story_manifest(root, observations):

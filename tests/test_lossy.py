@@ -588,8 +588,7 @@ def test_config_validation():
         LossyConfig(d_star=-1.0)
     with pytest.raises(ValueError):
         LossyConfig(beta_grid=())
-    with pytest.raises(ValueError):
-        LossyConfig(beta_grid=(2.0, 1.0))
+    assert LossyConfig(beta_grid=(2.0, 1.0)).beta_grid == (1.0, 2.0)
 
 
 def test_rd_point_json():
