@@ -27,9 +27,10 @@ Pricing is not the kernel's work: ``ideal_bits`` gives the ideal length
 of a block under a fresh model.  Measuring is not either: ``coded_bits``
 gives the exact coded length of a block, which the byte-level baseline
 needs, from the interval's narrowing alone, since every shift of the
-registers is one bit of output.  :meth:`RangeEncoder.encode` and the
-decoder's ``decode_target``/``decode_update`` code one raw interval; the
-tests check the kernel against them.
+registers is one bit of output.  :class:`RangeEncoder` and
+:class:`RangeDecoder` hold only the registers and the stream; the tests
+keep a one-interval coder over those registers as the reference the
+kernel is checked against.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ MAX_TOTAL = _QUARTER
 
 
 class RangeEncoder:
-    """Streaming arithmetic encoder over cumulative integer frequencies."""
+    """The encoder's registers and output, advanced by :func:`encode_run`."""
 
     __slots__ = ("_low", "_high", "_pending", "_out", "_acc", "_nacc", "_done")
 
@@ -65,50 +66,6 @@ class RangeEncoder:
         self._acc = 0  # the last _nacc emitted bits, not yet whole bytes in _out
         self._nacc = 0
         self._done = False
-
-    def encode(self, cum_lo: int, cum_hi: int, total: int) -> None:
-        if self._done:
-            raise ValueError("encoder already finished")
-        if not 0 <= cum_lo < cum_hi <= total <= MAX_TOTAL:
-            raise ValueError("invalid frequency interval")
-        low = self._low
-        rng = self._high - low + 1
-        high = low + (rng * cum_hi) // total - 1
-        low += (rng * cum_lo) // total
-        n = _BITS - (low ^ high).bit_length()
-        if n:
-            # the first agreeing bit is followed by the pending opposite bits
-            bits = low >> (_BITS - n)
-            acc = self._acc
-            p = self._pending
-            nacc = self._nacc + n
-            if p:
-                rest = n - 1
-                first = bits >> rest
-                acc = ((((acc << 1) | first) << p | (0 if first else (1 << p) - 1))
-                       << rest) | (bits & ((1 << rest) - 1))
-                nacc += p
-                self._pending = 0
-            else:
-                acc = (acc << n) | bits
-            if nacc >= 32:
-                spare = nacc & 7
-                self._out += (acc >> spare).to_bytes(nacc >> 3, "big")
-                acc &= (1 << spare) - 1
-                nacc = spare
-            self._acc = acc
-            self._nacc = nacc
-            low = (low << n) & _MASK
-            high = ((high << n) | ((1 << n) - 1)) & _MASK
-        if _QUARTER <= low and high < _THREE_QUARTER:
-            # an underflow step needs bit 30 set in low and clear in high;
-            # it drops that bit from both and shifts the bits below it up
-            m = _BITS - 1 - (~(low & ~high) & _BELOW_HALF).bit_length()
-            self._pending += m
-            low = (low << m) & _BELOW_HALF
-            high = ((high << m) & _BELOW_HALF) | _HALF | ((1 << m) - 1)
-        self._low = low
-        self._high = high
 
     def finish(self) -> bytes:
         """Flush the disambiguating tail and return the whole bitstream."""
@@ -130,7 +87,8 @@ class RangeEncoder:
 
 
 class RangeDecoder:
-    """Mirror image of :class:`RangeEncoder` over one finished bitstream."""
+    """The decoder's registers over one finished bitstream, advanced by
+    :func:`decode_run`."""
 
     __slots__ = ("_low", "_high", "_code", "_data", "_pos", "_window", "_nwindow")
 
@@ -144,51 +102,6 @@ class RangeDecoder:
         self._pos = 4
         self._window = 0  # the next _nwindow unread bits
         self._nwindow = 0
-
-    def decode_target(self, total: int) -> int:
-        """Scaled position of the pending symbol inside [0, total)."""
-        if not 1 <= total <= MAX_TOTAL:
-            raise ValueError("invalid total")
-        rng = self._high - self._low + 1
-        target = ((self._code - self._low + 1) * total - 1) // rng
-        if target >= total:  # corrupt stream steering out of range
-            raise ValueError(f"decoder target {target} outside alphabet total {total}")
-        return target
-
-    def decode_update(self, cum_lo: int, cum_hi: int, total: int) -> None:
-        if not 0 <= cum_lo < cum_hi <= total <= MAX_TOTAL:
-            raise ValueError("invalid frequency interval")
-        low = self._low
-        rng = self._high - low + 1
-        high = low + (rng * cum_hi) // total - 1
-        low += (rng * cum_lo) // total
-        n = _BITS - (low ^ high).bit_length()
-        if n:
-            low = (low << n) & _MASK
-            high = ((high << n) | ((1 << n) - 1)) & _MASK
-        m = 0
-        if _QUARTER <= low and high < _THREE_QUARTER:
-            m = _BITS - 1 - (~(low & ~high) & _BELOW_HALF).bit_length()
-            low = (low << m) & _BELOW_HALF
-            high = ((high << m) & _BELOW_HALF) | _HALF | ((1 << m) - 1)
-        self._low = low
-        self._high = high
-        shift = n + m
-        if shift:
-            # the code shifts in step with low and high; each underflow
-            # step also takes a quarter off it first
-            window = self._window
-            nwindow = self._nwindow - shift
-            if nwindow < 0:
-                pos = self._pos
-                chunk = self._data[pos:pos + 8].ljust(8, b"\0")
-                window = (window << 64) | int.from_bytes(chunk, "big")
-                nwindow += 64
-                self._pos = pos + 8
-            self._code = ((self._code << shift) + (window >> nwindow)
-                          - _HALF * ((1 << m) - 1)) & _MASK
-            self._window = window & ((1 << nwindow) - 1)
-            self._nwindow = nwindow
 
 
 class AdaptiveModel:
@@ -215,10 +128,6 @@ class AdaptiveModel:
         tree = [k] + [max(0, min(i, k) - i + (i & -i)) for i in range(1, size + 1)]
         self._state = ([1] * k, tree, size + 1, size >> 1)
 
-    @property
-    def total(self) -> int:
-        return self._state[1][0]
-
 
 def _states(models: Sequence[AdaptiveModel], n: int) -> list:
     """The models' states, once a run of n symbols is known to fit."""
@@ -244,9 +153,9 @@ def encode_run(enc: RangeEncoder, models: Sequence[AdaptiveModel],
     The coder registers live in locals for the whole run, and each model's
     state comes from one cycled tuple: a symbol is one loop body (Fenwick
     prefix, range step and renormalization, Fenwick update) with no method
-    call.  It writes the bits :meth:`RangeEncoder.encode` would write for
-    each symbol's interval.  The run is checked whole before anything is
-    coded: the symbols of each model's column must fall in its alphabet.
+    call.  It writes the bits that coding each symbol's interval on its
+    own would write.  The run is checked whole before anything is coded:
+    the symbols of each model's column must fall in its alphabet.
     """
     if enc._done:
         raise ValueError("encoder already finished")
@@ -315,9 +224,9 @@ def encode_run(enc: RangeEncoder, models: Sequence[AdaptiveModel],
 def decode_run(dec: RangeDecoder, models: Sequence[AdaptiveModel],
                n: int) -> list:
     """Decode and count n symbols written by :func:`encode_run` under the
-    same cycle of models, the mirror of :meth:`RangeDecoder.decode_target`
-    and ``decode_update`` per symbol.  A target outside the model's total,
-    which only a corrupt stream gives, raises ValueError."""
+    same cycle of models, mirroring the encoder's narrowing symbol by
+    symbol.  A target outside the model's total, which only a corrupt
+    stream gives, raises ValueError."""
     states = cycle(_states(models, n))
     low, high, code = dec._low, dec._high, dec._code
     window, nwindow, pos, data = dec._window, dec._nwindow, dec._pos, dec._data

@@ -14,7 +14,9 @@ in chunks of rows); the statement stream, through
 ``encode_block_adaptive``, is a run under one model.  The byte-level
 baseline is the length of such a run over the raw bytes, which
 ``coder.coded_bits`` measures from the coder's interval alone, writing no
-bits.  The ideal section lengths in the report come from
+bits.  It shares no state with the container, so the ``compress`` command
+measures it in a forked child while it encodes and audits the container,
+where two CPUs are free.  The ideal section lengths in the report come from
 ``coder.ideal_bits``, per model column.
 
 Container layout (all integers unsigned LEB128 varints):

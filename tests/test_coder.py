@@ -10,6 +10,116 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcomm import coder
+from semcomm._coder_py import (_BELOW_HALF, _BITS, _HALF, _MASK, _QUARTER,
+                               _THREE_QUARTER, MAX_TOTAL)
+
+
+# --- the one-interval reference coder --------------------------------------
+# It codes one raw interval per call over the registers the kernel keeps,
+# so the tests can write raw intervals between kernel runs and check each
+# run against coding its symbols one interval at a time.
+
+
+class _ReferenceEncoder(coder.RangeEncoder):
+    __slots__ = ()
+
+    def encode(self, cum_lo: int, cum_hi: int, total: int) -> None:
+        if self._done:
+            raise ValueError("encoder already finished")
+        if not 0 <= cum_lo < cum_hi <= total <= MAX_TOTAL:
+            raise ValueError("invalid frequency interval")
+        low = self._low
+        rng = self._high - low + 1
+        high = low + (rng * cum_hi) // total - 1
+        low += (rng * cum_lo) // total
+        n = _BITS - (low ^ high).bit_length()
+        if n:
+            # the first agreeing bit is followed by the pending opposite bits
+            bits = low >> (_BITS - n)
+            acc = self._acc
+            p = self._pending
+            nacc = self._nacc + n
+            if p:
+                rest = n - 1
+                first = bits >> rest
+                acc = ((((acc << 1) | first) << p | (0 if first else (1 << p) - 1))
+                       << rest) | (bits & ((1 << rest) - 1))
+                nacc += p
+                self._pending = 0
+            else:
+                acc = (acc << n) | bits
+            if nacc >= 32:
+                spare = nacc & 7
+                self._out += (acc >> spare).to_bytes(nacc >> 3, "big")
+                acc &= (1 << spare) - 1
+                nacc = spare
+            self._acc = acc
+            self._nacc = nacc
+            low = (low << n) & _MASK
+            high = ((high << n) | ((1 << n) - 1)) & _MASK
+        if _QUARTER <= low and high < _THREE_QUARTER:
+            # an underflow step needs bit 30 set in low and clear in high;
+            # it drops that bit from both and shifts the bits below it up
+            m = _BITS - 1 - (~(low & ~high) & _BELOW_HALF).bit_length()
+            self._pending += m
+            low = (low << m) & _BELOW_HALF
+            high = ((high << m) & _BELOW_HALF) | _HALF | ((1 << m) - 1)
+        self._low = low
+        self._high = high
+
+
+class _ReferenceDecoder(coder.RangeDecoder):
+    __slots__ = ()
+
+    def decode_target(self, total: int) -> int:
+        """Scaled position of the pending symbol inside [0, total)."""
+        if not 1 <= total <= MAX_TOTAL:
+            raise ValueError("invalid total")
+        rng = self._high - self._low + 1
+        target = ((self._code - self._low + 1) * total - 1) // rng
+        if target >= total:  # corrupt stream steering out of range
+            raise ValueError(f"decoder target {target} outside alphabet total {total}")
+        return target
+
+    def decode_update(self, cum_lo: int, cum_hi: int, total: int) -> None:
+        if not 0 <= cum_lo < cum_hi <= total <= MAX_TOTAL:
+            raise ValueError("invalid frequency interval")
+        low = self._low
+        rng = self._high - low + 1
+        high = low + (rng * cum_hi) // total - 1
+        low += (rng * cum_lo) // total
+        n = _BITS - (low ^ high).bit_length()
+        if n:
+            low = (low << n) & _MASK
+            high = ((high << n) | ((1 << n) - 1)) & _MASK
+        m = 0
+        if _QUARTER <= low and high < _THREE_QUARTER:
+            m = _BITS - 1 - (~(low & ~high) & _BELOW_HALF).bit_length()
+            low = (low << m) & _BELOW_HALF
+            high = ((high << m) & _BELOW_HALF) | _HALF | ((1 << m) - 1)
+        self._low = low
+        self._high = high
+        shift = n + m
+        if shift:
+            # the code shifts in step with low and high; each underflow
+            # step also takes a quarter off it first
+            window = self._window
+            nwindow = self._nwindow - shift
+            if nwindow < 0:
+                pos = self._pos
+                chunk = self._data[pos:pos + 8].ljust(8, b"\0")
+                window = (window << 64) | int.from_bytes(chunk, "big")
+                nwindow += 64
+                self._pos = pos + 8
+            self._code = ((self._code << shift) + (window >> nwindow)
+                          - _HALF * ((1 << m) - 1)) & _MASK
+            self._window = window & ((1 << nwindow) - 1)
+            self._nwindow = nwindow
+
+
+def _total(model):
+    """A model's count total, held in node 0 of its Fenwick tree."""
+    return model._state[1][0]
 
 
 def _encode(symbols, k):
@@ -96,7 +206,7 @@ def test_symbol_range_validation():
 
 
 def test_encoder_rejects_bad_interval():
-    enc = coder.RangeEncoder()
+    enc = _ReferenceEncoder()
     with pytest.raises(ValueError):
         enc.encode(5, 5, 10)
     with pytest.raises(ValueError):
@@ -192,7 +302,7 @@ def _golden_stream(seed):
 
 
 def _encode_golden(items):
-    enc = coder.RangeEncoder()
+    enc = _ReferenceEncoder()
     for item in items:
         if item[0] == "block":
             coder.encode_block_adaptive(item[2], item[1], enc)
@@ -207,7 +317,7 @@ def test_golden_streams(seed):
     items = _golden_stream(seed)
     blob = _encode_golden(items)
     assert hashlib.sha256(blob).hexdigest() == _GOLDEN_DIGESTS[seed]
-    dec = coder.RangeDecoder(blob)
+    dec = _ReferenceDecoder(blob)
     for item in items:
         if item[0] == "block":
             assert coder.decode_block_adaptive(len(item[2]), item[1], dec) == item[2]
@@ -308,7 +418,8 @@ def test_coded_bits_checks_before_allocating():
 
 class _PlainModel:
     """Add-one counts in a plain list, no Fenwick tree: each symbol is one
-    interval through RangeEncoder.encode or decode_target/decode_update."""
+    interval through the reference coder's encode or decode_target and
+    decode_update."""
 
     def __init__(self, k):
         self.counts = [1] * k
@@ -364,7 +475,7 @@ def _run_ops(draw):
 
 
 def _kernel_encode(ks, ops):
-    enc = coder.RangeEncoder()
+    enc = _ReferenceEncoder()
     models = [coder.AdaptiveModel(k) for k in ks]
     for op in ops:
         if op[0] == "raw":
@@ -375,11 +486,11 @@ def _kernel_encode(ks, ops):
         coder.encode_run(enc, [models[i] for i in cycle], symbols[:split])
         coder.encode_run(enc, [models[i] for i in _rotate(cycle, split)],
                          symbols[split:])
-    return enc.finish(), [m.total for m in models]
+    return enc.finish(), [_total(m) for m in models]
 
 
 def _oracle_encode(ks, ops):
-    enc = coder.RangeEncoder()
+    enc = _ReferenceEncoder()
     models = [_PlainModel(k) for k in ks]
     for op in ops:
         if op[0] == "raw":
@@ -399,8 +510,8 @@ def test_fused_runs_match_per_symbol_route(case):
     blob, totals = _kernel_encode(ks, ops)
     assert (blob, totals) == _oracle_encode(ks, ops)
     # the kernel decodes each run in one call, the oracle symbol by symbol
-    kernel_dec = coder.RangeDecoder(blob)
-    oracle_dec = coder.RangeDecoder(blob)
+    kernel_dec = _ReferenceDecoder(blob)
+    oracle_dec = _ReferenceDecoder(blob)
     models = [coder.AdaptiveModel(k) for k in ks]
     plain = [_PlainModel(k) for k in ks]
     for op in ops:
@@ -434,7 +545,7 @@ def test_encode_run_rejects_symbols_outside_alphabet(bad):
         coder.encode_run(enc, models, [4, 4, 2, 4, 0, 1, bad, 3])
     # nothing of the rejected run was coded or counted
     assert _state(enc, models) == before
-    assert [m.total for m in models] == [10, 9, 6, 9]
+    assert [_total(m) for m in models] == [10, 9, 6, 9]
     coder.encode_run(enc, models[1:] + models[:1], [4])  # the sixth symbol
     ref = coder.RangeEncoder()
     coder.encode_run(ref, [coder.AdaptiveModel(k) for k in (8, 8, 5, 8)],
@@ -472,7 +583,7 @@ def test_decode_run_on_corrupt_stream_raises():
     def steered():
         # a wrong interval leaves the code above the decoder's high end,
         # where a corrupt stream steers it
-        dec = coder.RangeDecoder(b"\xff" * 8)
+        dec = _ReferenceDecoder(b"\xff" * 8)
         dec.decode_update(0, 2, 3)
         return dec
     with pytest.raises(ValueError, match="outside alphabet total"):
@@ -481,7 +592,7 @@ def test_decode_run_on_corrupt_stream_raises():
         coder.decode_run(steered(), [coder.AdaptiveModel(2)] * 3, 1)
     # the one-interval reference calls check their arguments and the
     # stream the same way
-    dec = coder.RangeDecoder(b"\xff" * 8)
+    dec = _ReferenceDecoder(b"\xff" * 8)
     with pytest.raises(ValueError, match="invalid total"):
         dec.decode_target(0)
     with pytest.raises(ValueError, match="invalid frequency interval"):

@@ -30,12 +30,6 @@ MODULES = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
 REEXPORT = PACKAGE / "coder.py"
 # public names kept with no caller in the package, each with its reason
 KEPT_UNCALLED = [
-    # the tests read each cycle model's symbol count through it
-    "_coder_py:AdaptiveModel.total",
-    # the one-interval decoder steps: the reference the tests check the run
-    # kernel against
-    "_coder_py:RangeDecoder.decode_target",
-    "_coder_py:RangeDecoder.decode_update",
     # the backend name the benchmark records
     "coder:get_backend_name",
     # hand-built sentences stay library API
