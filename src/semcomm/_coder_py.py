@@ -23,11 +23,12 @@ length: the coder's registers sit in locals for the whole run, and each
 symbol is one loop body of Fenwick walk, range step and count update,
 with no method call (Moffat, Neal & Witten 1998).  A cycle of one model
 codes a block; the container's tuple fields are a cycle of four.
-Pricing is not the kernel's work: ``ideal_bits`` gives the ideal length
-of a block under a fresh model.  Measuring is not either: ``coded_bits``
-gives the exact coded length of a block, which the byte-level baseline
-needs, from the interval's narrowing alone, since every shift of the
-registers is one bit of output.  :class:`RangeEncoder` and
+Pricing is not the kernel's work: the model is exchangeable, so a block's
+ideal length depends on its counts alone, and ``lossless`` takes it from
+the inductive likelihood.  Measuring is not either: ``coded_bits`` gives
+the exact coded length of a block, which the byte-level baseline needs,
+from the interval's narrowing alone, since every shift of the registers
+is one bit of output.  :class:`RangeEncoder` and
 :class:`RangeDecoder` hold only the registers and the stream; the tests
 keep a one-interval coder over those registers as the reference the
 kernel is checked against.
@@ -35,9 +36,8 @@ kernel is checked against.
 
 from __future__ import annotations
 
-import math
 from itertools import cycle, islice
-from typing import Iterable, Sequence
+from typing import Sequence
 
 BACKEND = "pure-python"
 
@@ -293,7 +293,7 @@ def decode_run(dec: RangeDecoder, models: Sequence[AdaptiveModel],
 def encode_block_adaptive(symbols: Sequence[int], k: int,
                           encoder: RangeEncoder) -> None:
     """Encode a symbol block under a fresh :class:`AdaptiveModel` over k
-    symbols; :func:`ideal_bits` prices it."""
+    symbols."""
     encode_run(encoder, (AdaptiveModel(k),), symbols)
 
 
@@ -365,18 +365,3 @@ def coded_bits(symbols: Sequence[int], k: int) -> int:
             tree[i] += 1
             i += i & -i
     return 8 * ((shifts + 9) >> 3)
-
-
-def ideal_bits(symbols: Iterable[int], k: int) -> float:
-    """Ideal adaptive code length, sum of -log2(price) in bits, of a block
-    under a fresh model over k symbols; the bits the coder emits for it
-    trail this by at most the coder overhead."""
-    counts = [1] * k
-    total = k
-    log2 = math.log2
-    ideal = 0.0
-    for s in symbols:
-        ideal -= log2(counts[s] / total)
-        counts[s] += 1
-        total += 1
-    return ideal

@@ -4,13 +4,11 @@ from __future__ import annotations
 
 from ._coder_py import (BACKEND, MAX_TOTAL, AdaptiveModel, RangeDecoder,
                         RangeEncoder, coded_bits, decode_block_adaptive,
-                        decode_run, encode_block_adaptive, encode_run,
-                        ideal_bits)
+                        decode_run, encode_block_adaptive, encode_run)
 
 __all__ = ["MAX_TOTAL", "AdaptiveModel", "RangeDecoder", "RangeEncoder",
            "coded_bits", "decode_block_adaptive", "decode_run",
-           "encode_block_adaptive", "encode_run", "ideal_bits",
-           "get_backend_name"]
+           "encode_block_adaptive", "encode_run", "get_backend_name"]
 
 
 def get_backend_name() -> str:

@@ -122,10 +122,15 @@ def constituent_prior(width: int, big_k: int,
     return _WidthTable(0, 0, (), big_k, params).unit(width)
 
 
-def _ln_likelihood_width(width: int, n: int, counts: Sequence[int],
-                         params: InductiveParams) -> float:
-    # Closed form of the sequential next-case product for a compatible
-    # width-w hypothesis, one that holds every one of the len(counts) kinds
+def ln_likelihood_width(width: int, n: int, counts: Iterable[int],
+                        params: InductiveParams) -> float:
+    """Log probability of n observations with the given kind counts under
+    a compatible width-w hypothesis, one that holds every one of the
+    len(counts) kinds: the closed form of the sequential next-case
+    product.  At lambda(w) = w that next-case rule is the add-one price
+    (n_j + 1) / (t + w), so ``lossless`` prices its sections here too.
+    The cells are summed in ascending order of count, so the value is one
+    float whatever order the kinds were first seen in."""
     if n == 0:
         return 0.0
     lam = params.lambda_of(width)
@@ -135,7 +140,7 @@ def _ln_likelihood_width(width: int, n: int, counts: Sequence[int],
             return -n * math.log(width)
         # one rising factorial for the total count, one per cell
         acc = -_ln_rising(n, lam)
-        for n_j in counts:
+        for n_j in sorted(counts):
             acc += _ln_rising(n_j, per_cell)
     except OverflowError:
         raise CapacityError(f"{clip(str(n))} observations are past the float "
@@ -161,7 +166,7 @@ def constituent_likelihood(constituent: Constituent, summary: EvidenceSummary,
     if not _holds_evidence(constituent, summary):
         return ExtremeReal.zero()
     return ExtremeReal.from_ln(
-        _ln_likelihood_width(len(constituent), summary.n, summary.counts, params))
+        ln_likelihood_width(len(constituent), summary.n, summary.counts, params))
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,7 +201,7 @@ class _WidthTable:
                  params: InductiveParams):
         rows = []
         for w in range(max(c, 1), big_k + 1):
-            ln_lik = _ln_likelihood_width(w, n, counts, params)
+            ln_lik = ln_likelihood_width(w, n, counts, params)
             ln_each = _ln_prior_factor(w, big_k, params) + ln_lik
             # the dogmatic prior alpha ln(w/K) overflows to -inf for a huge
             # alpha: such a width holds no mass, and its 0 * ln 0 would be nan

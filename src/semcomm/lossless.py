@@ -16,8 +16,16 @@ baseline is the length of such a run over the raw bytes, which
 ``coder.coded_bits`` measures from the coder's interval alone, writing no
 bits.  It shares no state with the container, so the ``compress`` command
 measures it in a forked child while it encodes and audits the container,
-where two CPUs are free.  The ideal section lengths in the report come from
-``coder.ideal_bits``, per model column.
+where two CPUs are free.
+
+The report prices each section without the coder: the add-one price is
+the next-case rule of a width-k hypothesis at lambda(w) = w, Carnap's
+lambda = k (Carnap 1952), so a section's ideal length is its surprise,
+-log2 of ``inductive.ln_likelihood_width`` over its symbol counts.  The
+payload's ideal length is thus the stream's surprise under the width-k
+hypothesis over its k distinct statements.  The likelihood sums the
+counts in sorted order, so reordering the statements leaves every ideal
+length the same float.
 
 Container layout (all integers unsigned LEB128 varints):
 
@@ -32,7 +40,9 @@ with a sentinel for one-place statements), then the statement stream.
 
 from __future__ import annotations
 
+import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 
 from .coder import (
@@ -44,10 +54,10 @@ from .coder import (
     decode_run,
     encode_block_adaptive,
     encode_run,
-    ideal_bits,
 )
 from .errors import CapacityError, DecodeError, clip
 from .fol import NAME, AtomicStatement, EvidenceSet, check_arity
+from .inductive import InductiveParams, ln_likelihood_width
 
 _MAGIC = b"SEMC"
 _VERSION = 1
@@ -106,6 +116,14 @@ class LosslessReport:
         }
 
 
+def _section_bits(symbols, k: int) -> float:
+    """Ideal length in bits of a section coded under a fresh add-one model
+    over k symbols.  It is 0.0 minus the log term, so that a section of
+    one certain symbol reads 0.0, not -0.0."""
+    return 0.0 - ln_likelihood_width(k, len(symbols), Counter(symbols).values(),
+                                     InductiveParams()) / math.log(2)
+
+
 def _name_symbols(name: str) -> bytes:
     raw = name.encode("ascii")
     if len(raw) > _MAX_NAME:
@@ -125,7 +143,7 @@ def _encode_tuples(enc: RangeEncoder, distinct, pred_index: dict,
         no_obj if st.obj is None else ent_index[st.obj])]
     ks = (2, len(pred_index), len(ent_index), no_obj + 1)
     encode_run(enc, tuple(AdaptiveModel(k) for k in ks), fields)
-    return sum(ideal_bits(fields[f::4], k) for f, k in enumerate(ks))
+    return sum(_section_bits(fields[f::4], k) for f, k in enumerate(ks))
 
 
 def lossless_encode_report(ev: EvidenceSet) -> tuple[bytes, LosslessReport]:
@@ -145,15 +163,15 @@ def lossless_encode_report(ev: EvidenceSet) -> tuple[bytes, LosslessReport]:
         for raw in names:
             encode_run(enc, (len_model,), (len(raw),))
             encode_run(enc, (char_model,), raw)
-        dict_bits += ideal_bits([len(raw) for raw in names], _MAX_NAME + 1)
-        dict_bits += ideal_bits(b"".join(names), 256)
+        dict_bits += _section_bits([len(raw) for raw in names], _MAX_NAME + 1)
+        dict_bits += _section_bits(b"".join(names), 256)
     if distinct:
         dict_bits += _encode_tuples(enc, distinct, pred_index, ent_index)
         # built only now, so the tuple fields are gone before it
         distinct_index = {st: i for i, st in enumerate(distinct)}
         stream = [distinct_index[st] for st in ev.statements]
         encode_block_adaptive(stream, len(distinct), enc)
-        payload_bits = ideal_bits(stream, len(distinct))
+        payload_bits = _section_bits(stream, len(distinct))
     coded = enc.finish() if (preds or ents or distinct) else b""
 
     buf = bytearray(_MAGIC)

@@ -34,6 +34,7 @@ from semcomm.sublang import (Constituent, EvidenceSummary, SubLanguageConfig,
 from semcomm.xreal import ExtremeReal, lse
 
 from conftest import DATA_DIR, random_model
+from test_coder import _ideal_bits_reference
 
 _DOGMATIC = InductiveParams(lambda_value=math.inf)
 
@@ -296,6 +297,33 @@ def test_dataset_shannon_bits_exact(tmp_path):
     assert tuple(int(line.split(",")[2]) for line in lines[1:]) == _SHANNON_BITS_EXACT
 
 
+# each story's .report.json breakdown and shannon_bits, recorded while the
+# per-symbol loop priced the sections; gzip_bits is left out, since it
+# depends on the zlib build
+_REPORT_FIELDS = ("semantic_bits", "header_bits", "coded_block_bits",
+                  "dictionary_bits_ideal", "payload_bits_ideal",
+                  "n_statements", "alphabet_size", "shannon_bits")
+_REPORT_GOLDEN = {
+    "story1": (928, 112, 816, 698.62, 116.32, 27, 16, 11840),
+    "story2": (1056, 112, 944, 792.0, 149.45, 33, 19, 12768),
+    "story3": (992, 112, 880, 768.13, 105.0, 24, 16, 13112),
+    "story4": (1000, 112, 888, 770.96, 109.32, 25, 16, 12616),
+    "story5": (1096, 112, 984, 829.74, 149.45, 33, 19, 9016),
+    "story6": (1000, 112, 888, 756.44, 124.96, 28, 17, 12016),
+    "story7": (880, 112, 768, 669.37, 96.56, 23, 14, 12320),
+}
+
+
+def test_dataset_reports_golden(tmp_path):
+    out = tmp_path / "packed"
+    res = CliRunner().invoke(main, ["compress", str(DATA_DIR), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    for story, row in _REPORT_GOLDEN.items():
+        report = json.loads((out / f"{story}.report.json").read_text())
+        assert report["breakdown"] == dict(zip(_REPORT_FIELDS[:-1], row[:-1]))
+        assert report["shannon_bits"] == row[-1]
+
+
 # --- 7. codec round trips ----------------------------------------------
 
 
@@ -314,7 +342,7 @@ def test_codec_round_trip_and_ideal_length():
         blob = enc.finish()
         dec = coder.RangeDecoder(blob)
         assert coder.decode_block_adaptive(len(symbols), k, dec) == symbols
-        assert 8 * len(blob) <= coder.ideal_bits(symbols, k) * 1.005 + 64
+        assert 8 * len(blob) <= _ideal_bits_reference(symbols, k) * 1.005 + 64
 
 
 # --- 8. lossy solver against grid search -------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import math
 import random
 import struct
 import tracemalloc
@@ -18,6 +19,7 @@ from semcomm.lossless import (_write_uvarint, gzip_bits, lossless_decode,
                               lossless_encode_report, shannon_baseline)
 
 from conftest import DATA_DIR, one_statement_container, random_evidence_text
+from test_coder import _ideal_bits_reference
 
 
 def _parse(text):
@@ -105,6 +107,57 @@ def test_report_accounting():
     ideal = report.dictionary_bits_ideal + report.payload_bits_ideal
     assert ideal <= report.coded_block_bits + 1e-9
     assert report.coded_block_bits <= ideal * 1.005 + 64
+
+
+# --- the report's ideal lengths against the per-symbol oracle ---------------
+
+
+def _sections(ev):
+    """Each section's symbols and alphabet size, as the container codes
+    them: name lengths, name bytes, the four tuple fields, the stream."""
+    names = [x.encode() for x in (*ev.predicates, *ev.entities)]
+    pred = {p: i for i, p in enumerate(ev.predicates)}
+    ent = {e: i for i, e in enumerate(ev.entities)}
+    distinct = ev.distinct_statements
+    index = {st: i for i, st in enumerate(distinct)}
+    no_obj = len(ent)
+    return [([len(raw) for raw in names], 64), (b"".join(names), 256),
+            ([0 if st.positive else 1 for st in distinct], 2),
+            ([pred[st.predicate] for st in distinct], len(pred)),
+            ([ent[st.subject] for st in distinct], len(ent)),
+            ([no_obj if st.obj is None else ent[st.obj] for st in distinct],
+             no_obj + 1),
+            ([index[st] for st in ev.statements], len(distinct))]
+
+
+def test_section_bits_match_the_oracle_on_random_blocks():
+    rnd = random.Random(0x1DEA)
+    for case in range(120):
+        k = rnd.randint(1, 300)
+        n = rnd.randint(0, 2000)
+        # a few popular symbols in some blocks, uniform draws in others
+        hot = rnd.randint(1, k)
+        symbols = [rnd.randrange(hot if case % 2 else k) for _ in range(n)]
+        want = _ideal_bits_reference(symbols, k)
+        assert lossless._section_bits(symbols, k) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("story", [f"story{i}" for i in range(1, 8)])
+def test_section_bits_match_the_oracle_on_stories(story):
+    ev = parse_evidence(DATA_DIR / f"{story}.fol")
+    want = [_ideal_bits_reference(symbols, k) for symbols, k in _sections(ev)]
+    got = [lossless._section_bits(symbols, k) for symbols, k in _sections(ev)]
+    assert got == pytest.approx(want, rel=1e-12)
+    report = lossless_encode_report(ev)[1]
+    assert report.dictionary_bits_ideal == pytest.approx(sum(want[:-1]), rel=1e-12)
+    assert report.payload_bits_ideal == pytest.approx(want[-1], rel=1e-12)
+
+
+def test_certain_stream_is_priced_at_plus_zero():
+    # one distinct statement is certain at every step; its ideal length
+    # must read 0.0 in the report, never -0.0
+    report = lossless_encode_report(_parse("Sails(Gull)\n" * 3))[1]
+    assert math.copysign(1.0, report.as_json()["payload_bits_ideal"]) == 1.0
 
 
 def test_report_json_shape():
