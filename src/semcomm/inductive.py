@@ -134,18 +134,36 @@ def ln_likelihood_width(width: int, n: int, counts: Iterable[int],
     if n == 0:
         return 0.0
     lam = params.lambda_of(width)
-    per_cell = lam / width
+    if not params.dogmatic:
+        return _ln_likelihood_cells(n, lam, _cell_terms(n, counts, lam / width))
     try:
-        if params.dogmatic:
-            return -n * math.log(width)
-        # one rising factorial for the total count, one per cell
-        acc = -_ln_rising(n, lam)
-        for n_j in sorted(counts):
-            acc += _ln_rising(n_j, per_cell)
+        return -n * math.log(width)
+    except OverflowError:  # an int count that no float holds
+        raise _range_error(n) from None
+
+
+def _cell_terms(n: int, counts: Iterable[int], per_cell: float) -> list[float]:
+    # one rising factorial per cell, in ascending order of count
+    try:
+        return [_ln_rising(n_j, per_cell) for n_j in sorted(counts)]
     except OverflowError:
-        raise CapacityError(f"{clip(str(n))} observations are past the float "
-                            "range of the likelihood") from None
+        raise _range_error(n) from None
+
+
+def _ln_likelihood_cells(n: int, lam: float, cells: list[float]) -> float:
+    # the rising factorial for the total count, then the cells in order
+    try:
+        acc = -_ln_rising(n, lam)
+    except OverflowError:
+        raise _range_error(n) from None
+    for term in cells:
+        acc += term
     return acc
+
+
+def _range_error(n: int) -> CapacityError:
+    return CapacityError(f"{clip(str(n))} observations are past the float "
+                         "range of the likelihood")
 
 
 def _holds_evidence(constituent: Constituent, summary: EvidenceSummary) -> bool:
@@ -200,8 +218,13 @@ class _WidthTable:
     def __init__(self, n: int, c: int, counts: Sequence[int], big_k: int,
                  params: InductiveParams):
         rows = []
+        # under lambda(w) = w every cell's term is the same at every width,
+        # so it is computed once and added in ln_likelihood_width's order
+        shared = (_cell_terms(n, counts, 1.0)
+                  if n and params.lambda_value is None else None)
         for w in range(max(c, 1), big_k + 1):
-            ln_lik = ln_likelihood_width(w, n, counts, params)
+            ln_lik = (ln_likelihood_width(w, n, counts, params) if shared is None
+                      else _ln_likelihood_cells(n, float(w), shared))
             ln_each = _ln_prior_factor(w, big_k, params) + ln_lik
             # the dogmatic prior alpha ln(w/K) overflows to -inf for a huge
             # alpha: such a width holds no mass, and its 0 * ln 0 would be nan

@@ -44,6 +44,13 @@ zero.  For entailed pairs the transmitted content reduces to the content
 of the reconstruction itself.  Payoffs are the normalized values; the
 raw volume factor is a positive constant that rescales the floor without
 moving any argmin, so the optimizer never materializes it.
+
+The payoff matrix is built in one pass over the alphabet's constituents
+(see ``payoff_matrix``).  A content depends on a sentence only through
+its member hypotheses' width counts, and under the receiver prior the
+candidate alphabet holds K + 1 distinct rows of them, one per size of
+the kind set; each is priced once, by ``cont_sentence``'s route, rather
+than by a closed form that would have to match its floats to the bit.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ import numpy as np
 
 from .errors import InfeasibleTargetError
 from .inductive import InductiveModel
-from .measures import MessagePartition, cont_sentence
+from .measures import MessagePartition, cont_width_counts
 from .sublang import EvidenceSummary, Sentence
 
 log = logging.getLogger("semcomm.lossy")
@@ -72,6 +79,7 @@ _MONOTONE_SLACK = 1e-9
 _MONOTONE_REL = 1e-12
 _MAX_ITERS = 500  # BA passes per multiplier
 _TOL = 1e-10      # rate change (bits) that counts as converged
+_CHUNK = 1 << 14  # scratch entries per run of the payoff build
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,31 +129,80 @@ def payoff_matrix(source: MessagePartition, alphabet: list[Sentence],
     Entailed reconstructions earn their transmitted content, which is the
     content of the reconstruction itself; pairings the source rules out
     earn zero.
+
+    Built exactly for any sentences in one pass over the alphabet's
+    constituents: each distinct one is read once, for its owning member
+    and its width as a member hypothesis, and two histograms count per
+    reconstruction the constituents it holds of each member and its
+    member hypotheses by width.  A reconstruction entails a member once
+    it holds all of the member's constituents, so a member with none is
+    entailed by every one.  Each distinct row of width counts is priced
+    once, by :func:`cont_sentence`'s route, so the payoffs are its floats.
     """
     if not alphabet:
         raise ValueError("reconstruction alphabet must be non-empty")
     if not source.members:
         raise ValueError("source partition carries no message sentences")
-    gains = np.array([cont_sentence(recon, model) for recon in alphabet])
-    # members are disjoint, so each constituent has at most one owner, and
-    # a reconstruction entails a member once it holds all of the member's
-    # constituents; a member with none is entailed by every reconstruction
+    for recon in alphabet:
+        model._own(recon)
+    n_members = len(source.members)
+    # members are disjoint, so each constituent has at most one owner
     owner = {con: i for i, msg in enumerate(source.members)
              for con in msg.constituents}
-    size = [len(msg.constituents) for msg in source.members]
-    always = [i for i, n in enumerate(size) if n == 0]
-    rows: list[int] = []
-    per_recon = []
-    for recon in alphabet:
-        held = Counter(map(owner.get, recon.constituents))
-        held.pop(None, None)
-        entailed = [i for i, n in held.items() if n == size[i]] + always
-        rows += entailed
-        per_recon.append(len(entailed))
-    cols = np.repeat(np.arange(len(alphabet)), per_recon)
-    out = np.zeros((len(source.members), len(alphabet)))
-    out[rows, cols] = gains[cols]
+    # sizes as floats: the entailment test then runs the float comparison
+    # the solve loads anyway, where an integer one would map 128 kB more of
+    # numpy's code into the process
+    size = np.array([len(msg.constituents) for msg in source.members],
+                    dtype=float)
+    # one code per distinct constituent, and what it gives: its owner
+    # (n_members for none) and its width where it holds the observed kinds,
+    # as member_width_counts counts it (0 where it does not)
+    distinct = list(set().union(*(recon.constituents for recon in alphabet)))
+    code = {con: i for i, con in enumerate(distinct)}
+    need = set(range(model.summary.c))
+    owner_of = np.array([owner.get(con, n_members) for con in distinct],
+                        dtype=np.intp)
+    width_of = np.array([len(con) if need <= con else 0 for con in distinct],
+                        dtype=np.intp)
+    n_widths = int(width_of.max(initial=0)) + 1
+    lens = [len(recon.constituents) for recon in alphabet]
+    # runs of reconstructions whose scratch, one entry per constituent held
+    # and one per member and width, stays near _CHUNK entries
+    bounds, load = [0], 0
+    for i, n in enumerate(lens, 1):
+        load += n + n_members + 1 + n_widths
+        if load >= _CHUNK or i == len(alphabet):
+            bounds.append(i)
+            load = 0
+    out = np.zeros((n_members, len(alphabet)))
+    priced: dict[bytes, float] = {}
+    for start, stop in zip(bounds, bounds[1:]):
+        codes = np.fromiter(
+            map(code.__getitem__, itertools.chain.from_iterable(
+                recon.constituents for recon in alphabet[start:stop])),
+            dtype=np.intp, count=sum(lens[start:stop]))
+        held = _tally(lens[start:stop], owner_of[codes], n_members + 1)
+        widths = _tally(lens[start:stop], width_of[codes], n_widths)
+        gains = []
+        for row in widths[:, 1:]:
+            tag = row.tobytes()
+            gain = priced.get(tag)
+            if gain is None:
+                gain = priced[tag] = cont_width_counts(
+                    {w: n for w, n in enumerate(row.tolist(), 1) if n}, model)
+            gains.append(gain)
+        out[:, start:stop] = np.where((held[:, :n_members] == size).T,
+                                      gains, 0.0)
     return out
+
+
+def _tally(lens: list[int], labels: np.ndarray, n_labels: int) -> np.ndarray:
+    """How many entries of each label each run of ``lens`` entries holds,
+    one row per run."""
+    slot = np.repeat(np.arange(0, len(lens) * n_labels, n_labels), lens)
+    slot += labels
+    return np.bincount(slot, minlength=len(lens) * n_labels).reshape(
+        len(lens), n_labels)
 
 
 def _mutual_bits(ln_p: np.ndarray, ln_cond: np.ndarray, payoff: np.ndarray,

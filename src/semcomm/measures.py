@@ -184,8 +184,13 @@ def scale_entropies(values: Sequence[ExtremeReal]) -> dict:
 
 def cont_sentence(s: Sentence, model: InductiveModel) -> float:
     """Content of a sentence: the weight of everything it excludes."""
-    counts = model.complement_width_counts(model.member_width_counts(s))
-    return math.fsum(model.probability_terms(counts))
+    return cont_width_counts(model.member_width_counts(s), model)
+
+
+def cont_width_counts(counts: dict[int, int], model: InductiveModel) -> float:
+    """Content of a sentence given its member hypotheses as width -> count."""
+    return math.fsum(model.probability_terms(
+        model.complement_width_counts(counts)))
 
 
 def _rejected_width_counts(s2: Sentence, s1: Sentence,

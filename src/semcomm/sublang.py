@@ -133,8 +133,10 @@ class SubLanguage:
         for k in range(self.big_k):
             if k not in req:
                 masks += [m | 1 << k for m in masks]
-        by_mask = self._constituents[1]
-        return Sentence(self.token, frozenset(by_mask[m] for m in masks if m))
+        if not req:
+            del masks[0]  # the empty mask, which names no constituent
+        return Sentence(self.token, frozenset(
+            map(self._constituents[1].__getitem__, masks)))
 
     @cached_property
     def _constituents(self) -> tuple[list[Constituent], list[Constituent | None]]:

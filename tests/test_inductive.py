@@ -17,14 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcomm import inductive
-from semcomm.errors import DomainMismatchError, InconsistentEvidenceError
+from semcomm.errors import (CapacityError, DomainMismatchError,
+                            InconsistentEvidenceError)
 from semcomm.fol import parse_evidence
 from semcomm.inductive import (InductiveModel, InductiveParams, _WidthTable,
                                _ln_prior_factor, _precision_error,
                                _worst_error, check_convergence,
                                constituent_likelihood, constituent_posterior,
-                               constituent_prior, pac_error, pac_errors,
-                               pac_sample_bound, predictive_probability)
+                               constituent_prior, ln_likelihood_width,
+                               pac_error, pac_errors, pac_sample_bound,
+                               predictive_probability)
 from semcomm.measures import UniverseSignature, cont_entropy, inf_entropy
 from semcomm.sublang import (Constituent, EvidenceSummary, SubLanguageConfig,
                              build_sublanguage, enumerate_constituents)
@@ -112,6 +114,38 @@ def test_likelihood_matches_sequential_product():
                 continue  # library rejects incompatible hypotheses up front
             got = constituent_likelihood(con, summary, params).to_float()
             assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("params", [
+    InductiveParams(),
+    InductiveParams(alpha=1.5),
+    InductiveParams(lambda_value=2.5, alpha=0.5),
+    InductiveParams(lambda_value=math.inf, alpha=1.0),
+], ids=["w", "w-alpha", "const", "dogmatic"])
+def test_width_table_prices_each_width_by_ln_likelihood_width(params):
+    # the table shares the per-cell terms across widths under lambda(w) = w;
+    # every class must still hold the per-width call's bits
+    rnd = random.Random(47)
+    for _ in range(60):
+        big_k = rnd.randint(1, 40)
+        c = rnd.randint(0, big_k)
+        counts = [rnd.choice((1, 2, rnd.randint(1, 50), rnd.randint(1, 10**9)))
+                  for _ in range(c)]
+        n = sum(counts)
+        table = _WidthTable(n, c, counts, big_k, params)
+        assert [cl.ln_each for cl in table.classes] == [
+            _ln_prior_factor(w, big_k, params)
+            + ln_likelihood_width(w, n, counts, params)
+            for w in range(max(c, 1), big_k + 1)]
+    # past the float range both routes raise the same error; the dogmatic
+    # -n ln w stays finite at 10^306
+    for counts in [[3, 10**320]] + [[10**306]] * (not params.dogmatic):
+        n = sum(counts)
+        with pytest.raises(CapacityError) as per_width:
+            ln_likelihood_width(3, n, counts, params)
+        with pytest.raises(CapacityError) as shared:
+            _WidthTable(n, len(counts), counts, 3, params)
+        assert str(shared.value) == str(per_width.value)
 
 
 def test_prior_uniform_at_alpha_zero():

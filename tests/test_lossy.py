@@ -5,13 +5,14 @@ import io
 import itertools
 import math
 import random
+import runpy
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from semcomm import lossy
-from semcomm.errors import InfeasibleTargetError
+from semcomm.errors import DomainMismatchError, InfeasibleTargetError
 from semcomm.fol import parse_evidence
 from semcomm.inductive import InductiveModel, InductiveParams, constituent_prior
 from semcomm.lossy import (LossyConfig, RDPoint, _argmax_point, _ba_point,
@@ -452,6 +453,55 @@ def test_payoff_matrix_on_hand_built_partitions():
     # weights sum to one), and payoff_matrix refuses it
     with pytest.raises(ValueError, match="carries no message sentences"):
         payoff_matrix(MessagePartition((), (1.0,)), alphabet, receiver)
+
+
+def _assert_subset_payoff(model):
+    """The payoff matrix equals the oracle's, priced by the receiver and by
+    the sender's own posterior (whose width counts skip the hypotheses
+    without every observed kind), also with an empty member added."""
+    sl = model.sublang
+    source = MessagePartition.from_model(model)
+    with_empty = MessagePartition(source.members + (sl.sentence([]),),
+                                  source.probs + (0.0,))
+    alphabet = candidate_reconstructions(model)
+    for pricing in (receiver_prior(sl, model.params), model):
+        for partition in (source, with_empty):
+            assert np.array_equal(
+                payoff_matrix(partition, alphabet, pricing),
+                _subset_payoff(partition, alphabet, pricing))
+
+
+@pytest.mark.parametrize("slack", [4, 5, 6])
+def test_payoff_matrix_matches_subset_formula_on_story1(slack):
+    model = _bundled_story_model("story1", slack)
+    assert model.big_k == slack + 4
+    _assert_subset_payoff(model)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_payoff_matrix_matches_subset_formula_on_generated_cells(seed):
+    # the shape of the benchmark's hypothesis-space lossy input: 80
+    # individuals of 4 kinds, with 4 slack cells (K = 8)
+    gen = runpy.run_path(str(DATA_DIR.parent.parent / "perfbench" / "gen.py"))
+    text = gen["generate"](gen["StreamSpec"](entities=80, kinds=4, facts=3,
+                                             statements=480, predicates=6),
+                           seed)
+    ev = parse_evidence(io.StringIO(text.decode()))
+    model = InductiveModel(build_sublanguage(ev, SubLanguageConfig(slack=4)))
+    assert (model.big_k, model.summary.c) == (8, 4)
+    _assert_subset_payoff(model)
+
+
+def test_payoff_matrix_rejects_a_foreign_reconstruction():
+    model = _bundled_story_model("story7", 1)
+    source = MessagePartition.from_model(model)
+    receiver = receiver_prior(model.sublang, model.params)
+    # the same evidence and slack, but another sub-language
+    twin = _bundled_story_model("story7", 1).sublang
+    alphabet = candidate_reconstructions(model)
+    for foreign in (twin.upset(()), twin.sentence([])):
+        with pytest.raises(DomainMismatchError, match="different sub-language"):
+            payoff_matrix(source, alphabet + [foreign], receiver)
 
 
 @pytest.mark.parametrize("params", [

@@ -3,7 +3,8 @@ must not depend on.
 
 The measures are functions of an exchangeable evidence summary, the
 individuals' kind counts, so they cannot depend on what the predicates
-and entities are called, on the order of the statements (Carnap 1952), or
+and entities are called (nor can the kind each individual is given, the
+posterior trace along the individuals or the lossy frontier), on the order of the statements (Carnap 1952), or
 on each statement being written r times, which leaves every individual's
 kind as it was.  The container's ideal section lengths are functions of
 symbol counts alone, so they cannot depend on the order of the statements;
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from semcomm.cli import main
 from semcomm.fol import AtomicStatement, EvidenceSet, parse_evidence
 from semcomm.lossless import lossless_encode_report
+from semcomm.sublang import build_sublanguage
 
 from conftest import DATA_DIR, random_evidence_text
 
@@ -46,9 +48,10 @@ def _shuffled(data, ev: EvidenceSet) -> EvidenceSet:
                                        label="order")))
 
 
-def _renamed(data, ev: EvidenceSet) -> EvidenceSet:
+def _renamed(data, ev: EvidenceSet) -> tuple[EvidenceSet, dict[str, str]]:
     """The evidence under one bijection on predicate names and one on
-    entity names; each predicate keeps its arity."""
+    entity names, and the entity bijection; each predicate keeps its
+    arity."""
     preds, ents = ev.predicates, ev.entities
     pred_map = dict(zip(preds, data.draw(st.lists(
         _NAME, min_size=len(preds), max_size=len(preds), unique=True),
@@ -59,7 +62,7 @@ def _renamed(data, ev: EvidenceSet) -> EvidenceSet:
     return EvidenceSet(tuple(
         AtomicStatement(pred_map[s.predicate], ent_map[s.subject],
                         None if s.obj is None else ent_map[s.obj], s.positive)
-        for s in ev.statements))
+        for s in ev.statements)), ent_map
 
 
 def _repeated(data, ev: EvidenceSet) -> tuple[EvidenceSet, int]:
@@ -87,7 +90,7 @@ def test_compress_prices_ignore_statement_order(source, data):
 def test_compress_payload_ignores_names(source, data):
     ev = _evidence(data, source)
     want = lossless_encode_report(ev)[1]
-    got = lossless_encode_report(_renamed(data, ev))[1]
+    got = lossless_encode_report(_renamed(data, ev)[0])[1]
     assert got.payload_bits_ideal == want.payload_bits_ideal
     assert got.alphabet_size == want.alphabet_size
     assert got.n_statements == want.n_statements
@@ -118,7 +121,7 @@ def _analyze_reports(*evs: EvidenceSet) -> list[dict]:
 def test_analyze_ignores_names_and_order(source, data):
     ev = _evidence(data, source)
     want, renamed, shuffled = _analyze_reports(
-        ev, _renamed(data, ev), _shuffled(data, ev))
+        ev, _renamed(data, ev)[0], _shuffled(data, ev))
     assert renamed == want
     assert shuffled == want
 
@@ -131,4 +134,41 @@ def test_analyze_ignores_repetition(source, data):
     repeated, r = _repeated(data, ev)
     want, got = _analyze_reports(ev, repeated)
     assert got["evidence"].pop("statements") == r * want["evidence"].pop("statements")
+    assert got == want
+
+
+# --- the kind quotient, converge and lossy: renaming -------------------------
+
+
+def _cli_runs(args: list[str], *evs: EvidenceSet) -> list[str | bytes]:
+    """What one command gives on each evidence set, each run on a file of
+    its own: the CSV when ``args`` writes one to ``{csv}`` (the stdout then
+    names its path), else the stdout."""
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, ev in enumerate(evs):
+            path = Path(tmp) / f"source{i}.fol"
+            path.write_text(ev.normalized_text())
+            csv = Path(tmp) / f"source{i}.csv"
+            res = CliRunner().invoke(main, [args[0], str(path), *(
+                arg.format(csv=csv) for arg in args[1:])])
+            assert res.exit_code == 0, res.output
+            runs.append(csv.read_bytes() if csv.exists() else res.output)
+    return runs
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_kinds_converge_and_lossy_ignore_names(source, data):
+    ev = _evidence(data, source)
+    renamed, ent_map = _renamed(data, ev)
+    kinds = build_sublanguage(ev).entity_kinds
+    assert list(build_sublanguage(renamed).entity_kinds.items()) == [
+        (ent_map[name], cell) for name, cell in kinds.items()]
+    want, got = _cli_runs(["converge"], ev, renamed)
+    assert got == want
+    want, got = _cli_runs(["lossy", "--slack", "1", "--out", "{csv}"],
+                          ev, renamed)
+    assert isinstance(got, bytes)
     assert got == want

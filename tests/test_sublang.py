@@ -194,6 +194,24 @@ def test_upset_matches_brute_force(slack):
         [id(c) for c in held]
 
 
+@pytest.mark.parametrize("big_k", range(1, 7))
+def test_upset_matches_mask_generator(big_k):
+    # the set as a generator over the cell masks built it, zero mask skipped
+    sl = _sl("Barks(Rex)\n", slack=big_k - 1)
+    assert sl.big_k == big_k
+    by_mask = sl._constituents[1]
+    for r in range(big_k + 1):
+        for req in itertools.combinations(range(big_k), r):
+            masks = [sum(1 << k for k in req)]
+            for k in range(big_k):
+                if k not in req:
+                    masks += [m | 1 << k for m in masks]
+            want = frozenset(by_mask[m] for m in masks if m)
+            got = sl.upset(req).constituents
+            assert got == want
+            assert sorted(map(id, got)) == sorted(map(id, want))
+
+
 @pytest.mark.parametrize("kinds", [[-1], [0, -1], [3], [1, 3]])
 def test_upset_outside_domain_rejected(kinds):
     sl = _sl("Barks(Rex)\n!Barks(Tom)\n", slack=1)
