@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import json
 import logging
 import math
 import os
-import signal
 import sys
 import time
 from pathlib import Path
@@ -199,6 +197,8 @@ def analyze(ctx, paths, slack, lam, alpha, out):
     evidence files (.fol line syntax or .json statement lists).  Scaled
     columns compare the sources analyzed in this run against each other.
     """
+    import hashlib  # here alone, so the other commands start without it
+
     params = _make_params(lam, alpha)
     record_params = {"lambda": lam, "alpha": alpha, "slack": slack,
                      "seed": ctx.obj["seed"]}
@@ -357,6 +357,7 @@ class _ByteBaselines:
             if exc_type is None:
                 self._pipe.read()  # EOF comes when the child exits
             else:
+                import signal  # only this early exit needs it
                 os.kill(self._pid, signal.SIGKILL)
             status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
             self._waited += time.perf_counter() - start

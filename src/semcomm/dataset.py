@@ -12,16 +12,15 @@ was used is recorded so reports can say how the evidence was read.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import StatementParseError, clip
 from .fol import (AtomicStatement, EvidenceSet, parse_evidence, parse_triple_list,
                   utf8_error)
 
 
-@dataclass(frozen=True, slots=True)
-class Story:
+class Story(NamedTuple):
     """One corpus entry: paths plus the declared evidence volume."""
 
     story_id: str

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -141,12 +140,13 @@ def utf8_error(path: Path) -> StatementParseError:
     return StatementParseError(f"{path}: not UTF-8 text")
 
 
-@dataclass(frozen=True)
 class EvidenceSet:
-    """An ordered stream of parsed statements."""
+    """An ordered stream of parsed statements.  Equal only to itself."""
 
-    statements: tuple[AtomicStatement, ...]
-    source_id: str = "evidence"
+    def __init__(self, statements: tuple[AtomicStatement, ...],
+                 source_id: str = "evidence"):
+        self.statements = statements
+        self.source_id = source_id
 
     # each index is built on first use; all keep first-appearance order
 

@@ -14,7 +14,6 @@ import functools
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 from operator import sub
 from typing import Iterable, NamedTuple, Sequence
@@ -28,7 +27,6 @@ _LN_FLOAT_MAX = math.log(sys.float_info.max)
 _LN_FLOAT_MIN = math.log(sys.float_info.min)  # the least normal float
 
 
-@dataclass(frozen=True, slots=True)
 class InductiveParams:
     """Smoothing configuration for the whole engine.
 
@@ -41,16 +39,30 @@ class InductiveParams:
 
     ``alpha`` is the prior sample-size weight; 0 gives the uniform prior over
     the 2^K - 1 non-empty hypotheses.
+
+    Immutable, and equal (and hashed) by its two fields.
     """
 
-    lambda_value: float | None = None
-    alpha: float = 0.0
+    __slots__ = ("lambda_value", "alpha")
 
-    def __post_init__(self):
-        if self.lambda_value is not None and not self.lambda_value > 0:  # or nan
+    def __init__(self, lambda_value: float | None = None, alpha: float = 0.0):
+        if lambda_value is not None and not lambda_value > 0:  # or nan
             raise ValueError("lambda_value must be None or positive")
-        if not self.alpha >= 0 or math.isinf(self.alpha):
+        if not alpha >= 0 or math.isinf(alpha):
             raise ValueError("alpha must be finite and >= 0")
+        object.__setattr__(self, "lambda_value", lambda_value)
+        object.__setattr__(self, "alpha", alpha)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"InductiveParams is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lambda_value, self.alpha) == (other.lambda_value, other.alpha)
+
+    def __hash__(self):
+        return hash((self.lambda_value, self.alpha))
 
     @property
     def dogmatic(self) -> bool:
@@ -187,8 +199,7 @@ def constituent_likelihood(constituent: Constituent, summary: EvidenceSummary,
         ln_likelihood_width(len(constituent), summary.n, summary.counts, params))
 
 
-@dataclass(frozen=True, slots=True)
-class WidthClass:
+class WidthClass(NamedTuple):
     """One equivalence class of hypotheses sharing a width."""
 
     width: int
@@ -671,8 +682,7 @@ class ConvergencePoint(NamedTuple):
     posterior: float
 
 
-@dataclass(frozen=True, slots=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Posterior trace of the exact-evidence hypothesis along a stream."""
 
     points: tuple[ConvergencePoint, ...]

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import zlib
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coder import (
     AdaptiveModel,
@@ -92,8 +92,7 @@ def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
             raise DecodeError(f"varint overflow at byte {pos}")
 
 
-@dataclass(frozen=True, slots=True)
-class LosslessReport:
+class LosslessReport(NamedTuple):
     """Bit accounting for one encoded stream."""
 
     semantic_bits: int          # whole container, framing included

@@ -59,7 +59,6 @@ import itertools
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -82,26 +81,39 @@ _TOL = 1e-10      # rate change (bits) that counts as converged
 _CHUNK = 1 << 14  # scratch entries per run of the payoff build
 
 
-@dataclass(frozen=True, slots=True)
 class LossyConfig:
-    """Constraint floor and multiplier grid (kept ascending) for the rate sweep."""
+    """Constraint floor and multiplier grid (kept ascending) for the rate sweep.
 
-    d_star: float = 0.0
-    beta_grid: tuple[float, ...] = (0.0,) + tuple(float(1 << i) for i in range(14))
+    Immutable, and equal (and hashed) by its two fields.
+    """
 
-    def __post_init__(self):
-        if not math.isfinite(self.d_star) or self.d_star < 0.0:
+    __slots__ = ("d_star", "beta_grid")
+
+    def __init__(self, d_star: float = 0.0, beta_grid: tuple[float, ...] =
+                 (0.0,) + tuple(float(1 << i) for i in range(14))):
+        if not math.isfinite(d_star) or d_star < 0.0:
             raise ValueError("d_star must be finite and nonnegative")
-        grid = tuple(sorted(float(b) for b in self.beta_grid))
+        grid = tuple(sorted(float(b) for b in beta_grid))
         if not grid:
             raise ValueError("beta_grid must be non-empty")
         if any(not math.isfinite(b) or b < 0.0 for b in grid):
             raise ValueError("beta values must be finite and nonnegative")
+        object.__setattr__(self, "d_star", d_star)
         object.__setattr__(self, "beta_grid", grid)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LossyConfig is immutable: cannot set {name!r}")
 
-@dataclass(frozen=True, slots=True)
-class RDPoint:
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d_star, self.beta_grid) == (other.d_star, other.beta_grid)
+
+    def __hash__(self):
+        return hash((self.d_star, self.beta_grid))
+
+
+class RDPoint(NamedTuple):
     """One solved trade-off point on the rate curve."""
 
     rate_bits: float

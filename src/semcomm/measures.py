@@ -12,8 +12,7 @@ the excluded hypotheses above it, so it survives p within 10^-15000 of 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainMismatchError
 from .inductive import InductiveModel
@@ -49,16 +48,30 @@ def inf_entropy(model: InductiveModel) -> float:
                      for ln_s, ln_p in terms) / math.log(2.0)
 
 
-@dataclass(frozen=True, slots=True)
 class UniverseSignature:
-    """Size of the describable world: predicate and entity counts."""
+    """Size of the describable world: predicate and entity counts.
 
-    n_pred: int
-    n_ent: int
+    Immutable, and equal (and hashed) by its two counts.
+    """
 
-    def __post_init__(self):
-        if self.n_pred < 0 or self.n_ent < 0:
+    __slots__ = ("n_pred", "n_ent")
+
+    def __init__(self, n_pred: int, n_ent: int):
+        if n_pred < 0 or n_ent < 0:
             raise ValueError("counts must be nonnegative")
+        object.__setattr__(self, "n_pred", n_pred)
+        object.__setattr__(self, "n_ent", n_ent)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"UniverseSignature is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n_pred, self.n_ent) == (other.n_pred, other.n_ent)
+
+    def __hash__(self):
+        return hash((self.n_pred, self.n_ent))
 
     @property
     def volume_exponent(self) -> int:
@@ -70,36 +83,36 @@ class UniverseSignature:
                 "volume_exponent": self.volume_exponent}
 
 
-@dataclass(frozen=True)
 class MessagePartition:
     """Disjoint, exhaustive messages with their confirmation weights.
 
     The sender's side of a lossy channel.  ``ln_probs`` carries the
     natural-log weight per member, supplied by builders that know the
     posterior in log space; left out, it is computed from the weights.
+    Equal only to itself.
     """
 
-    members: tuple[Sentence, ...]
-    probs: tuple[float, ...]
-    ln_probs: tuple[float, ...] | None = None
+    __slots__ = ("members", "probs", "ln_probs")
 
-    def __post_init__(self):
-        if self.members and len(self.members) != len(self.probs):
+    def __init__(self, members: tuple[Sentence, ...], probs: tuple[float, ...],
+                 ln_probs: tuple[float, ...] | None = None):
+        if members and len(members) != len(probs):
             raise ValueError("one weight per member")
-        if any(p < 0 or p > 1 for p in self.probs):
+        if any(p < 0 or p > 1 for p in probs):
             raise ValueError("weights must lie in [0, 1]")
-        if abs(math.fsum(self.probs) - 1.0) > _NORM_TOL:
+        if abs(math.fsum(probs) - 1.0) > _NORM_TOL:
             raise ValueError("weights must sum to one")
-        if self.ln_probs is not None and len(self.ln_probs) != len(self.probs):
+        if ln_probs is not None and len(ln_probs) != len(probs):
             raise ValueError("log weights must align with the weights")
         covered: set = set()
-        for member in self.members:
+        for member in members:
             if not covered.isdisjoint(member.constituents):
                 raise ValueError("partition members must be disjoint")
             covered.update(member.constituents)
-        if self.ln_probs is None:
-            object.__setattr__(self, "ln_probs", tuple(
-                -math.inf if x == 0.0 else math.log(x) for x in self.probs))
+        self.members = members
+        self.probs = probs
+        self.ln_probs = ln_probs if ln_probs is not None else tuple(
+            -math.inf if x == 0.0 else math.log(x) for x in probs)
 
     @classmethod
     def from_model(cls, model: InductiveModel) -> "MessagePartition":
@@ -127,8 +140,7 @@ class MessagePartition:
         return cls(tuple(members), probs, lns)
 
 
-@dataclass(frozen=True, slots=True)
-class ContEntropy:
+class ContEntropy(NamedTuple):
     """Volume-scaled and normalized expected content of a source."""
 
     raw: ExtremeReal
@@ -223,29 +235,31 @@ def transcont_extreme(s2: Sentence, s1: Sentence,
     return model.complement_probability_extreme(s1 | s2)
 
 
-@dataclass(frozen=True)
 class JointMessageDistribution:
     """Joint weights over sent and reconstructed messages.
 
     The joint matrix is supplied by the caller (typically a compressor's
     transition choice); the model prices the two conditional measures per
-    pair.
+    pair.  Equal only to itself.
     """
 
-    row_messages: tuple[Sentence, ...]
-    col_messages: tuple[Sentence, ...]
-    joint: tuple[tuple[float, ...], ...]
-    model: InductiveModel = field(repr=False)
+    __slots__ = ("row_messages", "col_messages", "joint", "model")
 
-    def __post_init__(self):
-        rows, cols = len(self.row_messages), len(self.col_messages)
-        if len(self.joint) != rows or any(len(r) != cols for r in self.joint):
+    def __init__(self, row_messages: tuple[Sentence, ...],
+                 col_messages: tuple[Sentence, ...],
+                 joint: tuple[tuple[float, ...], ...], model: InductiveModel):
+        rows, cols = len(row_messages), len(col_messages)
+        if len(joint) != rows or any(len(r) != cols for r in joint):
             raise ValueError("joint matrix shape must match the messages")
-        flat = [x for row in self.joint for x in row]
+        flat = [x for row in joint for x in row]
         if any(x < 0 for x in flat):
             raise ValueError("joint weights must be nonnegative")
         if abs(math.fsum(flat) - 1.0) > _NORM_TOL:
             raise ValueError("joint weights must sum to one")
+        self.row_messages = row_messages
+        self.col_messages = col_messages
+        self.joint = joint
+        self.model = model
 
 
 def _expected_pair_content(joint: JointMessageDistribution,

@@ -17,9 +17,8 @@ and is that frozenset of cell ids; a sentence is a set of constituents
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CapacityError, DomainMismatchError, InconsistentEvidenceError, clip
 from .fol import EvidenceSet
@@ -34,12 +33,29 @@ _MAX_ENUM_K = 12
 Constituent = frozenset
 
 
-@dataclass(frozen=True, slots=True)
 class Sentence:
-    """A disjunction of constituents from one fixed sub-language."""
+    """A disjunction of constituents from one fixed sub-language.
 
-    sublang_token: int
-    constituents: frozenset[Constituent]
+    Immutable, and equal (and hashed) by its token and constituents.
+    """
+
+    __slots__ = ("sublang_token", "constituents")
+
+    def __init__(self, sublang_token: int, constituents: frozenset[Constituent]):
+        object.__setattr__(self, "sublang_token", sublang_token)
+        object.__setattr__(self, "constituents", constituents)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Sentence is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.sublang_token, self.constituents)
+                == (other.sublang_token, other.constituents))
+
+    def __hash__(self):
+        return hash((self.sublang_token, self.constituents))
 
     def _check(self, other: "Sentence") -> None:
         if self.sublang_token != other.sublang_token:
@@ -54,22 +70,37 @@ class Sentence:
         return Sentence(self.sublang_token, self.constituents | other.constituents)
 
 
-@dataclass(frozen=True, slots=True)
 class EvidenceSummary:
-    """What the generalization machinery needs: (n, c, per-kind counts)."""
+    """What the generalization machinery needs: (n, c, per-kind counts).
 
-    n: int
-    c: int
-    counts: tuple[int, ...]
-    big_k: int
+    Immutable, and equal (and hashed) by its four fields.
+    """
 
-    def __post_init__(self):
-        if self.c != len(self.counts) or any(x <= 0 for x in self.counts):
+    __slots__ = ("n", "c", "counts", "big_k")
+
+    def __init__(self, n: int, c: int, counts: tuple[int, ...], big_k: int):
+        if c != len(counts) or any(x <= 0 for x in counts):
             raise ValueError("counts must list one positive total per exemplified kind")
-        if sum(self.counts) != self.n:
+        if sum(counts) != n:
             raise ValueError("counts must sum to n")
-        if self.c > self.big_k:
+        if c > big_k:
             raise ValueError("more exemplified kinds than cells")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "big_k", big_k)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EvidenceSummary is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n, self.c, self.counts, self.big_k)
+                == (other.n, other.c, other.counts, other.big_k))
+
+    def __hash__(self):
+        return hash((self.n, self.c, self.counts, self.big_k))
 
     def scaled_to(self, n_eff: int) -> "EvidenceSummary":
         """Reapportion the counts to a declared evidence volume.
@@ -97,19 +128,23 @@ class EvidenceSummary:
         return EvidenceSummary(n_eff, self.c, tuple(counts), self.big_k)
 
 
-@dataclass(frozen=True, slots=True)
-class SubLanguageConfig:
+class SubLanguageConfig(NamedTuple):
     slack: int = 0
 
 
-@dataclass(frozen=True)
 class SubLanguage:
-    """The quotiented finite language for one evidence set."""
+    """The quotiented finite language for one evidence set.
 
-    big_k: int
-    entity_kinds: dict
-    summary: EvidenceSummary
-    token: int = field(default_factory=lambda: next(_token_counter))
+    ``token`` marks its sentences; left out, each sub-language draws a new
+    one.  Equal only to itself.
+    """
+
+    def __init__(self, big_k: int, entity_kinds: dict, summary: EvidenceSummary,
+                 token: int | None = None):
+        self.big_k = big_k
+        self.entity_kinds = entity_kinds
+        self.summary = summary
+        self.token = next(_token_counter) if token is None else token
 
     # --- sentence construction ---------------------------------------
 

@@ -11,7 +11,6 @@ which keeps the log-domain error near 1 ulp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _LN10 = math.log(10.0)
 
@@ -36,13 +35,31 @@ def _dd_add(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, floa
     return _quick_renorm(s, e)
 
 
-@dataclass(frozen=True, slots=True)
 class ExtremeReal:
-    """A real number kept as sign and natural-log magnitude."""
+    """A real number kept as sign and natural-log magnitude.
 
-    sign: int
-    _hi: float
-    _lo: float
+    Immutable, and equal (and hashed) by its three fields.  Arithmetic and
+    ``<``, ``>`` take two of them; ``3 * x`` and ``x <= y`` raise
+    ``TypeError``.
+    """
+
+    __slots__ = ("sign", "_hi", "_lo")
+
+    def __init__(self, sign: int, _hi: float, _lo: float):
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "_hi", _hi)
+        object.__setattr__(self, "_lo", _lo)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ExtremeReal is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sign, self._hi, self._lo) == (other.sign, other._hi, other._lo)
+
+    def __hash__(self):
+        return hash((self.sign, self._hi, self._lo))
 
     # --- constructors -------------------------------------------------
 

@@ -877,19 +877,33 @@ def test_observations_below_kinds_is_one_error_line(runner, tiny_corpus):
     assert line == "Error: a: cannot spread 2 observations over 3 kinds"
 
 
-# only ``lossy`` needs numpy; the other commands must start without it
+# the cold start loads none of dataclasses, hashlib, signal or numpy;
+# then analyze alone imports hashlib, lossy alone numpy, compress signal
+# only when it kills its child early, and no command imports dataclasses
 _COLD_START = """
 import sys
 from semcomm.cli import main
 from semcomm.errors import clip
 
+LAZY = ("dataclasses", "hashlib", "signal", "numpy")
+
+
+def check(step, absent):
+    loaded = [name for name in absent if name in sys.modules]
+    if loaded:
+        sys.exit(f"{step} imported {loaded}")
+
+
+check("import semcomm.cli", LAZY)
 story, work = sys.argv[1], sys.argv[2]
-for args in (["compress", story, "--out", work + "/s.semc"],
-             ["decompress", work + "/s.semc", "--out", work + "/s.fol"],
-             ["pac", "3"]):
+for args, absent in ((["compress", story, "--out", work + "/s.semc"], LAZY),
+                     (["decompress", work + "/s.semc", "--out", work + "/s.fol"], LAZY),
+                     (["pac", "3"], LAZY),
+                     (["converge", story], LAZY),
+                     (["analyze", story], ("dataclasses", "numpy")),
+                     (["lossy", story, "--out", work + "/s.csv"], ("dataclasses",))):
     main.main(args=args, standalone_mode=False)
-if "numpy" in sys.modules:
-    sys.exit("numpy was imported")
+    check(args[0], absent)
 
 import semcomm
 from semcomm import rd_sweep

@@ -1,6 +1,6 @@
 """Statement parsing and evidence sets."""
 
-import dataclasses
+import inspect
 import io
 import re
 
@@ -113,7 +113,8 @@ def test_observations_metadata():
     # a manifest's declared volume stays on its Story; parsed evidence
     # holds the statements and a source id, nothing else
     ev = parse_evidence(io.StringIO("Barks(Rex)\n"))
-    assert [f.name for f in dataclasses.fields(ev)] == ["statements", "source_id"]
+    assert list(inspect.signature(EvidenceSet).parameters) == ["statements", "source_id"]
+    assert vars(ev) == {"statements": ev.statements, "source_id": "evidence"}
     with pytest.raises(TypeError):
         parse_evidence(io.StringIO("Barks(Rex)\n"), observations=5812)
     with pytest.raises(TypeError):

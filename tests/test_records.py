@@ -1,0 +1,66 @@
+"""Value semantics of the package's records.
+
+The plain classes that compare and hash by their fields, and the named
+tuples, stay equal and hashed by value; the plain ones refuse assignment.
+``ExtremeReal`` is not a tuple: only its own arithmetic and order apply.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from semcomm.dataset import Story
+from semcomm.inductive import (ConvergencePoint, ConvergenceReport,
+                               InductiveParams, WidthClass)
+from semcomm.lossless import LosslessReport
+from semcomm.lossy import LossyConfig, RDPoint
+from semcomm.measures import ContEntropy, UniverseSignature
+from semcomm.sublang import EvidenceSummary, Sentence, SubLanguageConfig
+from semcomm.xreal import ExtremeReal
+
+_ONE, _TWO = ExtremeReal.from_float(1.0), ExtremeReal.from_float(2.0)
+
+# each class with one set of field values and the same set with one changed
+RECORDS = [
+    (ExtremeReal, (1, 2.5, 1e-17), (1, 2.5, 2e-17)),
+    (Sentence, (7, frozenset({frozenset({0})})), (7, frozenset({frozenset({1})}))),
+    (EvidenceSummary, (3, 2, (1, 2), 4), (3, 2, (1, 2), 5)),
+    (InductiveParams, (None, 0.5), (2.0, 0.5)),
+    (UniverseSignature, (3, 4), (4, 3)),
+    (LossyConfig, (0.25, (1.0, 2.0)), (0.25, (1.0, 4.0))),
+    (Story, ("s1", Path("a.txt"), Path("a.fol"), None),
+     ("s1", Path("a.txt"), Path("a.fol"), 10)),
+    (WidthClass, (2, 3, -1.5, 0.25), (2, 3, -1.5, 0.5)),
+    (ConvergenceReport, ((ConvergencePoint(1, 1, 0.5),), 1, True, 0.5),
+     ((ConvergencePoint(1, 1, 0.5),), None, True, 0.5)),
+    (LosslessReport, (400, 176, 224, 10.5, 20.25, 7, 5),
+     (400, 176, 224, 10.5, 20.25, 7, 6)),
+    (RDPoint, (1.5, 0.25, 8.0, 12, True, -0.5), (1.5, 0.25, 8.0, 12, False, -0.5)),
+    (ContEntropy, (_TWO, _ONE, 7), (_TWO, _TWO, 7)),
+    (SubLanguageConfig, (3,), (4,)),
+]
+
+
+@pytest.mark.parametrize("cls, fields, changed", RECORDS,
+                         ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_records_compare_and_hash_by_value(cls, fields, changed):
+    a, b, c = cls(*fields), cls(*fields), cls(*changed)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != c and not a == c
+    assert hash(a) != hash(c)
+    names = getattr(cls, "_fields", None) or cls.__slots__
+    assert len(names) == len(fields)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(c, name))
+    assert a == b
+
+
+@pytest.mark.parametrize("op", [lambda x, y: 3 * x, lambda x, y: x <= y,
+                                lambda x, y: x >= y, lambda x, y: tuple(x)],
+                         ids=["int-times", "le", "ge", "unpack"])
+def test_extreme_real_keeps_to_its_own_arithmetic(op):
+    with pytest.raises(TypeError):
+        op(_TWO, _ONE)
