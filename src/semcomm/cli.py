@@ -260,21 +260,18 @@ def analyze(ctx, paths, slack, lam, alpha, out):
 # --- compress / decompress ---------------------------------------------
 
 
-def _compress_one(ev: EvidenceSet, normalized: str, text: bytes | None,
-                  take_baseline) -> tuple[bytes, dict]:
-    """Encode and audit one evidence set.  ``take_baseline()`` gives the
-    byte baseline of ``text``, or of the normalized evidence when ``text``
-    is None; it is called once the container is audited."""
+def _compress_one(ev: EvidenceSet, normalized: str, baseline: bytes,
+                  baseline_source: str, take_baseline) -> tuple[bytes, dict]:
+    """Encode and audit one evidence set.  ``baseline`` is the bytes of the
+    byte-level baseline, labelled ``baseline_source``; ``take_baseline()``
+    gives their Shannon baseline and is called once the container is
+    audited."""
     blob, report = lossless_encode_report(ev)
     if lossless_decode(blob).normalized_text() != normalized:
         raise click.ClickException(
             "round-trip audit failed: decoded statements differ from input")
     fol = normalized.encode()
-    if text is None:
-        baseline_bytes, baseline_source = fol, "normalized-evidence"
-    else:
-        baseline_bytes, baseline_source = text, "narrative"
-    gzipped = gzip_bits(baseline_bytes)
+    gzipped = gzip_bits(baseline)
     shannon = take_baseline()
     semantic = report.semantic_bits
     record = {
@@ -404,7 +401,7 @@ def compress(source, text, out):
             for story, text in zip(stories, texts):
                 ev, _ = load_evidence(story.evidence_path)
                 blob, record = _compress_one(ev, ev.normalized_text(), text,
-                                             baselines.take)
+                                             "narrative", baselines.take)
                 _write_container(outdir / f"{story.story_id}.semc", blob, record)
                 rows.append((story.story_id, record["semantic_bits"],
                              record["shannon_bits"], record["ratio"]))
@@ -423,11 +420,14 @@ def compress(source, text, out):
         raise click.UsageError(f"--out {out} is a directory; single-file "
                                "mode writes one container file")
     ev, _ = load_evidence(src)
-    narrative = Path(text).read_bytes() if text else None
     normalized = ev.normalized_text()
-    baseline = normalized.encode() if narrative is None else narrative
+    if text:
+        baseline, baseline_source = Path(text).read_bytes(), "narrative"
+    else:
+        baseline, baseline_source = normalized.encode(), "normalized-evidence"
     with _ByteBaselines([baseline]) as baselines:
-        blob, record = _compress_one(ev, normalized, narrative, baselines.take)
+        blob, record = _compress_one(ev, normalized, baseline, baseline_source,
+                                     baselines.take)
     target = Path(out) if out else src.with_suffix(".semc")
     _write_container(target, blob, record)
     click.echo(f"wrote {target} ({len(blob)} bytes)")

@@ -18,6 +18,7 @@ from itertools import repeat
 from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
+from ._record import Record
 from .errors import (CapacityError, DomainMismatchError,
                      InconsistentEvidenceError, clip)
 from .sublang import Constituent, EvidenceSummary, Sentence, SubLanguage
@@ -27,7 +28,7 @@ _LN_FLOAT_MAX = math.log(sys.float_info.max)
 _LN_FLOAT_MIN = math.log(sys.float_info.min)  # the least normal float
 
 
-class InductiveParams:
+class InductiveParams(Record):
     """Smoothing configuration for the whole engine.
 
     ``lambda_value`` is how much prior weight competes with the data: None,
@@ -52,17 +53,6 @@ class InductiveParams:
             raise ValueError("alpha must be finite and >= 0")
         object.__setattr__(self, "lambda_value", lambda_value)
         object.__setattr__(self, "alpha", alpha)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"InductiveParams is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lambda_value, self.alpha) == (other.lambda_value, other.alpha)
-
-    def __hash__(self):
-        return hash((self.lambda_value, self.alpha))
 
     @property
     def dogmatic(self) -> bool:

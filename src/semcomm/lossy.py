@@ -63,6 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from .errors import InfeasibleTargetError
 from .inductive import InductiveModel
 from .measures import MessagePartition, cont_width_counts
@@ -81,7 +82,7 @@ _TOL = 1e-10      # rate change (bits) that counts as converged
 _CHUNK = 1 << 14  # scratch entries per run of the payoff build
 
 
-class LossyConfig:
+class LossyConfig(Record):
     """Constraint floor and multiplier grid (kept ascending) for the rate sweep.
 
     Immutable, and equal (and hashed) by its two fields.
@@ -100,17 +101,6 @@ class LossyConfig:
             raise ValueError("beta values must be finite and nonnegative")
         object.__setattr__(self, "d_star", d_star)
         object.__setattr__(self, "beta_grid", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"LossyConfig is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.d_star, self.beta_grid) == (other.d_star, other.beta_grid)
-
-    def __hash__(self):
-        return hash((self.d_star, self.beta_grid))
 
 
 class RDPoint(NamedTuple):

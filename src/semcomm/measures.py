@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
+from ._record import Record
 from .errors import DomainMismatchError
 from .inductive import InductiveModel
 from .sublang import Sentence, enumerate_constituents
@@ -48,7 +49,7 @@ def inf_entropy(model: InductiveModel) -> float:
                      for ln_s, ln_p in terms) / math.log(2.0)
 
 
-class UniverseSignature:
+class UniverseSignature(Record):
     """Size of the describable world: predicate and entity counts.
 
     Immutable, and equal (and hashed) by its two counts.
@@ -61,17 +62,6 @@ class UniverseSignature:
             raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "n_pred", n_pred)
         object.__setattr__(self, "n_ent", n_ent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"UniverseSignature is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n_pred, self.n_ent) == (other.n_pred, other.n_ent)
-
-    def __hash__(self):
-        return hash((self.n_pred, self.n_ent))
 
     @property
     def volume_exponent(self) -> int:

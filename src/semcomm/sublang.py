@@ -20,6 +20,7 @@ import itertools
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
+from ._record import Record
 from .errors import CapacityError, DomainMismatchError, InconsistentEvidenceError, clip
 from .fol import EvidenceSet
 
@@ -33,7 +34,7 @@ _MAX_ENUM_K = 12
 Constituent = frozenset
 
 
-class Sentence:
+class Sentence(Record):
     """A disjunction of constituents from one fixed sub-language.
 
     Immutable, and equal (and hashed) by its token and constituents.
@@ -44,18 +45,6 @@ class Sentence:
     def __init__(self, sublang_token: int, constituents: frozenset[Constituent]):
         object.__setattr__(self, "sublang_token", sublang_token)
         object.__setattr__(self, "constituents", constituents)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Sentence is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.sublang_token, self.constituents)
-                == (other.sublang_token, other.constituents))
-
-    def __hash__(self):
-        return hash((self.sublang_token, self.constituents))
 
     def _check(self, other: "Sentence") -> None:
         if self.sublang_token != other.sublang_token:
@@ -70,7 +59,7 @@ class Sentence:
         return Sentence(self.sublang_token, self.constituents | other.constituents)
 
 
-class EvidenceSummary:
+class EvidenceSummary(Record):
     """What the generalization machinery needs: (n, c, per-kind counts).
 
     Immutable, and equal (and hashed) by its four fields.
@@ -89,18 +78,6 @@ class EvidenceSummary:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "big_k", big_k)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"EvidenceSummary is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.n, self.c, self.counts, self.big_k)
-                == (other.n, other.c, other.counts, other.big_k))
-
-    def __hash__(self):
-        return hash((self.n, self.c, self.counts, self.big_k))
 
     def scaled_to(self, n_eff: int) -> "EvidenceSummary":
         """Reapportion the counts to a declared evidence volume.

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+from ._record import Record
+
 _LN10 = math.log(10.0)
 
 
@@ -35,7 +37,7 @@ def _dd_add(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, floa
     return _quick_renorm(s, e)
 
 
-class ExtremeReal:
+class ExtremeReal(Record):
     """A real number kept as sign and natural-log magnitude.
 
     Immutable, and equal (and hashed) by its three fields.  Arithmetic and
@@ -49,17 +51,6 @@ class ExtremeReal:
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "_hi", _hi)
         object.__setattr__(self, "_lo", _lo)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ExtremeReal is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.sign, self._hi, self._lo) == (other.sign, other._hi, other._lo)
-
-    def __hash__(self):
-        return hash((self.sign, self._hi, self._lo))
 
     # --- constructors -------------------------------------------------
 

@@ -1,10 +1,15 @@
 """Value semantics of the package's records.
 
 The plain classes that compare and hash by their fields, and the named
-tuples, stay equal and hashed by value; the plain ones refuse assignment.
-``ExtremeReal`` is not a tuple: only its own arithmetic and order apply.
+tuples, stay equal and hashed by value, and survive copy and pickle.  The
+plain ones take their policy from one base: they refuse assignment, hold no
+``__dict__`` and never equal an object of another class.  ``ExtremeReal``
+is not a tuple: only its own arithmetic and order apply.
 """
 
+import copy
+import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -56,6 +61,42 @@ def test_records_compare_and_hash_by_value(cls, fields, changed):
         with pytest.raises(AttributeError):
             setattr(a, name, getattr(c, name))
     assert a == b
+
+
+BUILT = [(cls, fields) for cls, fields, _ in RECORDS]
+PLAIN = [(cls, fields) for cls, fields in BUILT if not hasattr(cls, "_fields")]
+
+
+@pytest.mark.parametrize("cls, fields", PLAIN, ids=[cls.__name__ for cls, _ in PLAIN])
+def test_plain_records_share_one_policy(cls, fields):
+    a = cls(*fields)
+    assert not hasattr(a, "__dict__")
+    assert not {"__setattr__", "__eq__", "__hash__"} & vars(cls).keys()
+    assert a != a._values() and a._values() != a
+    for name in cls.__slots__:
+        message = f"{cls.__name__} is immutable: cannot set {name!r}"
+        with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
+            setattr(a, name, None)
+
+
+def test_records_of_different_classes_never_compare_equal():
+    for a, b in [(UniverseSignature(3, 4), InductiveParams(3.0, 4.0)),
+                 (Sentence(3, 4), UniverseSignature(3, 4))]:
+        assert a._values() == b._values()
+        assert a != b and b != a and not a == b
+
+
+_COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda x: pickle.loads(pickle.dumps(x))}
+
+
+@pytest.mark.parametrize("way", _COPIES)
+@pytest.mark.parametrize("cls, fields", BUILT, ids=[cls.__name__ for cls, _ in BUILT])
+def test_records_survive_copy_and_pickle(cls, fields, way):
+    a = cls(*fields)
+    b = _COPIES[way](a)
+    assert type(b) is cls
+    assert b == a and hash(b) == hash(a)
 
 
 @pytest.mark.parametrize("op", [lambda x, y: 3 * x, lambda x, y: x <= y,
