@@ -14,23 +14,23 @@ opposite bits included, into an integer accumulator and flushes whole
 bytes; the decoder pulls the same number of bits from a 64-bit window.
 
 :class:`AdaptiveModel` is the one add-one model.  Its cumulative counts
-live in a Fenwick tree (Fenwick 1994), so pricing a symbol and finding
-the symbol under a decoder target (binary descent, Moffat 1999) each cost
-O(log k) rather than a scan over k counts.  The model is state only; one
+live in a Fenwick tree (Fenwick 1994) with no root node, so pricing a
+symbol and finding the symbol under a decoder target (binary descent,
+Moffat 1999) each cost O(log k) rather than a scan over k counts, and the
+one descent also counts the symbol it finds.  The model is state only; one
 kernel pair codes with it.  ``encode_run``/``decode_run`` code a run of
 symbols over a cycle of models, symbol j under model j mod the cycle
 length: the coder's registers sit in locals for the whole run, and each
-symbol is one loop body of Fenwick walk, range step and count update,
-with no method call (Moffat, Neal & Witten 1998).  A cycle of one model
-codes a block; the container's tuple fields are a cycle of four.
-Pricing is not the kernel's work: the model is exchangeable, so a block's
-ideal length depends on its counts alone, and ``lossless`` takes it from
-the inductive likelihood.  Measuring is not either: ``coded_bits`` gives
-the exact coded length of a block, which the byte-level baseline needs,
-from the interval's narrowing alone, since every shift of the registers
-is one bit of output.  :class:`RangeEncoder` and
-:class:`RangeDecoder` hold only the registers and the stream; the tests
-keep a one-interval coder over those registers as the reference the
+symbol is one loop body with no method call (Moffat, Neal & Witten 1998).
+A cycle of one model codes a block; the container's tuple fields are a
+cycle of four.  Pricing is not the kernel's work: the model is
+exchangeable, so a block's ideal length depends on its counts alone, and
+``lossless`` takes it from the inductive likelihood.  Measuring is not
+either: ``coded_bits`` gives the exact coded length of a block, which the
+byte-level baseline needs, from the interval's narrowing alone, since
+every shift of the registers is one bit of output.  :class:`RangeEncoder`
+and :class:`RangeDecoder` hold only the registers and the stream; the
+tests keep a one-interval coder over those registers as the reference the
 kernel is checked against.
 """
 
@@ -111,9 +111,10 @@ class AdaptiveModel:
     priced at count_s / (t + k): the smoothed next-case rule with weight
     equal to the alphabet size.  Node i of the Fenwick tree holds the
     counts of the symbols in (i - lowbit(i), i]; the tree is padded to a
-    power of two with zero-count symbols, which the decoder never lands on.
-    No Fenwick walk reads node 0, so it holds the total.  The model is
-    state only, kept as one tuple (counts, tree, tree length, the step a
+    power of two, size, with zero-count symbols, which the decoder never
+    lands on.  Prefixes read nodes below k and descents nodes below size,
+    so the tree keeps no root node size, and node 0 holds the total.  The
+    model is state only, kept as one tuple (counts, tree, size, the step a
     descent starts from) that :func:`encode_run` and :func:`decode_run`
     take whole.
     """
@@ -125,8 +126,8 @@ class AdaptiveModel:
             raise ValueError("alphabet must be non-empty")
         size = 1 << (k - 1).bit_length()
         self.k = k
-        tree = [k] + [max(0, min(i, k) - i + (i & -i)) for i in range(1, size + 1)]
-        self._state = ([1] * k, tree, size + 1, size >> 1)
+        tree = [k] + [max(0, min(i, k) - i + (i & -i)) for i in range(1, size)]
+        self._state = ([1] * k, tree, size, size >> 1)
 
 
 def _states(models: Sequence[AdaptiveModel], n: int) -> list:
@@ -171,7 +172,7 @@ def encode_run(enc: RangeEncoder, models: Sequence[AdaptiveModel],
     acc, nacc, out = enc._acc, enc._nacc, enc._out
     nbits, mask, quarter = _BITS, _MASK, _QUARTER
     three_quarter, below_half, half = _THREE_QUARTER, _BELOW_HALF, _HALF
-    for (counts, tree, end, _), s in zip(states, symbols):
+    for (counts, tree, size, _), s in zip(states, symbols):
         total = tree[0]
         cum = 0
         i = s
@@ -214,7 +215,7 @@ def encode_run(enc: RangeEncoder, models: Sequence[AdaptiveModel],
         counts[s] = c + 1
         tree[0] = total + 1
         i = s + 1
-        while i < end:
+        while i < size:
             tree[i] += 1
             i += i & -i
     enc._low, enc._high, enc._pending = low, high, pending
@@ -234,13 +235,14 @@ def decode_run(dec: RangeDecoder, models: Sequence[AdaptiveModel],
     three_quarter, below_half, half = _THREE_QUARTER, _BELOW_HALF, _HALF
     out = []
     append = out.append
-    for counts, tree, end, start in islice(states, n):
+    for counts, tree, _, start in islice(states, n):
         total = tree[0]
         rng = high - low + 1
         target = ((code - low + 1) * total - 1) // rng
         if target >= total:  # corrupt stream steering out of range
             break
-        # binary descent to the last s whose cumulative count is <= target
+        # descend to the last s with cumulative count <= target, counting s
+        # on each node not stepped past: those are the nodes that cover s
         s = 0
         rest = target
         step = start
@@ -249,6 +251,8 @@ def decode_run(dec: RangeDecoder, models: Sequence[AdaptiveModel],
             if node <= rest:
                 s += step
                 rest -= node
+            else:
+                tree[s + step] = node + 1
             step >>= 1
         cum = target - rest
         c = counts[s]
@@ -277,10 +281,6 @@ def decode_run(dec: RangeDecoder, models: Sequence[AdaptiveModel],
             window &= (1 << nwindow) - 1
         counts[s] = c + 1
         tree[0] = total + 1
-        i = s + 1
-        while i < end:
-            tree[i] += 1
-            i += i & -i
         append(s)
     dec._low, dec._high, dec._code = low, high, code
     dec._window, dec._nwindow, dec._pos = window, nwindow, pos

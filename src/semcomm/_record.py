@@ -19,6 +19,9 @@ class Record:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -544,6 +544,48 @@ def test_fused_runs_match_per_symbol_route(case):
                 for j in range(len(symbols))] == symbols
 
 
+def _check_tree(model):
+    """Node i of the model's tree, 0 < i < size, holds the counts of the
+    symbols in (i - lowbit(i), i], the zero-count padding included; node 0
+    holds the total, and the tree ends before the root node size."""
+    counts, tree, size, start = model._state
+    assert size == 1 << (model.k - 1).bit_length() == len(tree)
+    assert start == size >> 1
+    padded = counts + [0] * (size - model.k)
+    assert tree[0] == sum(counts)
+    for i in range(1, size):
+        assert tree[i] == sum(padded[i - (i & -i):i])
+
+
+# every golden alphabet as a block, and a cycle of four with one model twice
+_COUNT_CASES = [((k,), (0,)) for k in _GOLDEN_KS] + [((3, 257, 1600), (0, 1, 0, 2))]
+
+
+@pytest.mark.parametrize("ks, cycle", _COUNT_CASES,
+                         ids=["-".join(map(str, ks)) + "@" + "".join(map(str, c))
+                              for ks, c in _COUNT_CASES])
+def test_descent_counts_what_encode_run_counts(ks, cycle):
+    # decode_run counts each symbol on the nodes its descent does not step
+    # past; encode_run's update walk must leave the same counts and tree
+    rnd = random.Random(f"count:{ks}:{cycle}")
+    for _ in range(4):
+        n = rnd.randint(1, 3000)
+        hot = [rnd.randrange(ks[i]) for i in cycle]
+        p_hot = rnd.choice((0.0, 0.6, 0.97))
+        symbols = [hot[j % len(cycle)] if rnd.random() < p_hot
+                   else rnd.randrange(ks[cycle[j % len(cycle)]])
+                   for j in range(n)]
+        enc_models = [coder.AdaptiveModel(k) for k in ks]
+        dec_models = [coder.AdaptiveModel(k) for k in ks]
+        enc = coder.RangeEncoder()
+        coder.encode_run(enc, [enc_models[i] for i in cycle], symbols)
+        dec = coder.RangeDecoder(enc.finish())
+        assert coder.decode_run(dec, [dec_models[i] for i in cycle], n) == symbols
+        for enc_model, dec_model in zip(enc_models, dec_models):
+            assert dec_model._state == enc_model._state
+            _check_tree(dec_model)
+
+
 def _state(enc, models):
     return ((enc._low, enc._high, enc._pending, enc._acc, enc._nacc,
              bytes(enc._out)),

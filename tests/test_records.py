@@ -2,9 +2,9 @@
 
 The plain classes that compare and hash by their fields, and the named
 tuples, stay equal and hashed by value, and survive copy and pickle.  The
-plain ones take their policy from one base: they refuse assignment, hold no
-``__dict__`` and never equal an object of another class.  ``ExtremeReal``
-is not a tuple: only its own arithmetic and order apply.
+plain ones take their policy from one base: they refuse assignment and
+deletion, hold no ``__dict__`` and never equal an object of another class.
+``ExtremeReal`` is not a tuple: only its own arithmetic and order apply.
 """
 
 import copy
@@ -60,6 +60,8 @@ def test_records_compare_and_hash_by_value(cls, fields, changed):
     for name in names:
         with pytest.raises(AttributeError):
             setattr(a, name, getattr(c, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
     assert a == b
 
 
@@ -71,12 +73,16 @@ PLAIN = [(cls, fields) for cls, fields in BUILT if not hasattr(cls, "_fields")]
 def test_plain_records_share_one_policy(cls, fields):
     a = cls(*fields)
     assert not hasattr(a, "__dict__")
-    assert not {"__setattr__", "__eq__", "__hash__"} & vars(cls).keys()
+    assert not {"__setattr__", "__delattr__", "__eq__", "__hash__"} & vars(cls).keys()
     assert a != a._values() and a._values() != a
     for name in cls.__slots__:
         message = f"{cls.__name__} is immutable: cannot set {name!r}"
         with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
             setattr(a, name, None)
+        message = f"{cls.__name__} is immutable: cannot delete {name!r}"
+        with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
+            delattr(a, name)
+    assert a == cls(*fields)
 
 
 def test_records_of_different_classes_never_compare_equal():
