@@ -25,10 +25,7 @@ symbol is one loop body with no method call (Moffat, Neal & Witten 1998).
 A cycle of one model codes a block; the container's tuple fields are a
 cycle of four.  Pricing is not the kernel's work: the model is
 exchangeable, so a block's ideal length depends on its counts alone, and
-``lossless`` takes it from the inductive likelihood.  Measuring is not
-either: ``coded_bits`` gives the exact coded length of a block, which the
-byte-level baseline needs, from the interval's narrowing alone, since
-every shift of the registers is one bit of output.  :class:`RangeEncoder`
+``lossless`` takes it from the inductive likelihood.  :class:`RangeEncoder`
 and :class:`RangeDecoder` hold only the registers and the stream; the
 tests keep a one-interval coder over those registers as the reference the
 kernel is checked against.
@@ -301,67 +298,3 @@ def decode_block_adaptive(n: int, k: int, decoder: RangeDecoder) -> list:
     """Decode n symbols written by :func:`encode_block_adaptive`."""
     return decode_run(decoder, (AdaptiveModel(k),), n)
 
-
-def coded_bits(symbols: Sequence[int], k: int) -> int:
-    """Exact length in bits of ``finish()`` after
-    :func:`encode_block_adaptive` codes the block into a fresh encoder.
-
-    The length depends only on how the interval narrows, never on the bits
-    written: every renormalization shift emits one bit, at once or as a
-    pending underflow bit, and ``finish`` adds two more and pads to a byte.
-    So this runs the kernel's integer narrowing and sums the shifts, with
-    no bit packing.  Its Fenwick tree covers only the symbols present,
-    indexed by rank: the earlier symbols of lower rank plus s give cum,
-    and one plus the earlier copies of s give c, the integers
-    :class:`AdaptiveModel` holds.  It raises the ValueErrors
-    :func:`encode_run` raises, before allocating anything sized by k or n.
-    """
-    if k < 1:
-        raise ValueError("alphabet must be non-empty")
-    n = len(symbols)
-    if k + n - 1 > MAX_TOTAL:
-        raise ValueError(f"a run of {n} symbols would take the model "
-                         f"total past {MAX_TOTAL}")
-    if not n:
-        return 8
-    lo, hi = min(symbols), max(symbols)
-    if lo < 0 or hi >= k:
-        raise ValueError(f"symbol {lo if lo < 0 else hi} outside alphabet of {k}")
-    present = sorted(set(symbols))
-    rank = {s: r for r, s in enumerate(present, 1)}
-    end = len(present) + 1
-    # node i of the tree counts the earlier copies of the ranks in
-    # (i - lowbit(i), i]; counts[r] is c for rank r
-    tree = [0] * end
-    counts = [1] * end
-    low, high, total, shifts = 0, _MASK, k, 0
-    nbits, mask, quarter = _BITS, _MASK, _QUARTER
-    three_quarter, below_half, half = _THREE_QUARTER, _BELOW_HALF, _HALF
-    for s in symbols:
-        r = rank[s]
-        cum = s
-        i = r - 1
-        while i:
-            cum += tree[i]
-            i &= i - 1
-        c = counts[r]
-        rng = high - low + 1
-        high = low + (rng * (cum + c)) // total - 1
-        low += (rng * cum) // total
-        m = nbits - (low ^ high).bit_length()
-        if m:
-            shifts += m
-            low = (low << m) & mask
-            high = ((high << m) | ((1 << m) - 1)) & mask
-        if quarter <= low and high < three_quarter:
-            m = nbits - 1 - (~(low & ~high) & below_half).bit_length()
-            shifts += m
-            low = (low << m) & below_half
-            high = ((high << m) & below_half) | half | ((1 << m) - 1)
-        counts[r] = c + 1
-        total += 1
-        i = r
-        while i < end:
-            tree[i] += 1
-            i += i & -i
-    return 8 * ((shifts + 9) >> 3)

@@ -23,7 +23,6 @@ import logging
 import math
 import os
 import sys
-import time
 from pathlib import Path
 
 import click
@@ -261,18 +260,15 @@ def analyze(ctx, paths, slack, lam, alpha, out):
 
 
 def _compress_one(ev: EvidenceSet, normalized: str, baseline: bytes,
-                  baseline_source: str, take_baseline) -> tuple[bytes, dict]:
-    """Encode and audit one evidence set.  ``baseline`` is the bytes of the
-    byte-level baseline, labelled ``baseline_source``; ``take_baseline()``
-    gives their Shannon baseline and is called once the container is
-    audited."""
+                  baseline_source: str) -> tuple[bytes, dict]:
+    """Encode and audit one evidence set, and compare it with the
+    byte-level baselines of ``baseline``, labelled ``baseline_source``."""
     blob, report = lossless_encode_report(ev)
     if lossless_decode(blob).normalized_text() != normalized:
         raise click.ClickException(
             "round-trip audit failed: decoded statements differ from input")
     fol = normalized.encode()
-    gzipped = gzip_bits(baseline)
-    shannon = take_baseline()
+    shannon = shannon_baseline(baseline)
     semantic = report.semantic_bits
     record = {
         "semantic_bits": semantic,
@@ -281,87 +277,11 @@ def _compress_one(ev: EvidenceSet, normalized: str, baseline: bytes,
         "baseline_source": baseline_source,
         "breakdown": report.as_json(),
         "fol_text_bits": len(fol) * 8,
-        "gzip_bits": gzipped,
+        "gzip_bits": gzip_bits(baseline),
         "stage1_ratio": (shannon / (len(fol) * 8)) if fol else None,
         "stage2_ratio": ((len(fol) * 8) / semantic) if semantic else None,
     }
     return blob, record
-
-
-class _ByteBaselines:
-    """``shannon_baseline`` of each text, taken in order by ``take()``.
-
-    The byte baseline shares no state with the container.  So where two
-    CPUs are free, one forked child measures every text while the parent
-    encodes and audits the containers, and writes each value to a pipe as
-    one decimal line.  The child runs only the measure and ``os.write``,
-    then ``os._exit``, with status 0 once every line is written: it takes
-    no lock, imports and logs nothing, and never touches the stdio buffers.
-    A value the child does not deliver is measured inline, so every error
-    comes from the parent.  Leaving the ``with`` block early kills the
-    child; either way it is reaped there.
-    """
-
-    def __init__(self, texts: list[bytes]):
-        self._texts = iter(texts)
-        self._pipe = None
-        self._waited = 0.0
-        self._route = "inline: fewer than two CPUs known"
-        if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
-            return
-        try:
-            read, write = os.pipe()
-            try:
-                self._pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-        except OSError as exc:
-            self._route = f"inline: could not fork: {exc}"
-            return
-        if not self._pid:
-            status = 1
-            try:
-                os.close(read)
-                for text in texts:
-                    # one write of under PIPE_BUF bytes is never split
-                    os.write(write, b"%d\n" % shannon_baseline(text))
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write)
-        self._pipe = os.fdopen(read, "rb")
-        self._route = f"child {self._pid}"
-
-    def take(self) -> int:
-        """The next text's baseline: the child's line, or measured here."""
-        text = next(self._texts)
-        if self._pipe is not None:
-            start = time.perf_counter()
-            line = self._pipe.readline()
-            self._waited += time.perf_counter() - start
-            if line.endswith(b"\n"):
-                return int(line)
-        return shannon_baseline(text)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, *_) -> None:
-        if self._pipe is not None:
-            start = time.perf_counter()
-            if exc_type is None:
-                self._pipe.read()  # EOF comes when the child exits
-            else:
-                import signal  # only this early exit needs it
-                os.kill(self._pid, signal.SIGKILL)
-            status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-            self._waited += time.perf_counter() - start
-            self._pipe.close()
-            self._route += f", exit status {status}"
-        log.debug("byte baselines: %s; the parent waited %.3f s",
-                  self._route, self._waited)
 
 
 def _write_container(target: Path, blob: bytes, record: dict) -> None:
@@ -395,16 +315,14 @@ def compress(source, text, out):
             raise click.UsageError(f"--out {outdir} is a file; dataset mode "
                                    "writes a directory of containers")
         outdir.mkdir(parents=True, exist_ok=True)
-        texts = [story.read_text() for story in stories]
         rows = []
-        with _ByteBaselines(texts) as baselines:
-            for story, text in zip(stories, texts):
-                ev, _ = load_evidence(story.evidence_path)
-                blob, record = _compress_one(ev, ev.normalized_text(), text,
-                                             "narrative", baselines.take)
-                _write_container(outdir / f"{story.story_id}.semc", blob, record)
-                rows.append((story.story_id, record["semantic_bits"],
-                             record["shannon_bits"], record["ratio"]))
+        for story in stories:
+            ev, _ = load_evidence(story.evidence_path)
+            blob, record = _compress_one(ev, ev.normalized_text(),
+                                         story.read_text(), "narrative")
+            _write_container(outdir / f"{story.story_id}.semc", blob, record)
+            rows.append((story.story_id, record["semantic_bits"],
+                         record["shannon_bits"], record["ratio"]))
         _write_csv(outdir / "compression.csv",
                    ["story", "semantic_bits", "shannon_bits", "ratio"],
                    ([label, semantic, shannon, f"{ratio:.2f}"]
@@ -425,9 +343,7 @@ def compress(source, text, out):
         baseline, baseline_source = Path(text).read_bytes(), "narrative"
     else:
         baseline, baseline_source = normalized.encode(), "normalized-evidence"
-    with _ByteBaselines([baseline]) as baselines:
-        blob, record = _compress_one(ev, normalized, baseline, baseline_source,
-                                     baselines.take)
+    blob, record = _compress_one(ev, normalized, baseline, baseline_source)
     target = Path(out) if out else src.with_suffix(".semc")
     _write_container(target, blob, record)
     click.echo(f"wrote {target} ({len(blob)} bytes)")

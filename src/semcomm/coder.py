@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from ._coder_py import (BACKEND, MAX_TOTAL, AdaptiveModel, RangeDecoder,
-                        RangeEncoder, coded_bits, decode_block_adaptive,
-                        decode_run, encode_block_adaptive, encode_run)
+                        RangeEncoder, decode_block_adaptive, decode_run,
+                        encode_block_adaptive, encode_run)
 
 __all__ = ["MAX_TOTAL", "AdaptiveModel", "RangeDecoder", "RangeEncoder",
-           "coded_bits", "decode_block_adaptive", "decode_run",
-           "encode_block_adaptive", "encode_run", "get_backend_name"]
+           "decode_block_adaptive", "decode_run", "encode_block_adaptive",
+           "encode_run", "get_backend_name"]
 
 
 def get_backend_name() -> str:

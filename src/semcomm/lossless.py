@@ -11,12 +11,7 @@ kernel pair, ``coder.encode_run``/``decode_run``, codes every section as
 runs over a cycle of models: a name is a one-symbol length run, then a
 byte run; the tuple fields are one run over the four field models (decoded
 in chunks of rows); the statement stream, through
-``encode_block_adaptive``, is a run under one model.  The byte-level
-baseline is the length of such a run over the raw bytes, which
-``coder.coded_bits`` measures from the coder's interval alone, writing no
-bits.  It shares no state with the container, so the ``compress`` command
-measures it in a forked child while it encodes and audits the container,
-where two CPUs are free.
+``encode_block_adaptive``, is a run under one model.
 
 The report prices each section without the coder: the add-one price is
 the next-case rule of a width-k hypothesis at lambda(w) = w, Carnap's
@@ -25,7 +20,10 @@ lambda = k (Carnap 1952), so a section's ideal length is its surprise,
 payload's ideal length is thus the stream's surprise under the width-k
 hypothesis over its k distinct statements.  The likelihood sums the
 counts in sorted order, so reordering the statements leaves every ideal
-length the same float.
+length the same float.  The byte-level baseline is priced by the same
+route, with no coder: the raw bytes are one section over the 256 byte
+values, and ``shannon_baseline`` is the length of a Shannon code for the
+whole text, the least integer at or above its surprise (Shannon 1948).
 
 Container layout (all integers unsigned LEB128 varints):
 
@@ -49,7 +47,6 @@ from .coder import (
     AdaptiveModel,
     RangeDecoder,
     RangeEncoder,
-    coded_bits,
     decode_block_adaptive,
     decode_run,
     encode_block_adaptive,
@@ -292,9 +289,12 @@ def _decode_tuples(dec: RangeDecoder, pred_names: list, ent_names: list,
 
 
 def shannon_baseline(text: bytes) -> int:
-    """Bits of the order-0 adaptive byte-level coding of the text, as
-    ``coder.coded_bits`` measures them without writing the stream."""
-    return coded_bits(text, 256) if text else 0
+    """Bits of a Shannon code for the whole text under the order-0 add-one
+    byte model: the ceiling of -log2 P(text), priced from the byte counts
+    like every container section.  Coding the text with
+    ``encode_block_adaptive`` writes a few bits more, for the coder's
+    finishing bits and byte padding."""
+    return math.ceil(_section_bits(text, 256))
 
 
 def gzip_bits(text: bytes) -> int:

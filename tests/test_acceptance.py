@@ -8,6 +8,7 @@ synthetic streams, and the bundled story corpus driven through the real
 command line.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -35,6 +36,7 @@ from semcomm.xreal import ExtremeReal, lse
 
 from conftest import DATA_DIR, random_model
 from test_coder import _ideal_bits_reference
+from test_lossless import _GOLDEN_CONTAINERS
 
 _DOGMATIC = InductiveParams(lambda_value=math.inf)
 
@@ -284,9 +286,10 @@ def test_dataset_compression_windows(tmp_path):
         assert shannon / semantic >= 0.8 * 8.35, row
 
 
-# the exact byte-level baseline of each story, 8 * len(finish()) of a
-# written coding of its narrative; a drift of even one byte shows here
-_SHANNON_BITS_EXACT = (11840, 12768, 13112, 12616, 9016, 12016, 12320)
+# the exact byte-level baseline of each story: the length of a Shannon
+# code for its narrative, the ceiling of its ideal length under the add-one
+# byte model; a drift of even one bit shows here
+_SHANNON_BITS_EXACT = (11838, 12768, 13106, 12612, 9014, 12015, 12320)
 
 
 def test_dataset_shannon_bits_exact(tmp_path):
@@ -297,19 +300,20 @@ def test_dataset_shannon_bits_exact(tmp_path):
     assert tuple(int(line.split(",")[2]) for line in lines[1:]) == _SHANNON_BITS_EXACT
 
 
-# each story's .report.json breakdown and shannon_bits, recorded while the
-# per-symbol loop priced the sections; gzip_bits is left out, since it
-# depends on the zlib build
+# each story's .report.json breakdown, recorded while the per-symbol loop
+# priced the sections, and its shannon_bits, as above; gzip_bits is left
+# out, since it depends on the zlib build.  The containers the command
+# writes must match the library's golden digests.
 _REPORT_FIELDS = ("semantic_bits", "header_bits", "coded_block_bits",
                   "dictionary_bits_ideal", "payload_bits_ideal",
                   "n_statements", "alphabet_size", "shannon_bits")
 _REPORT_GOLDEN = {
-    "story1": (928, 112, 816, 698.62, 116.32, 27, 16, 11840),
+    "story1": (928, 112, 816, 698.62, 116.32, 27, 16, 11838),
     "story2": (1056, 112, 944, 792.0, 149.45, 33, 19, 12768),
-    "story3": (992, 112, 880, 768.13, 105.0, 24, 16, 13112),
-    "story4": (1000, 112, 888, 770.96, 109.32, 25, 16, 12616),
-    "story5": (1096, 112, 984, 829.74, 149.45, 33, 19, 9016),
-    "story6": (1000, 112, 888, 756.44, 124.96, 28, 17, 12016),
+    "story3": (992, 112, 880, 768.13, 105.0, 24, 16, 13106),
+    "story4": (1000, 112, 888, 770.96, 109.32, 25, 16, 12612),
+    "story5": (1096, 112, 984, 829.74, 149.45, 33, 19, 9014),
+    "story6": (1000, 112, 888, 756.44, 124.96, 28, 17, 12015),
     "story7": (880, 112, 768, 669.37, 96.56, 23, 14, 12320),
 }
 
@@ -322,6 +326,8 @@ def test_dataset_reports_golden(tmp_path):
         report = json.loads((out / f"{story}.report.json").read_text())
         assert report["breakdown"] == dict(zip(_REPORT_FIELDS[:-1], row[:-1]))
         assert report["shannon_bits"] == row[-1]
+        container = (out / f"{story}.semc").read_bytes()
+        assert hashlib.sha256(container).hexdigest() == _GOLDEN_CONTAINERS[story]
 
 
 # --- 7. codec round trips ----------------------------------------------

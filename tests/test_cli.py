@@ -1,6 +1,5 @@
 """Command-line behavior, file outputs, and exit codes."""
 
-import errno
 import hashlib
 import json
 import logging
@@ -454,86 +453,12 @@ def test_decompress_bad_name_is_one_error_line(runner, tmp_path):
     assert not container.with_suffix(".fol").exists()
 
 
-# --- compress: the byte baseline measured in a child or inline ----------
-
-needs_fork = pytest.mark.skipif(
-    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
-    reason="the byte baseline is measured inline on this platform")
+# --- compress: a fault stops the dataset at its story ----------------
 
 
-def _force_route(monkeypatch, route):
-    """Make compress measure its byte baselines in a forked child
-    ("child"), or inline because one CPU is free ("one-cpu") or the fork
-    fails ("fork-fails").  Returns the list that counts fork calls."""
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(os.getpid())
-        if route == "fork-fails":
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    cpus = {0} if route == "one-cpu" else {0, 1}
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    return forks
-
-
-def _compress_outputs(out, forks):
-    """Every file and stdout of a dataset compress of the seven stories and
-    of single-file compresses of story1 with and without --text; checks
-    that each command forks at most once."""
-    runner = CliRunner()
-    outputs = {}
-    for name, args in [
-            ("dataset", [str(DATA_DIR), "--out", str(out / "packed")]),
-            ("single", [str(DATA_DIR / "story1.fol"), "--out",
-                        str(out / "single.semc")]),
-            ("text", [str(DATA_DIR / "story1.fol"), "--text",
-                      str(DATA_DIR / "story1.txt"), "--out",
-                      str(out / "text.semc")])]:
-        before = len(forks)
-        res = runner.invoke(main, ["compress", *args])
-        assert res.exit_code == 0, res.output
-        assert len(forks) - before <= 1
-        outputs[name] = res.stdout_bytes.replace(str(out).encode(), b"OUT")
-    for path in sorted(out.rglob("*.*")):
-        outputs[path.relative_to(out).as_posix()] = path.read_bytes()
-    return outputs
-
-
-@needs_fork
-@pytest.mark.parametrize("route", ["one-cpu", "fork-fails"])
-def test_compress_routes_write_the_same_bytes(tmp_path, monkeypatch, caplog,
-                                              route):
-    from test_lossless import _GOLDEN_CONTAINERS
-
-    caplog.set_level(logging.DEBUG, logger="semcomm.cli")
-    with monkeypatch.context() as patch:
-        forks = _force_route(patch, "child")
-        child = _compress_outputs(tmp_path / "child", forks)
-    assert len(forks) == 3  # one child per command, not one per story
-    forks = _force_route(monkeypatch, route)
-    assert _compress_outputs(tmp_path / route, forks) == child
-    assert len(forks) == (3 if route == "fork-fails" else 0)
-    for story, digest in _GOLDEN_CONTAINERS.items():
-        assert hashlib.sha256(child[f"packed/{story}.semc"]).hexdigest() == digest
-    routes = [r.getMessage() for r in caplog.records
-              if r.getMessage().startswith("byte baselines: ")]
-    assert len(routes) == 6  # one line per command
-    reason = "fewer than two CPUs" if route == "one-cpu" else "could not fork"
-    assert all(", exit status 0; the parent waited " in line
-               for line in routes[:3]), routes
-    assert all(line.startswith(f"byte baselines: inline: {reason}")
-               for line in routes[3:]), routes
-
-
-@needs_fork
 @pytest.mark.parametrize("fault", ["long name", "arity conflict",
                                    "unwritable out", "single-file out"])
-def test_failed_compress_leaves_no_child(runner, tmp_path, monkeypatch, fault):
-    forks = _force_route(monkeypatch, "child")
+def test_failed_compress_stops_at_the_faulty_story(runner, tmp_path, fault):
     corpus = tmp_path / "corpus"
     shutil.copytree(DATA_DIR, corpus)
     story3 = corpus / "story3.fol"
@@ -548,33 +473,9 @@ def test_failed_compress_leaves_no_child(runner, tmp_path, monkeypatch, fault):
     else:
         args = [str(story3), "--out", str(tmp_path / "missing" / "s.semc")]
     _one_error_line(runner.invoke(main, ["compress", *args]))
-    assert len(forks) == 1
     if fault != "single-file out":
         assert (out / "story2.report.json").is_file()
         assert not (out / "story3.report.json").exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@needs_fork
-def test_failed_child_is_measured_inline(tmp_path, monkeypatch, caplog):
-    with monkeypatch.context() as patch:
-        expected = _compress_outputs(tmp_path / "inline",
-                                     _force_route(patch, "one-cpu"))
-    parent = os.getpid()
-    measure = cli.shannon_baseline
-
-    def dies_in_child(text):
-        if os.getpid() != parent:
-            os._exit(3)
-        return measure(text)
-
-    monkeypatch.setattr(cli, "shannon_baseline", dies_in_child)
-    caplog.set_level(logging.DEBUG, logger="semcomm.cli")
-    forks = _force_route(monkeypatch, "child")
-    assert _compress_outputs(tmp_path / "child", forks) == expected
-    assert len(forks) == 3
-    assert caplog.text.count(", exit status 3; ") == 3
 
 
 # --- lossy -------------------------------------------------------------

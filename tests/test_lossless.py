@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcomm import lossless
+from semcomm.coder import RangeEncoder, encode_block_adaptive
 from semcomm.errors import DecodeError
 from semcomm.fol import AtomicStatement, EvidenceSet, parse_evidence
 from semcomm.lossless import (_write_uvarint, gzip_bits, lossless_decode,
@@ -355,6 +356,53 @@ def test_shannon_baseline_random_near_eight():
 def test_shannon_baseline_repetitive_compresses():
     text = b"the quick brown fox " * 200
     assert shannon_baseline(text) < 8 * len(text) * 0.8
+
+
+def _baseline_against_a_coding(text: bytes) -> tuple[int, int]:
+    """Check the baseline and a real coding of the text against the
+    per-symbol oracle; returns both lengths in bits.
+
+    The baseline is the least integer at or above the ideal length I.  The
+    closed form and the oracle sum the same logs in different orders, so
+    the comparison allows a relative 1e-9.
+
+    A coding writes between I and I + 9 bits.  Let S be the bits the coder
+    has shifted out (pending underflow bits included) after the last
+    symbol, R its register range and W the width of the coded interval,
+    the product of the ranges' ratios.  Renormalization keeps the width,
+    so W = R / 2^(32 + S), and after renormalizing 2^30 < R <= 2^32: the
+    top bits of low and high differ and no underflow step is left.  So
+    -log2 W - 2 < S <= -log2 W.  ``finish`` writes the pending bits and 2
+    more, then pads to a byte: 8 * len(finish()) lies in [S + 2, S + 9].
+    Each narrowing floors both endpoints, so it shrinks the range by its
+    probability times a factor within T / rng of 1, with the model total
+    T <= n + 255 and rng > 2^30.  That puts -log2 W within ``drift`` of I,
+    0.011 bits on the longest bundled narrative."""
+    ideal = _ideal_bits_reference(text, 256)
+    tol = 1e-9 * ideal
+    bits = shannon_baseline(text)
+    assert ideal - tol <= bits < ideal + tol + 1
+    enc = RangeEncoder()
+    encode_block_adaptive(text, 256, enc)
+    written = 8 * len(enc.finish())
+    x = (len(text) + 255) / 2 ** 30
+    drift = len(text) * x / (1 - x) / math.log(2)
+    assert ideal - tol - drift < written <= ideal + 9 + tol + drift
+    return bits, written
+
+
+@pytest.mark.parametrize("story", [f"story{i}" for i in range(1, 8)])
+def test_shannon_baseline_is_the_ceiling_of_the_ideal_on_narratives(story):
+    bits, written = _baseline_against_a_coding(
+        (DATA_DIR / f"{story}.txt").read_bytes())
+    # a coding's length is an integer above the ideal, so at least its ceiling
+    assert bits <= written
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=3000))
+def test_shannon_baseline_is_the_ceiling_of_the_ideal(text):
+    _baseline_against_a_coding(text)
 
 
 def test_gzip_bits_positive():
