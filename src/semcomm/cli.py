@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import logging
 import math
 import os
 import sys
@@ -39,7 +38,17 @@ from .measures import (MessagePartition, UniverseSignature, cont_entropy,
                        inf_entropy, scale_entropies)
 from .sublang import SubLanguageConfig, build_sublanguage
 
-log = logging.getLogger("semcomm.cli")
+
+def _log(level: str, msg: str, *args) -> None:
+    """Log one ``info`` or ``debug`` line on the ``semcomm.cli`` logger.
+
+    Only once something has imported logging: until then no handler is
+    set up, and an unconfigured logger drops such lines anyway, so the
+    cold start need not load it.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        getattr(logging.getLogger("semcomm.cli"), level)(msg, *args)
 
 
 def _parse_lambda(text: str) -> float | None:
@@ -124,6 +133,7 @@ def main(ctx, seed):
     """Semantic information measures and semantic compression."""
     level = os.environ.get("SEMCOMM_LOG")
     if level:
+        import logging
         logging.basicConfig(
             level=getattr(logging, level.upper(), logging.INFO),
             format="%(levelname)s %(name)s: %(message)s")
@@ -247,7 +257,7 @@ def analyze(ctx, paths, slack, lam, alpha, out):
             _write_json(outdir / f"{label}.json", record)
         _write_csv(outdir / "summary.csv",
                    ["story", "normalized", "min_scaled", "max_scaled"], table)
-        log.info("wrote %d reports to %s", len(rows), outdir)
+        _log("info", "wrote %d reports to %s", len(rows), outdir)
     _echo_lines([
         f"{'source':<12}{'normalized':>14}{'min_scaled':>14}{'max_scaled':>14}",
         *(f"{label:<12}{value:>14}{lo:>14}{hi:>14}"
@@ -422,12 +432,12 @@ def lossy(evidence, slack, lam, alpha, betas, dstar, out):
 
     ev, _ = load_evidence(evidence)
     sl = build_sublanguage(ev, SubLanguageConfig(slack=slack))
-    log.debug("sub-language: K=%d, c=%d", sl.big_k, sl.summary.c)
+    _log("debug", "sub-language: K=%d, c=%d", sl.big_k, sl.summary.c)
     model = InductiveModel(sl, params)
     source = MessagePartition.from_model(model)
     receiver = receiver_prior(sl, params)
     alphabet = candidate_reconstructions(model)
-    log.info("alphabet: %d reconstruction sentences", len(alphabet))
+    _log("info", "alphabet: %d reconstruction sentences", len(alphabet))
 
     cap = content_cap(source, alphabet, receiver)
     if dstar is not None:

@@ -37,6 +37,19 @@ terms near beta ln2 times the payoff, and any other grouping of those
 terms rounds each row's mass differently, by about 1e-13, which beta
 carries into the objective.
 
+A sweep solves its whole multiplier grid in one loop.  The quotient is
+stacked once per multiplier, and each pass of the loop advances every
+multiplier still in the stack, which a multiplier leaves when its rate
+settles, when its objective rises, or at the pass cap; so a sweep takes
+as many passes as its slowest multiplier, not the sum of all of theirs.
+Each multiplier gets the floats that a stack of it alone gives: every
+step but the sums and the log-sum folds acts entry by entry.  Each
+channel of the stack is held transposed and C-ordered, so its block of
+memory is the column-major layout of the quotient's payoff, and each sum
+reduces that block in memory order, as a sum over one channel does; the
+log-sum folds run along one axis within each channel, in index order.
+A multiplier that leaves is indexed out of the stack, not carried along.
+
 A reconstruction only transmits content when the source message entails
 it: weakening a true description keeps it true, while a reconstruction
 that rules the source out misleads rather than informs, so its payoff is
@@ -209,21 +222,30 @@ def _tally(lens: list[int], labels: np.ndarray, n_labels: int) -> np.ndarray:
 
 def _mutual_bits(ln_p: np.ndarray, ln_cond: np.ndarray, payoff: np.ndarray,
                  starts: np.ndarray, lens: np.ndarray, ln_share: np.ndarray
-                 ) -> tuple[float, float, np.ndarray]:
-    """Mutual information (bits), mean payoff and log output marginal.
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mutual information (bits), mean payoff and log output marginal of
+    each channel of a stack.
 
-    The marginal a column class receives, its ``lens`` columns from
-    ``starts`` on, is split among them by their log shares ``ln_share``.
+    ``ln_cond`` holds one channel per multiplier, and ``payoff`` the
+    quotient's, each transposed: one line per column, one entry per row.
+    A rate may round to just below zero.  The marginal a column class
+    receives, its ``lens`` columns from ``starts`` on, is split among them
+    by their log shares ``ln_share``.
     A class of one column keeps its own marginal bit for bit: its sum is
     that one term, and its share is exactly 0.0.
     """
-    ln_joint = ln_p[:, None] + ln_cond
-    ln_q = np.logaddexp.reduce(ln_joint, axis=0)
-    ln_q = np.repeat(np.logaddexp.reduceat(ln_q, starts), lens) + ln_share
+    ln_joint = ln_p + ln_cond
+    # the marginal folds each column in row order, as a reduce along the
+    # last axis does, but down the rows of a contiguous transpose, which
+    # runs long inner loops in place of one short one per column
+    ln_q = np.logaddexp.reduce(
+        np.ascontiguousarray(ln_joint.transpose(0, 2, 1)), axis=1)
+    ln_q = np.repeat(np.logaddexp.reduceat(ln_q, starts, axis=1), lens,
+                     axis=1) + ln_share
     w = np.exp(ln_joint)
     # every log here is finite, since rows of zero weight are dropped
-    rate = max(float((w * (ln_cond - ln_q)).sum()) / _LN2, 0.0)
-    return rate, float((w * payoff).sum()), ln_q
+    rate = np.add.reduce(w * (ln_cond - ln_q[:, :, None]), axis=(1, 2)) / _LN2
+    return rate, np.add.reduce(w * payoff, axis=(1, 2)), ln_q
 
 
 class _Quotient(NamedTuple):
@@ -309,49 +331,82 @@ def _lump(ln_p: np.ndarray, payoff: np.ndarray) -> _Quotient:
     # column-major: a pass's sums fold in memory order, and this order
     # keeps a channel with no rows to merge on the full channel's iterates
     first_rows = np.asfortranarray(atoms[reps][:, order])
-    log.debug("quotient channel: %d weighted rows in %d classes, "
-              "%d reconstructions in %d classes, %d nonzero blocks",
-              len(ln_w), len(reps), payoff.shape[1], len(lens),
-              np.count_nonzero(np.maximum.reduceat(first_rows, starts, axis=1)))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("quotient channel: %d weighted rows in %d classes, "
+                  "%d reconstructions in %d classes, %d nonzero blocks",
+                  len(ln_w), len(reps), payoff.shape[1], len(lens),
+                  np.count_nonzero(np.maximum.reduceat(first_rows, starts,
+                                                       axis=1)))
     ln_mult = np.log(mult)
     return _Quotient(ln_w[reps] + np.log(np.bincount(rows)),
                      ln_mult - math.log(payoff.shape[1]), first_rows, starts,
                      lens, ln_mult - ln_size[cols])
 
 
-def _ba_point(channel: _Quotient, beta: float, max_iters: int,
-              tol: float) -> RDPoint:
+def _ba_grid(channel: _Quotient, betas: tuple[float, ...], max_iters: int,
+             tol: float) -> list[RDPoint]:
+    """One solved point per multiplier of ``betas``, in step on one stack.
+
+    Each pass advances every multiplier still in the stack; one leaves it
+    when its rate settles, when its objective rises, or at ``max_iters``
+    passes (see the module docstring).  The points come back, and are
+    logged, in grid order; a rising objective raises for the first
+    multiplier in that order whose objective rose, after logging the
+    points before it.
+    """
     ln_p, ln_start, payoff, *split = channel
-    tilt = beta * _LN2 * payoff
+    payoff = payoff.T  # C-ordered: line j holds column j of every row
+    todo = list(range(len(betas)))  # grid index of each channel in the stack
+    tilt = (np.array(betas) * _LN2)[:, None, None] * payoff
     # each pass tilts the output marginal its predecessor measured the
     # rate on, so the marginal is reduced once per pass
-    ln_q = np.logaddexp.reduce(ln_p[:, None] + ln_start, axis=0)
-    prev_rate = math.inf
-    prev_obj = math.inf
-    converged = False
+    ln_q = np.logaddexp.reduce(ln_p[:, None] + ln_start, axis=0)[None, :]
+    last = [(math.inf, math.inf)] * len(betas)  # rate and objective
+    solved: dict[int, RDPoint | RuntimeError] = {}
     for iterations in range(1, max_iters + 1):
-        ln_cond = ln_q[None, :] + tilt
-        # the row normalizer folds each row in column order, as a reduce
-        # along axis 1 does, but down the rows of a contiguous transpose
-        ln_cond = ln_cond - np.logaddexp.reduce(
-            np.ascontiguousarray(ln_cond.T), axis=0)[:, None]
-        rate, mean_payoff, ln_q = _mutual_bits(ln_p, ln_cond, payoff, *split)
-        obj = rate - beta * mean_payoff
-        rise = obj - prev_obj
-        if rise > _MONOTONE_SLACK and rise > _MONOTONE_REL * abs(prev_obj):
-            raise RuntimeError(f"objective increased from {prev_obj!r} to "
-                               f"{obj!r} at beta={beta:g}")
-        prev_obj = obj
-        if abs(rate - prev_rate) < tol:
-            converged = True
-            break
-        prev_rate = rate
-    log.debug("beta=%g: %d iterations, converged=%s, objective=%r",
-              beta, iterations, converged, obj)
-    if not converged:
-        log.warning("beta=%g stopped after %d passes without converging",
-                    beta, iterations)
-    return RDPoint(rate, mean_payoff, beta, iterations, converged, obj)
+        ln_cond = ln_q[:, :, None] + tilt
+        # the row normalizer folds each row in column order
+        ln_cond -= np.logaddexp.reduce(ln_cond, axis=1)[:, None, :]
+        rates, means, ln_q = _mutual_bits(ln_p, ln_cond, payoff, *split)
+        # the checks run on Python floats: a stack near one channel costs
+        # less that way than a dozen numpy calls a pass
+        stay = []  # the stack stays in grid order
+        for i, (g, rate, mean_payoff) in enumerate(
+                zip(todo, rates.tolist(), means.tolist())):
+            rate = max(rate, 0.0)  # rounding may take it below zero
+            prev_rate, prev_obj = last[i]
+            obj = rate - betas[g] * mean_payoff
+            rise = obj - prev_obj
+            settled = abs(rate - prev_rate) < tol
+            if rise > _MONOTONE_SLACK and rise > _MONOTONE_REL * abs(prev_obj):
+                solved[g] = RuntimeError(f"objective increased from "
+                                         f"{prev_obj!r} to {obj!r} at "
+                                         f"beta={betas[g]:g}")
+                break  # no point after it in grid order is reported
+            elif settled or iterations == max_iters:
+                solved[g] = RDPoint(rate, mean_payoff, betas[g], iterations,
+                                    settled, obj)
+            else:
+                stay.append(i)
+                last[i] = rate, obj
+        if len(stay) < len(todo):
+            if not stay:
+                break
+            todo, last = [todo[i] for i in stay], [last[i] for i in stay]
+            tilt, ln_q = tilt[stay], ln_q[stay]
+    points = []
+    for g in range(len(betas)):
+        point = solved[g]
+        if isinstance(point, RuntimeError):
+            raise point
+        log.debug("beta=%g: %d iterations, converged=%s, objective=%r",
+                  point.beta, point.iterations, point.converged,
+                  point.objective)
+        if not point.converged:
+            log.warning("beta=%g stopped after %d passes without converging",
+                        point.beta, point.iterations)
+        points.append(point)
+    return points
 
 
 def _argmax_point(p: np.ndarray, payoff: np.ndarray) -> RDPoint:
@@ -366,9 +421,8 @@ def _argmax_point(p: np.ndarray, payoff: np.ndarray) -> RDPoint:
 def _solve_grid(source: MessagePartition, payoff: np.ndarray,
                 cfg: LossyConfig) -> list[RDPoint]:
     """One solved point per multiplier of the grid, all on one quotient."""
-    channel = _lump(np.array(source.ln_probs), payoff)
-    return [_ba_point(channel, beta, _MAX_ITERS, _TOL)
-            for beta in cfg.beta_grid]
+    return _ba_grid(_lump(np.array(source.ln_probs), payoff), cfg.beta_grid,
+                    _MAX_ITERS, _TOL)
 
 
 def lossy_optimize(source: MessagePartition, reconstruction_alphabet: list[Sentence],

@@ -548,31 +548,42 @@ def test_lossy_debug_log_explains_the_run(runner, evidence_file, tmp_path,
                       for b in (0, 4)]
 
 
-# SHA-256 of the lossy CSV of each bundled story at --slack 0, 1, 2, 3; at
+# SHA-256 of the lossy CSV of each bundled story at --slack 0 to 6; at
 # slack 0 the sender has one message, so every story has the one-point
 # frontier of _ONE_ROW, and each column class of the channel holds one
-# column; stories 1, 3, 4 and 6 share one frontier per slack, as do 2 and 5
+# column; stories 1, 3, 4 and 6 share one frontier per slack, as do 2 and
+# 5.  From slack 4 on the grids hold beta = 64 points that stop at the
+# pass cap, the longest runs of the sweep's stacked loop
 _ONE_ROW = "6b13c0843d47057436c2f47d8c33f980483f0f1ab8668b672c732c360c273b0d"
 _FRONTIER_A = (_ONE_ROW,
                "65bcb6493510eebc60b2e343bf5122ca030db6c80b6172ccbae4997fb1dfd9f4",
                "dd11ae9807b4a5872d7476135f339bf9839837b6fb57d11350993ac0502bb2bf",
-               "ec9e12399a6551e7e6fe8c6c40c9b7e446ec3f9ff75b74ee69c42e9390326a28")
+               "ec9e12399a6551e7e6fe8c6c40c9b7e446ec3f9ff75b74ee69c42e9390326a28",
+               "49a43a35f603db8e909add07fc7b3755ce6fbd371bae701031a441cc2a5cc7f2",
+               "eac0d9118b77e194cf5dfba6006d76744666342262b89e5c66946f5e1dd242d4",
+               "9598a3cf65244909e708b23e1b2d6a08409c38c03de7f0e63d4d76bb55815047")
 _FRONTIER_B = (_ONE_ROW,
                "b9fb9e49fa4260027676c560ffc940e05c8b04b2b81a221718ac22605e873edf",
                "717a3a96654de10efe72f09a27ba1e2fa29b258944f4e9784a9042eb99dac6e4",
-               "10fcd5915c43499398f1b978d08ed09f0edf09971a779708844c0860d24c860e")
+               "10fcd5915c43499398f1b978d08ed09f0edf09971a779708844c0860d24c860e",
+               "906be14b9628fa7f55a80c123677f04d8fd6e59a3acd4983fcd614238eec2176",
+               "991eadde60854bac4a9cbd268a78446dd0fb773609c3e1d89078c1fb0fa9d4b7",
+               "decffee1e8d7d36b60939fb437ffb12c4d1157b9094d62436c8143beb06288af")
 _LOSSY_CSV_SHA256 = {
     "story1": _FRONTIER_A, "story2": _FRONTIER_B, "story3": _FRONTIER_A,
     "story4": _FRONTIER_A, "story5": _FRONTIER_B, "story6": _FRONTIER_A,
     "story7": (_ONE_ROW,
                "6b479b653fea7bea02df2befd7a048e8ab7be46f9d1b7e233796adbf9b232de1",
                "f9a06348cedb750ef415682990220be0f5a96e6cdfa75f7e7052ec97c47e146c",
-               "6d6028b18d90dd2eac753618c7f06b63326992820278c234e840720bce848e98"),
+               "6d6028b18d90dd2eac753618c7f06b63326992820278c234e840720bce848e98",
+               "ec412cf747c02862327db041d2cb1b74de4f2fc0ddaf244a32e789e8f3ed4b15",
+               "078ff1edf244f01d3073fab6534ca86d79b6c2811405b9193e7dbe77731b06b2",
+               "cf2239026e106e39614d377499cfc4a8c74d06245286634073e21e511ad6434d"),
 }
 
 
 @pytest.mark.parametrize("story", sorted(_LOSSY_CSV_SHA256))
-@pytest.mark.parametrize("slack", [0, 1, 2, 3])
+@pytest.mark.parametrize("slack", range(7))
 def test_lossy_csv_golden(runner, tmp_path, story, slack):
     out = tmp_path / "rd.csv"
     res = runner.invoke(main, ["lossy", str(DATA_DIR / f"{story}.fol"),
@@ -778,15 +789,15 @@ def test_observations_below_kinds_is_one_error_line(runner, tiny_corpus):
     assert line == "Error: a: cannot spread 2 observations over 3 kinds"
 
 
-# the cold start loads none of dataclasses, hashlib, signal or numpy;
-# then analyze alone imports hashlib, lossy alone numpy, compress signal
-# only when it kills its child early, and no command imports dataclasses
+# the cold start loads none of dataclasses, hashlib, signal, numpy or
+# logging; then analyze alone imports hashlib, lossy alone numpy and
+# logging, and no command imports dataclasses or signal
 _COLD_START = """
 import sys
 from semcomm.cli import main
 from semcomm.errors import clip
 
-LAZY = ("dataclasses", "hashlib", "signal", "numpy")
+LAZY = ("dataclasses", "hashlib", "signal", "numpy", "logging")
 
 
 def check(step, absent):
@@ -801,8 +812,10 @@ for args, absent in ((["compress", story, "--out", work + "/s.semc"], LAZY),
                      (["decompress", work + "/s.semc", "--out", work + "/s.fol"], LAZY),
                      (["pac", "3"], LAZY),
                      (["converge", story], LAZY),
-                     (["analyze", story], ("dataclasses", "numpy")),
-                     (["lossy", story, "--out", work + "/s.csv"], ("dataclasses",))):
+                     (["analyze", story],
+                      ("dataclasses", "signal", "numpy", "logging")),
+                     (["lossy", story, "--out", work + "/s.csv"],
+                      ("dataclasses", "signal"))):
     main.main(args=args, standalone_mode=False)
     check(args[0], absent)
 
@@ -820,6 +833,19 @@ def test_commands_start_without_numpy(tmp_path):
         [sys.executable, "-c", _COLD_START, str(DATA_DIR / "story1.fol"),
          str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_log_variable_turns_on_progress_lines(tmp_path):
+    # the cold start skips logging, so SEMCOMM_LOG must load it
+    env = dict(os.environ, SEMCOMM_LOG="info",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "semcomm.cli", "analyze",
+         str(DATA_DIR / "story1.fol"), "--out", str(tmp_path / "reports")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (f"INFO semcomm.cli: wrote 1 reports to {tmp_path / 'reports'}"
+            in proc.stderr.splitlines())
 
 
 @pytest.mark.parametrize("command", ["compress", "decompress", "lossy",

@@ -3,6 +3,7 @@
 import functools
 import io
 import itertools
+import logging
 import math
 import random
 import runpy
@@ -15,7 +16,7 @@ from semcomm import lossy
 from semcomm.errors import DomainMismatchError, InfeasibleTargetError
 from semcomm.fol import parse_evidence
 from semcomm.inductive import InductiveModel, InductiveParams, constituent_prior
-from semcomm.lossy import (LossyConfig, RDPoint, _argmax_point, _ba_point,
+from semcomm.lossy import (LossyConfig, RDPoint, _argmax_point, _ba_grid,
                            _lump, candidate_reconstructions, content_cap,
                            lossy_optimize, payoff_matrix, rd_sweep,
                            receiver_prior, relative_informativeness)
@@ -56,7 +57,7 @@ def _grid_min_3(probs, payoff, beta, steps=30):
 def test_solver_matches_grid_two_by_two(beta):
     probs = np.array([0.35, 0.65])
     payoff = np.array([[1.0, 0.2], [0.1, 0.8]])
-    point = _ba_point(_lump(_ln_probs(probs), payoff), beta, 2000, 1e-12)
+    point = _ba_grid(_lump(_ln_probs(probs), payoff), (beta,), 2000, 1e-12)[0]
     got = point.rate_bits - beta * point.cont_info
     want = _grid_min_2(probs, payoff, beta)
     assert abs(got - want) <= 1e-3
@@ -67,7 +68,7 @@ def test_solver_matches_grid_three_by_three(beta):
     rnd = np.random.default_rng(17)
     probs = np.array([0.5, 0.3, 0.2])
     payoff = rnd.uniform(0.0, 1.0, size=(3, 3))
-    point = _ba_point(_lump(_ln_probs(probs), payoff), beta, 4000, 1e-13)
+    point = _ba_grid(_lump(_ln_probs(probs), payoff), (beta,), 4000, 1e-13)[0]
     got = point.rate_bits - beta * point.cont_info
     want = _grid_min_3(probs, payoff, beta)
     assert abs(got - want) <= 1e-3
@@ -76,7 +77,7 @@ def test_solver_matches_grid_three_by_three(beta):
 def test_zero_beta_spends_no_rate():
     probs = np.array([0.25, 0.25, 0.5])
     payoff = np.random.default_rng(2).uniform(size=(3, 4))
-    point = _ba_point(_lump(_ln_probs(probs), payoff), 0.0, 500, 1e-12)
+    point = _ba_grid(_lump(_ln_probs(probs), payoff), (0.0,), 500, 1e-12)[0]
     assert point.rate_bits <= 1e-9
 
 
@@ -85,11 +86,12 @@ def test_rising_objective_is_an_error(monkeypatch):
     calls = iter(range(1, 1000))
     monkeypatch.setattr(lossy, "_mutual_bits",
                         lambda ln_p, ln_cond, payoff, *split: (
-                            float(next(calls)), 0.0, ln_cond[0]))
+                            np.full(len(ln_cond), float(next(calls))),
+                            np.zeros(len(ln_cond)), ln_cond[:, :, 0]))
     probs = np.array([0.4, 0.6])
     payoff = np.array([[0.9, 0.3], [0.2, 0.7]])
     with pytest.raises(RuntimeError, match="objective increased"):
-        _ba_point(_lump(_ln_probs(probs), payoff), 1.0, 50, 1e-12)
+        _ba_grid(_lump(_ln_probs(probs), payoff), (1.0,), 50, 1e-12)
 
 
 @pytest.mark.parametrize("rise, raises", [(1e-13, False), (1e-6, True)])
@@ -100,13 +102,15 @@ def test_objective_slack_scales_with_its_size(monkeypatch, rise, raises):
     payoffs = iter([big, big * (1 - rise)])
     monkeypatch.setattr(lossy, "_mutual_bits",
                         lambda ln_p, ln_cond, payoff, *split: (
-                            0.0, next(payoffs), ln_cond[0]))
+                            np.zeros(len(ln_cond)),
+                            np.full(len(ln_cond), next(payoffs)),
+                            ln_cond[:, :, 0]))
     channel = _lump(_ln_probs(np.array([0.4, 0.6])), np.array([[0.9, 0.3], [0.2, 0.7]]))
     if raises:
         with pytest.raises(RuntimeError, match="objective increased"):
-            _ba_point(channel, 1.0, 2, 1e-12)
+            _ba_grid(channel, (1.0,), 2, 1e-12)
     else:
-        assert _ba_point(channel, 1.0, 2, 1e-12).converged
+        assert _ba_grid(channel, (1.0,), 2, 1e-12)[0].converged
 
 
 def _dense_mutual_bits(ln_p, ln_cond, payoff):
@@ -140,7 +144,7 @@ def _dense_ba(ln_p, payoff, beta, max_iters, tol):
 
 
 def _assert_matches_dense(ln_p, payoff, beta, max_iters=500, tol=1e-10):
-    point = _ba_point(_lump(ln_p, payoff), beta, max_iters, tol)
+    point = _ba_grid(_lump(ln_p, payoff), (beta,), max_iters, tol)[0]
     rate, info, iterations, converged = _dense_ba(ln_p, payoff, beta,
                                                   max_iters, tol)
     assert (point.iterations, point.converged) == (iterations, converged)
@@ -149,10 +153,10 @@ def _assert_matches_dense(ln_p, payoff, beta, max_iters=500, tol=1e-10):
     assert point.objective == pytest.approx(rate - beta * info, abs=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_lumped_solver_matches_dense_on_random_channels(seed):
-    # zero-weight rows and columns equal on every weighted row are what
-    # the solver lumps; the zero-weight rows still tell those columns apart
+def _random_channel(seed):
+    """Source weights and payoffs with zero-weight rows and columns equal
+    on every weighted row, which is what the solver lumps; the zero-weight
+    rows still tell those columns apart."""
     rnd = np.random.default_rng(seed)
     n = int(rnd.integers(2, 8))
     probs = rnd.dirichlet(np.ones(n))
@@ -163,24 +167,123 @@ def test_lumped_solver_matches_dense_on_random_channels(seed):
     payoff = base[:, rnd.integers(0, base.shape[1], size=int(rnd.integers(2, 12)))]
     payoff[probs == 0.0] = rnd.uniform(0.0, 1.0, size=(int((probs == 0.0).sum()),
                                                        payoff.shape[1]))
+    return probs, payoff
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lumped_solver_matches_dense_on_random_channels(seed):
+    probs, payoff = _random_channel(seed)
     for beta in (0.0, 0.5, 2.0, 8.0, 64.0):
         _assert_matches_dense(_ln_probs(probs), payoff, beta)
     # a pass budget too small to settle is reported, not hidden
-    assert not _ba_point(_lump(_ln_probs(probs), payoff), 64.0, 1, 1e-10).converged
+    channel = _lump(_ln_probs(probs), payoff)
+    assert not _ba_grid(channel, (64.0,), 1, 1e-10)[0].converged
 
 
-@pytest.mark.parametrize("story, slack", [("story1", 4), ("story3", 3),
-                                          ("story5", 2), ("story7", 1)])
-def test_lumped_solver_matches_dense_on_stories(story, slack):
+def _story_payoff(story, slack):
     ev = parse_evidence(DATA_DIR / f"{story}.fol")
     sl = build_sublanguage(ev, SubLanguageConfig(slack=slack))
     assert sl.big_k <= 8
     model = InductiveModel(sl)
     source = MessagePartition.from_model(model)
-    payoff = payoff_matrix(source, candidate_reconstructions(model),
-                           receiver_prior(sl))
+    return source, payoff_matrix(source, candidate_reconstructions(model),
+                                 receiver_prior(sl))
+
+
+@pytest.mark.parametrize("story, slack", [("story1", 4), ("story3", 3),
+                                          ("story5", 2), ("story7", 1)])
+def test_lumped_solver_matches_dense_on_stories(story, slack):
+    source, payoff = _story_payoff(story, slack)
     for beta in LossyConfig().beta_grid[::2]:  # 0, 2, 8, ..., 8192
         _assert_matches_dense(_ln_probs(source.probs), payoff, beta)
+
+
+def _one_point_ba(channel, beta, max_iters, tol):
+    """One multiplier solved alone on two-dimensional arrays, as sweeps
+    ran before they stacked their grid (the reference for the stack's
+    floats): the same folds, in the same orders, without the stack."""
+    ln_p, ln_start, payoff, starts, lens, ln_share = channel
+    tilt = beta * _LN2 * payoff
+    ln_q = np.logaddexp.reduce(ln_p[:, None] + ln_start, axis=0)
+    prev_rate = math.inf
+    for iterations in range(1, max_iters + 1):
+        ln_cond = ln_q[None, :] + tilt
+        ln_cond = ln_cond - np.logaddexp.reduce(
+            np.ascontiguousarray(ln_cond.T), axis=0)[:, None]
+        ln_joint = ln_p[:, None] + ln_cond
+        ln_q = np.logaddexp.reduce(ln_joint, axis=0)
+        ln_q = np.repeat(np.logaddexp.reduceat(ln_q, starts), lens) + ln_share
+        w = np.exp(ln_joint)
+        rate = max(float((w * (ln_cond - ln_q)).sum()) / _LN2, 0.0)
+        mean_payoff = float((w * payoff).sum())
+        converged = abs(rate - prev_rate) < tol
+        if converged:
+            break
+        prev_rate = rate
+    return RDPoint(rate, mean_payoff, beta, iterations, converged,
+                   rate - beta * mean_payoff)
+
+
+def _assert_grid_is_its_points(channel, grid, max_iters, tol=1e-10):
+    """Solving a grid in step gives each multiplier's own solve, field
+    for field, and the reference's."""
+    points = _ba_grid(channel, grid, max_iters, tol)
+    assert points == [_ba_grid(channel, (beta,), max_iters, tol)[0]
+                      for beta in grid]
+    assert points == [_one_point_ba(channel, beta, max_iters, tol)
+                      for beta in grid]
+    return points
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_grid_solve_matches_one_point_solves_on_random_channels(seed):
+    probs, payoff = _random_channel(seed)
+    channel = _lump(_ln_probs(probs), payoff)
+    for max_iters in (1, 2, 500):
+        _assert_grid_is_its_points(channel, (0.0, 0.5, 2.0, 8.0, 64.0),
+                                   max_iters)
+
+
+@pytest.mark.parametrize("story, slack", [
+    *((f"story{i}", 2) for i in range(1, 8)), ("story1", 4)])
+def test_grid_solve_matches_one_point_solves_on_stories(story, slack):
+    source, payoff = _story_payoff(story, slack)
+    channel = _lump(_ln_probs(source.probs), payoff)
+    grid = LossyConfig().beta_grid
+    points = _assert_grid_is_its_points(channel, grid, 500)
+    # story7's beta = 64 point at slack 2 and story1's at slack 4 stop at
+    # the pass cap: the longest tail of the stack
+    capped = [pt.beta for pt in points if not pt.converged]
+    assert capped == ([64.0] if (story, slack) in {("story7", 2), ("story1", 4)}
+                      else [])
+    _assert_grid_is_its_points(channel, grid, 1)
+
+
+def test_first_rise_in_grid_order_raises(monkeypatch, caplog):
+    # the objective rises at grid index 4 on the second pass and at index
+    # 2 on the third: index 2's error is raised, after the points before
+    # it are logged, and nothing is logged for the points after it
+    passes = iter([([0.0] * 6, [0.0] * 6),
+                   ([0.0, 0.0, 1.0, 1.0, 1.0, 1.0],
+                    [0.0, 0.0, 1.0, 1.0, 0.0, 1.0]),
+                   ([2.0, 2.0], [0.0, 2.0])])
+
+    def stacked(ln_p, ln_cond, payoff, *split):
+        rates, means = map(np.array, next(passes))
+        assert len(rates) == len(ln_cond)
+        return rates, means, ln_cond[:, :, 0]
+
+    channel = _lump(_ln_probs(np.array([0.4, 0.6])),
+                    np.array([[0.9, 0.3], [0.2, 0.7]]))
+    monkeypatch.setattr(lossy, "_mutual_bits", stacked)
+    caplog.set_level(logging.DEBUG, logger="semcomm.lossy")
+    with pytest.raises(RuntimeError) as exc:
+        _ba_grid(channel, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0), 50, 1e-12)
+    assert str(exc.value) == "objective increased from -2.0 to 2.0 at beta=3"
+    assert [r.getMessage() for r in caplog.records] == [
+        f"beta={beta}: 2 iterations, converged=True, objective=0.0"
+        for beta in (1, 2)]
+    assert next(passes, None) is None
 
 
 def _orbits(gens, size, act):
